@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from .core import LPM, ConePoint, as_pattern, symmetrize
+from .core import LPM, ConePoint, as_pattern, canonical_signs, symmetrize
 from .errors import ConeKindMismatch
 
 __all__ = ["dsum_pattern", "dsum_matrix", "tensor_pattern", "tensor_matrix"]
@@ -48,17 +48,7 @@ def tensor_pattern(eps, eps2):
     canonical diagonals; cumulative products of its entries recover the
     pattern (e_k = e_{k-1} * d_k with e_0 = 1).
     """
-    eps, eps2 = as_pattern(eps), as_pattern(eps2)
-
-    def diag_signs(e):
-        prev = 1
-        out = []
-        for s in e:
-            out.append(prev * s)
-            prev = s
-        return out
-
-    d = np.kron(diag_signs(eps), diag_signs(eps2))
+    d = np.kron(canonical_signs(eps), canonical_signs(eps2))
     return tuple(int(s) for s in np.cumprod(d))
 
 

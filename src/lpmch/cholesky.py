@@ -3,13 +3,14 @@
 For a fixed matrix B in the cone with pattern ``eps``, the map
 Phi_B : L -> L B L* is a bijection from the Cholesky space (lower
 triangular, positive diagonal) onto the same cone. ``compose`` evaluates
-Phi_B, ``factor`` inverts it by forward recursion; the trailing-minor
-(TPM) duals are obtained through the reversal map, and ``resign`` moves a
-matrix between cones without leaving factored coordinates.
+Phi_B and ``factor`` inverts it in closed form from the unpivoted LDL*
+factorizations A = L_A D_A L_A* and B = L_B D_B L_B*:
+L = L_A diag(sqrt(d_A / d_B)) L_B^{-1}. The trailing-minor (TPM) duals are
+obtained through the reversal map, and ``resign`` moves a matrix between
+cones by swapping the signs of its LDL* pivots.
 """
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .core import (
     DEFAULT_TOL,
@@ -18,7 +19,10 @@ from .core import (
     ConePoint,
     as_pattern,
     canonical_diagonal,
+    canonical_signs,
+    ldl,
     reverse_matrix,
+    reverse_point,
     symmetrize,
 )
 from .errors import ConeKindMismatch, NegativeRadicand, PatternMismatch
@@ -57,24 +61,12 @@ def _check_same_cone(A, B, cone):
         raise PatternMismatch(f"patterns differ: {A.pattern} vs {B.pattern}")
 
 
-def _ldl_pivots(A):
-    """Unit-lower LDL* elimination: A = L diag(d) L* with real pivots d.
-
-    Pivot d[k] is the ratio of consecutive leading principal minors, so the
-    k-th minor is d[0]*...*d[k-1].
-    """
-    A = np.asarray(A)
-    n = A.shape[0]
-    U = A.astype(complex if np.iscomplexobj(A) else float, copy=True)
-    L = np.eye(n, dtype=U.dtype)
-    d = np.empty(n)
-    for k in range(n):
-        d[k] = U[k, k].real
-        if k + 1 < n:
-            col = U[k + 1:, k] / U[k, k]
-            L[k + 1:, k] = col
-            U[k + 1:, k + 1:] -= np.outer(col, U[k, k + 1:])
-    return L, d
+def _check_radicands(radicand, tol):
+    """Raise NegativeRadicand at the first squared diagonal entry <= tol**2."""
+    bad = np.flatnonzero(~(radicand > tol * tol))
+    if bad.size:
+        j = int(bad[0])
+        raise NegativeRadicand(j + 1, float(radicand[j]))
 
 
 def compose(L, B):
@@ -94,35 +86,19 @@ def compose(L, B):
 def factor(A, B, tol=DEFAULT_TOL):
     """The unique lower triangular L with positive diagonal and L B L* = A.
 
-    A and B must lie in the same LPM cone. Runs the forward recursion in
-    O(n^3): diagonal entries come from ratios of elimination pivots of A and
-    B, and each new row solves two triangular systems against the running
-    factor of the result and the precomputed LDL* factor of B.
+    A and B must lie in the same LPM cone. With A = L_A D_A L_A* and
+    B = L_B D_B L_B* their unit-lower LDL* factorizations, the factor is
+    L = L_A diag(sqrt(d_A / d_B)) L_B^{-1}, in O(n^3). Its diagonal entries
+    are the square roots of the ratios of elimination pivots; a ratio at or
+    below tol**2 raises NegativeRadicand.
     """
     _check_same_cone(A, B, LPM)
-    Am, Bm = A.matrix, B.matrix
-    n = Am.shape[0]
-    dtype = complex if np.iscomplexobj(Am) or np.iscomplexobj(Bm) else float
-    LB, dB = _ldl_pivots(Bm)
-    _, dA = _ldl_pivots(Am)
-    L = np.zeros((n, n), dtype=dtype)
-    for j in range(n):
-        radicand = dA[j] / dB[j]
-        if not radicand > tol * tol:
-            raise NegativeRadicand(j + 1, float(radicand))
-        q = np.sqrt(radicand)
-        if j > 0:
-            b = Am[:j, j]
-            u = Bm[:j, j]
-            y = solve_triangular(L[:j, :j], b, lower=True)
-            # Solve B_[j] x = y - q*u through its unit-LDL* factors.
-            z = solve_triangular(LB[:j, :j], y - q * u, lower=True,
-                                 unit_diagonal=True)
-            x = solve_triangular(LB[:j, :j].conj().T, z / dB[:j], lower=False,
-                                 unit_diagonal=True)
-            L[j, :j] = x.conj()
-        L[j, j] = q
-    return L.real if dtype is float else L
+    LA, dA = ldl(A.matrix)
+    LB, dB = ldl(B.matrix)
+    radicand = dA / dB
+    _check_radicands(radicand, tol)
+    # L L_B = L_A diag(q), solved as L_B^T L^T = (L_A diag(q))^T.
+    return np.linalg.solve(LB.T, (LA * np.sqrt(radicand)).T).T
 
 
 def compose_tpm(L, C):
@@ -138,26 +114,17 @@ def compose_tpm(L, C):
 def factor_tpm(A, C, tol=DEFAULT_TOL):
     """Invert compose_tpm by reversal: factor the reversed pair, reverse back."""
     _check_same_cone(A, C, TPM)
-    A_rev = ConePoint(matrix=symmetrize(reverse_matrix(A.matrix)), cone=LPM,
-                      pattern=A.pattern, tolerance_used=A.tolerance_used)
-    C_rev = ConePoint(matrix=symmetrize(reverse_matrix(C.matrix)), cone=LPM,
-                      pattern=C.pattern, tolerance_used=C.tolerance_used)
-    return reverse_matrix(factor(A_rev, C_rev, tol=tol))
-
-
-def _diag_signs(eps):
-    """(e0*e1, e1*e2, ...) with e0 = 1 — the diagonal of the canonical matrix."""
-    eps = as_pattern(eps)
-    return np.array([(1 if i == 0 else eps[i - 1]) * eps[i]
-                     for i in range(len(eps))], dtype=float)
+    return reverse_matrix(factor(reverse_point(A), reverse_point(C), tol=tol))
 
 
 def resign(A, delta, tol=DEFAULT_TOL):
     """Move A from its LPM cone to the cone with pattern delta.
 
-    Writes A = L D_eps L* and returns L D_delta L*, but runs entirely in one
-    forward recursion over the Gram coefficients alpha_j^(k) = l_jk *
-    conj(l_kk) * (e_{k-1} e_k), never forming L itself.
+    With A = L_A diag(d) L_A* its unit-lower LDL* factorization, the pivots
+    carry the canonical signs s_eps of A's pattern, so A = L D_eps L* with
+    L = L_A diag(sqrt(s_eps d)). The result L D_delta L* is
+    L_A diag(s_eps d s_delta) L_A*. A pivot ratio s_eps d at or below
+    tol**2 raises NegativeRadicand.
     """
     if A.cone != LPM:
         raise ConeKindMismatch(f"resign needs an LPM point, got {A.cone}")
@@ -167,34 +134,15 @@ def resign(A, delta, tol=DEFAULT_TOL):
         raise PatternMismatch(f"pattern length {len(delta)} != dimension {len(eps)}")
     if delta == eps:
         return A
-    Am = A.matrix
-    n = Am.shape[0]
-    dtype = complex if np.iscomplexobj(Am) else float
-    s_eps = _diag_signs(eps)
-    s_delta = _diag_signs(delta)
-    alpha = np.zeros((n, n), dtype=dtype)
-    lsq = np.empty(n)
-    out = np.zeros((n, n), dtype=dtype)
-    for k in range(n):
-        col = Am[k:, k].astype(dtype, copy=True)
-        for i in range(k):
-            col -= alpha[k:, i] * np.conj(alpha[k, i]) * (s_eps[i] / lsq[i])
-        alpha[k:, k] = col
-        radicand = s_eps[k] * col[0].real
-        if not radicand > tol * tol:
-            raise NegativeRadicand(k + 1, float(radicand))
-        lsq[k] = radicand
-        # Eagerly accumulate rank-one pieces of the re-signed matrix.
-        piece = np.outer(alpha[k:, k], np.conj(alpha[k:, k])) * (s_delta[k] / lsq[k])
-        out[k:, k:] += piece
+    LA, d = ldl(A.matrix)
+    radicand = canonical_signs(eps) * d
+    _check_radicands(radicand, tol)
+    out = (LA * (radicand * canonical_signs(delta))) @ LA.conj().T
     return ConePoint(matrix=symmetrize(out), cone=LPM, pattern=delta,
                      tolerance_used=A.tolerance_used)
 
 
 def canonical_point(eps, cone=LPM):
     """The canonical diagonal D_eps (LPM) or its reversal counterpart (TPM)."""
-    eps = as_pattern(eps)
-    D = canonical_diagonal(eps)
-    if cone == LPM:
-        return ConePoint(matrix=D, cone=LPM, pattern=eps)
-    return ConePoint(matrix=symmetrize(reverse_matrix(D)), cone=TPM, pattern=eps)
+    point = ConePoint(matrix=canonical_diagonal(eps), cone=LPM, pattern=as_pattern(eps))
+    return point if cone == LPM else reverse_point(point)

@@ -74,17 +74,21 @@ def scale(A):
     return float(np.max(np.abs(A))) if np.asarray(A).size else 0.0
 
 
-def leading_minors(A):
-    """All n leading principal minors, by one pass of unpivoted elimination.
+def ldl(A):
+    """Unit-lower LDL* elimination without pivoting: A = L diag(d) L*.
 
-    If some pivot vanishes exactly the remaining minors are reported as NaN;
-    callers apply their own tolerance per minor. Hermitian input gives real
-    minors; a non-negligible imaginary part raises ValueError.
+    The one elimination kernel behind minors, factors and re-signing. Pivot
+    d[k] is the ratio of the (k+1)-th to the k-th leading principal minor,
+    so the minors are the running products of d. If some pivot vanishes
+    exactly the elimination stops there and the remaining pivots are NaN.
+    Hermitian input gives real pivots; a leading minor with a
+    non-negligible imaginary part raises ValueError.
     """
     A = np.asarray(A)
     n = A.shape[0]
     U = A.astype(complex if np.iscomplexobj(A) else float, copy=True)
-    minors = np.full(n, np.nan)
+    L = np.eye(n, dtype=U.dtype)
+    d = np.full(n, np.nan)
     det = 1.0 + 0.0j
     for k in range(n):
         pivot = U[k, k]
@@ -92,29 +96,51 @@ def leading_minors(A):
         if abs(det.imag) > 1e-8 * max(1.0, abs(det)):
             raise ValueError("leading minor has a non-negligible imaginary part; "
                              "input is not Hermitian")
-        minors[k] = det.real
+        d[k] = pivot.real
         if k + 1 < n:
             if pivot == 0:
                 break
-            U[k + 1:, k + 1:] -= np.outer(U[k + 1:, k] / pivot, U[k, k + 1:])
-    return minors
+            col = U[k + 1:, k] / pivot
+            L[k + 1:, k] = col
+            U[k + 1:, k + 1:] -= np.outer(col, U[k, k + 1:])
+    return L, d
+
+
+def leading_minors(A):
+    """All n leading principal minors: the running products of the ldl pivots.
+
+    After an exact zero pivot the remaining minors are reported as NaN;
+    callers apply their own tolerance per minor.
+    """
+    return np.cumprod(ldl(A)[1])
+
+
+def canonical_signs(eps):
+    """(e0*e1, e1*e2, ..., e_{n-1}*e_n) with e0 = 1, as floats."""
+    e = np.array(as_pattern(eps), dtype=float)
+    return e * np.concatenate(([1.0], e[:-1]))
 
 
 def canonical_diagonal(eps):
     """The unit-modulus diagonal matrix diag(e1, e1*e2, ..., e_{n-1}*e_n)."""
-    eps = as_pattern(eps)
-    d = np.empty(len(eps))
-    prev = 1
-    for j, e in enumerate(eps):
-        d[j] = prev * e
-        prev = e
-    return np.diag(d)
+    return np.diag(canonical_signs(eps))
 
 
 def reverse_matrix(A):
     """The reversal (P A P)* with P the anti-diagonal permutation."""
     A = np.asarray(A)
     return A.conj().T[::-1, ::-1]
+
+
+def reverse_point(point):
+    """The reversal of a cone point: LPM <-> TPM with the same pattern.
+
+    The trailing minors of A are the leading minors of its reversal, so the
+    pattern carries over unchanged.
+    """
+    return ConePoint(matrix=symmetrize(reverse_matrix(point.matrix)),
+                     cone=TPM if point.cone == LPM else LPM,
+                     pattern=point.pattern, tolerance_used=point.tolerance_used)
 
 
 def reverse_pattern(eps):
@@ -183,14 +209,7 @@ def lpm_perturbation(A, tol=DEFAULT_TOL):
 
 def negative_inertia(eps):
     """Number of sign changes in the sequence 1, e1, ..., e_n."""
-    eps = as_pattern(eps)
-    prev = 1
-    changes = 0
-    for e in eps:
-        if e != prev:
-            changes += 1
-        prev = e
-    return changes
+    return int(np.sum(canonical_signs(eps) < 0))
 
 
 def cones_with_inertia(n, k):

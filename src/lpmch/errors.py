@@ -34,6 +34,10 @@ class NegativeRadicand(LpmchError):
         super().__init__(f"nonpositive radicand {value} at diagonal position {j}")
 
 
+class ComplexFactor(LpmchError):
+    """A factor has a nonzero imaginary part where only real scalars work."""
+
+
 class ConeKindMismatch(LpmchError):
     pass
 

@@ -9,11 +9,10 @@ each cone an isometric copy of the Cholesky space. Real scalars only.
 """
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .core import LPM, TPM, ConePoint, as_pattern, canonical_diagonal, symmetrize
 from .cholesky import canonical_point, compose, compose_tpm, factor, factor_tpm
-from .errors import ConeKindMismatch, PatternMismatch
+from .errors import ComplexFactor, ConeKindMismatch, PatternMismatch
 
 __all__ = [
     "group_op", "group_inv", "scalar_mul", "eta", "eta_inv",
@@ -52,8 +51,16 @@ def scalar_mul(alpha, L):
 
 
 def eta(L):
-    """Linear coordinates (log-diagonal block; strict-lower block, row-major)."""
-    L = np.asarray(L, dtype=float)
+    """Linear coordinates (log-diagonal block; strict-lower block, row-major).
+
+    The chart is real: a factor with a nonzero imaginary part raises
+    ComplexFactor.
+    """
+    L = np.asarray(L)
+    if np.iscomplexobj(L) and np.any(L.imag != 0):
+        raise ComplexFactor("eta needs a real factor; complex scalars are "
+                            "not supported by the log-Cholesky chart")
+    L = L.real.astype(float)
     n = L.shape[0]
     return np.concatenate([np.log(np.diagonal(L)), L[np.tril_indices(n, -1)]])
 
@@ -116,7 +123,7 @@ def _half_lower(A):
 def differential_inv(L, W, eps):
     """Pullback of a symmetric perturbation W to a lower triangular tangent."""
     D = canonical_diagonal(eps)
-    Z = solve_triangular(L, solve_triangular(L, W, lower=True).T, lower=True).T
+    Z = np.linalg.solve(L, np.linalg.solve(L, W).T).T
     return L @ _half_lower(Z) @ D
 
 

@@ -6,10 +6,10 @@ inertial cloning. All densities are computed in log space; all draws are
 reproducible from an explicit seeded stream.
 """
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import multigammaln
 
 from .core import (
     LPM,
@@ -19,6 +19,7 @@ from .core import (
     as_pattern,
     cones_with_inertia,
     reverse_matrix,
+    reverse_point,
     symmetrize,
 )
 from .cholesky import canonical_point, factor
@@ -173,6 +174,12 @@ def wishart_sample(rng, spec, size=None):
     return [cone_compose(Fi, pattern, spec.cone) for Fi in F]
 
 
+def _multigammaln(a, d):
+    """log Gamma_d(a), the multivariate gamma function, for a > (d - 1) / 2."""
+    return (d * (d - 1) / 4.0 * math.log(math.pi)
+            + sum(math.lgamma(a - j / 2.0) for j in range(d)))
+
+
 def _pd_wishart_logpdf(W_logdet, W, sigma, N):
     n = sigma.shape[0]
     sign, sigma_logdet = np.linalg.slogdet(sigma)
@@ -181,7 +188,7 @@ def _pd_wishart_logpdf(W_logdet, W, sigma, N):
     return (0.5 * (N - n - 1) * W_logdet
             - 0.5 * float(np.trace(np.linalg.solve(sigma, W)))
             - 0.5 * n * N * np.log(2.0)
-            - multigammaln(N / 2.0, n)
+            - _multigammaln(N / 2.0, n)
             - 0.5 * N * sigma_logdet)
 
 
@@ -202,9 +209,7 @@ def wishart_log_density(M, spec):
     if spec.cone == TPM:
         rev_spec = replace(spec, cone=LPM,
                            sigma=symmetrize(reverse_matrix(np.asarray(spec.sigma))))
-        M_rev = ConePoint(matrix=symmetrize(reverse_matrix(M.matrix)), cone=LPM,
-                          pattern=M.pattern, tolerance_used=M.tolerance_used)
-        return wishart_log_density(M_rev, rev_spec)
+        return wishart_log_density(reverse_point(M), rev_spec)
     L = factor(M, canonical_point(M.pattern, LPM))
     W = L @ L.conj().T
     W_logdet = 2.0 * float(np.sum(np.log(np.diagonal(L).real)))
@@ -322,7 +327,7 @@ def inverse_wishart_log_density(X, spec):
     _, W_logdet = np.linalg.slogdet(W)
     return float(0.5 * N * omega_logdet
                  - 0.5 * n * N * np.log(2.0)
-                 - multigammaln(N / 2.0, n)
+                 - _multigammaln(N / 2.0, n)
                  - 0.5 * (N + n + 1) * W_logdet
                  - 0.5 * np.trace(omega @ np.linalg.inv(W)))
 

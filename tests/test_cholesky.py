@@ -10,6 +10,7 @@ from lpmch import (
     compose_tpm,
     factor,
     factor_tpm,
+    is_lower_triangular,
     resign,
     reverse_matrix,
     symmetrize,
@@ -168,3 +169,15 @@ def test_resign_complex():
     L = factor(A, canonical_point(eps))
     expected = compose(L, canonical_point(delta))
     assert np.allclose(got.matrix, expected.matrix, atol=1e-10)
+
+
+def test_factor_generic_n256():
+    # A generic symmetric matrix that classify accepts: its factor against the
+    # canonical point must be finite, lower triangular and reproduce A.
+    X = np.random.default_rng(0).standard_normal((256, 256))
+    A = classify((X + X.T) / 2)
+    D = canonical_point(A.pattern)
+    L = factor(A, D)
+    assert np.all(np.isfinite(L)) and is_lower_triangular(L)
+    residual = np.linalg.norm(compose(L, D).matrix - A.matrix) / np.linalg.norm(A.matrix)
+    assert residual <= 1e-6

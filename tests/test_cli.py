@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -188,3 +191,21 @@ def test_csv_roundtrip(tmp_path, capsys):
     src = tmp_path / "l.csv"
     write_matrix(L, str(src))
     assert np.array_equal(read_matrix(str(src)), L)
+
+
+def test_factor_generic_n256_file(tmp_path, capsys):
+    X = np.random.default_rng(0).standard_normal((256, 256))
+    src = write(tmp_path, "a.json", (X + X.T) / 2)
+    dst = str(tmp_path / "l.json")
+    code, _, err = run(capsys, "factor", src, "--output", dst)
+    assert code == 0 and err == ""
+    L = read_matrix(dst)
+    assert np.all(np.isfinite(L)) and np.array_equal(L, np.tril(L))
+
+
+def test_cli_import_does_not_load_scipy():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import lpmch.cli, sys; assert 'scipy' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)

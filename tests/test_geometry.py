@@ -25,7 +25,7 @@ from lpmch import (
     star_inv,
     star_op,
 )
-from lpmch.errors import PatternMismatch
+from lpmch.errors import ComplexFactor, PatternMismatch
 from lpmch.geometry import KLEIN_MAPS, cone_factor
 
 L_WITNESS = np.array([[1.0, 0.0], [2.0, 2.0]])
@@ -256,3 +256,9 @@ def test_klein_maps():
                 pytest.approx(distance(L, K), abs=1e-12)
     with pytest.raises(ValueError):
         klein_apply("nope", np.eye(2))
+
+
+def test_eta_rejects_complex_factors():
+    A = np.array([[2.0, 1 + 1j], [1 - 1j, 3.0]])
+    with pytest.raises(ComplexFactor):
+        lpm_distance(classify(A), classify(A.conj()))

@@ -312,3 +312,21 @@ def test_spec_validation():
     base = wishart_spec((1, -1), np.eye(2), 5)
     with pytest.raises(SpecInvalid):
         DistributionSpec(kind="inertial_clone", base=base, k=1).validate()
+
+
+def test_pd_densities_match_scipy_n3():
+    # On the all-plus cone the transferred laws are the classical ones, which
+    # checks the multivariate gamma normalisation beyond n = 1.
+    rng = np.random.default_rng(16)
+    X = rng.standard_normal((3, 3))
+    sigma = X @ X.T + 3 * np.eye(3)
+    for N in (3, 5, 8):
+        w = wishart_spec((1, 1, 1), sigma, N)
+        iw = DistributionSpec(kind="inverse_wishart", pattern=(1, 1, 1), sigma=sigma, dof=N)
+        for _ in range(3):
+            Y = rng.standard_normal((3, 3))
+            M = classify(Y @ Y.T + np.eye(3))
+            assert wishart_log_density(M, w) == pytest.approx(
+                stats.wishart.logpdf(M.matrix, df=N, scale=sigma), abs=1e-9)
+            assert inverse_wishart_log_density(M, iw) == pytest.approx(
+                stats.invwishart.logpdf(M.matrix, df=N, scale=sigma), abs=1e-9)
