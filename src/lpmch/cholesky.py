@@ -38,20 +38,27 @@ __all__ = [
 
 
 def is_lower_triangular(L, tol=0.0):
-    """True when L is square lower triangular with strictly positive diagonal."""
+    """True when L (or every matrix of a stack L) is square lower triangular
+    with strictly positive diagonal."""
     L = np.asarray(L)
-    if L.ndim != 2 or L.shape[0] != L.shape[1]:
+    if L.ndim < 2 or L.shape[-1] != L.shape[-2]:
         return False
-    upper_ok = np.all(np.abs(L[np.triu_indices(L.shape[0], k=1)]) <= tol)
-    diag = np.diagonal(L)
+    upper_ok = np.all(np.abs(np.triu(L, 1)) <= tol)
+    diag = np.diagonal(L, axis1=-2, axis2=-1)
     return bool(upper_ok and np.all(diag.real > 0) and np.all(diag.imag == 0))
 
 
-def _check_lower(L):
+def _check_lower(L, ndim=2):
     L = np.asarray(L)
-    if not is_lower_triangular(L):
+    if L.ndim != ndim or not is_lower_triangular(L):
         raise ValueError("expected lower triangular with positive diagonal")
     return L
+
+
+def _congruence(L, B, cone):
+    """L B L* (LPM) or L* B L (TPM), self-adjoint; L is one factor or a stack."""
+    Lh = np.swapaxes(L.conj(), -1, -2)
+    return symmetrize(L @ B @ Lh if cone == LPM else Lh @ B @ L)
 
 
 def _check_same_cone(A, B, cone):
@@ -69,6 +76,16 @@ def _check_radicands(radicand, tol):
         raise NegativeRadicand(j + 1, float(radicand[j]))
 
 
+def _signed_pivots(A, tol):
+    """L_A and s_eps d from A = L_A diag(d) L_A*, so that A = L D_eps L* with
+    L = L_A diag(sqrt(s_eps d)); an s_eps d at or below tol**2 raises
+    NegativeRadicand."""
+    LA, d = ldl(A.matrix)
+    radicand = canonical_signs(A.pattern) * d
+    _check_radicands(radicand, tol)
+    return LA, radicand
+
+
 def compose(L, B):
     """Phi_B(L) = L B L*, a point of the same LPM cone as B.
 
@@ -78,9 +95,8 @@ def compose(L, B):
     L = _check_lower(L)
     if B.cone != LPM:
         raise ConeKindMismatch(f"compose needs an LPM basis, got {B.cone}")
-    M = symmetrize(L @ B.matrix @ L.conj().T)
-    return ConePoint(matrix=M, cone=LPM, pattern=B.pattern,
-                     tolerance_used=B.tolerance_used)
+    return ConePoint(matrix=_congruence(L, B.matrix, LPM), cone=LPM,
+                     pattern=B.pattern, tolerance_used=B.tolerance_used)
 
 
 def factor(A, B, tol=DEFAULT_TOL):
@@ -106,9 +122,8 @@ def compose_tpm(L, C):
     L = _check_lower(L)
     if C.cone != TPM:
         raise ConeKindMismatch(f"compose_tpm needs a TPM basis, got {C.cone}")
-    M = symmetrize(L.conj().T @ C.matrix @ L)
-    return ConePoint(matrix=M, cone=TPM, pattern=C.pattern,
-                     tolerance_used=C.tolerance_used)
+    return ConePoint(matrix=_congruence(L, C.matrix, TPM), cone=TPM,
+                     pattern=C.pattern, tolerance_used=C.tolerance_used)
 
 
 def factor_tpm(A, C, tol=DEFAULT_TOL):
@@ -134,9 +149,7 @@ def resign(A, delta, tol=DEFAULT_TOL):
         raise PatternMismatch(f"pattern length {len(delta)} != dimension {len(eps)}")
     if delta == eps:
         return A
-    LA, d = ldl(A.matrix)
-    radicand = canonical_signs(eps) * d
-    _check_radicands(radicand, tol)
+    LA, radicand = _signed_pivots(A, tol)
     out = (LA * (radicand * canonical_signs(delta))) @ LA.conj().T
     return ConePoint(matrix=symmetrize(out), cone=LPM, pattern=delta,
                      tolerance_used=A.tolerance_used)
@@ -146,3 +159,15 @@ def canonical_point(eps, cone=LPM):
     """The canonical diagonal D_eps (LPM) or its reversal counterpart (TPM)."""
     point = ConePoint(matrix=canonical_diagonal(eps), cone=LPM, pattern=as_pattern(eps))
     return point if cone == LPM else reverse_point(point)
+
+
+def _cone_matrices(F, patterns, cone):
+    """compose against canonical_point, batched: F_i D_i F_i* (LPM) or
+    F_i* D_i F_i (TPM) for a factor stack F, with D_i the canonical basis of
+    patterns[i] (patterns is one pattern or an (m, n) array of them)."""
+    F = _check_lower(F, ndim=3)
+    signs = np.broadcast_to(canonical_signs(patterns), F.shape[:-1])
+    n = F.shape[-1]
+    D = np.zeros(F.shape)
+    D[:, np.arange(n), np.arange(n)] = signs if cone == LPM else signs[:, ::-1]
+    return _congruence(F, D, cone)

@@ -17,14 +17,11 @@ from .cholesky import canonical_point, factor, factor_tpm, resign
 from .core import (
     LPM,
     TPM,
-    ConePoint,
+    _classify_with_minors,
     classify,
     negative_inertia,
     pattern_from_string,
     pattern_to_string,
-    symmetrize,
-    leading_minors,
-    reverse_matrix,
 )
 from .errors import LpmchError, SpecInvalid
 from .matio import format_float, matrix_to_json_line, read_matrix, write_matrix
@@ -46,10 +43,7 @@ def _classified(path, cone, tol):
 
 
 def _cmd_classify(args):
-    A = read_matrix(args.matrix)
-    point = classify(A, cone=args.cone, tol=args.tol)
-    work = reverse_matrix(point.matrix) if args.cone == TPM else point.matrix
-    minors = leading_minors(work)
+    point, minors = _classify_with_minors(read_matrix(args.matrix), args.cone, args.tol)
     print(f"pattern: {pattern_to_string(point.pattern)}")
     print(f"inertia: {negative_inertia(point.pattern)}")
     print("minors: " + " ".join(format_float(m) for m in minors))

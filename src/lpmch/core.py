@@ -59,11 +59,11 @@ class ConePoint:
 
 
 def symmetrize(A):
-    """Return the self-adjoint part (A + A*) / 2 as a new array."""
+    """The self-adjoint part (A + A*) / 2 of a matrix or a stack, as a new array."""
     A = np.asarray(A)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+    if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {A.shape}")
-    H = (A + A.conj().T) / 2
+    H = (A + np.swapaxes(A.conj(), -1, -2)) / 2
     if np.iscomplexobj(H) and np.allclose(H.imag, 0):
         H = H.real
     return H
@@ -116,9 +116,10 @@ def leading_minors(A):
 
 
 def canonical_signs(eps):
-    """(e0*e1, e1*e2, ..., e_{n-1}*e_n) with e0 = 1, as floats."""
-    e = np.array(as_pattern(eps), dtype=float)
-    return e * np.concatenate(([1.0], e[:-1]))
+    """(e0*e1, e1*e2, ..., e_{n-1}*e_n) with e0 = 1, as floats; eps may also
+    be an unvalidated array of patterns along its last axis."""
+    e = np.asarray(eps if np.ndim(eps) > 1 else as_pattern(eps), dtype=float)
+    return e * np.concatenate((np.ones_like(e[..., :1]), e[..., :-1]), axis=-1)
 
 
 def canonical_diagonal(eps):
@@ -147,18 +148,12 @@ def reverse_pattern(eps):
     """(e_n e_{n-1}, ..., e_n e_1, e_n); identity for n = 1."""
     eps = as_pattern(eps)
     n = len(eps)
-    if n == 1:
-        return eps
     last = eps[-1]
     return tuple(last * eps[n - 1 - j] for j in range(1, n)) + (last,)
 
 
-def classify(A, cone=LPM, tol=DEFAULT_TOL):
-    """Classify a symmetric matrix into its LPM or TPM cone.
-
-    Raises MinorNearZero(k) when the k-th minor fails the scale-aware
-    tolerance |minor| > tol * max(1, scale(A))**k.
-    """
+def _classify_with_minors(A, cone=LPM, tol=DEFAULT_TOL):
+    """classify, plus the minors it tested (of the reversal for TPM)."""
     A = symmetrize(A)
     work = reverse_matrix(A) if cone == TPM else A
     minors = leading_minors(work)
@@ -168,17 +163,32 @@ def classify(A, cone=LPM, tol=DEFAULT_TOL):
         if not np.isfinite(m) or abs(m) <= tol * s**k:
             raise MinorNearZero(k, None if not np.isfinite(m) else float(m))
         signs.append(1 if m > 0 else -1)
-    return ConePoint(matrix=A, cone=cone, pattern=tuple(signs), tolerance_used=tol)
+    point = ConePoint(matrix=A, cone=cone, pattern=tuple(signs), tolerance_used=tol)
+    return point, minors
+
+
+def classify(A, cone=LPM, tol=DEFAULT_TOL):
+    """Classify a symmetric matrix into its LPM or TPM cone.
+
+    Raises MinorNearZero(k) when the k-th minor fails the scale-aware
+    tolerance |minor| > tol * max(1, scale(A))**k.
+    """
+    return _classify_with_minors(A, cone, tol)[0]
+
+
+def _inverse(M):
+    """Self-adjoint inverse of a matrix or a stack; SingularMatrix if singular."""
+    try:
+        inv = np.linalg.inv(M)
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrix(str(exc)) from exc
+    return symmetrize(inv)
 
 
 def invert_cone_point(point):
     """Matrix inverse, which swaps LPM <-> TPM and reverses the pattern."""
-    try:
-        inv = np.linalg.inv(point.matrix)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrix(str(exc)) from exc
     return ConePoint(
-        matrix=symmetrize(inv),
+        matrix=_inverse(point.matrix),
         cone=TPM if point.cone == LPM else LPM,
         pattern=reverse_pattern(point.pattern),
         tolerance_used=point.tolerance_used,

@@ -10,8 +10,9 @@ each cone an isometric copy of the Cholesky space. Real scalars only.
 
 import numpy as np
 
-from .core import LPM, TPM, ConePoint, as_pattern, canonical_diagonal, symmetrize
-from .cholesky import canonical_point, compose, compose_tpm, factor, factor_tpm
+from .core import DEFAULT_TOL, LPM, ConePoint, as_pattern, canonical_diagonal, \
+    reverse_matrix, reverse_point, symmetrize
+from .cholesky import _cone_matrices, _signed_pivots
 from .errors import ComplexFactor, ConeKindMismatch, PatternMismatch
 
 __all__ = [
@@ -53,16 +54,17 @@ def scalar_mul(alpha, L):
 def eta(L):
     """Linear coordinates (log-diagonal block; strict-lower block, row-major).
 
-    The chart is real: a factor with a nonzero imaginary part raises
-    ComplexFactor.
+    A stack of factors gives one row per factor. The chart is real: a factor
+    with a nonzero imaginary part raises ComplexFactor.
     """
     L = np.asarray(L)
     if np.iscomplexobj(L) and np.any(L.imag != 0):
         raise ComplexFactor("eta needs a real factor; complex scalars are "
                             "not supported by the log-Cholesky chart")
-    L = L.real.astype(float)
-    n = L.shape[0]
-    return np.concatenate([np.log(np.diagonal(L)), L[np.tril_indices(n, -1)]])
+    L = L.real.astype(float, copy=False)
+    rows, cols = np.tril_indices(L.shape[-1], -1)
+    return np.concatenate([np.log(np.diagonal(L, axis1=-2, axis2=-1)),
+                           L[..., rows, cols]], axis=-1)
 
 
 def _dim_from_eta(m):
@@ -74,10 +76,11 @@ def _dim_from_eta(m):
 
 def eta_inv(v):
     v = np.asarray(v, dtype=float)
-    n = _dim_from_eta(v.size)
-    L = np.zeros((n, n))
-    L[np.diag_indices(n)] = np.exp(v[:n])
-    L[np.tril_indices(n, -1)] = v[n:]
+    n = _dim_from_eta(v.shape[-1])
+    L = np.zeros(v.shape[:-1] + (n, n))
+    L[..., np.arange(n), np.arange(n)] = np.exp(v[..., :n])
+    rows, cols = np.tril_indices(n, -1)
+    L[..., rows, cols] = v[..., n:]
     return L
 
 
@@ -135,17 +138,31 @@ def _check_compatible(A, B):
 
 
 def cone_factor(A):
-    """Factor of A against the canonical basis of its cone."""
-    base = canonical_point(A.pattern, A.cone)
-    if A.cone == LPM:
-        return factor(A, base)
-    return factor_tpm(A, base)
+    """Factor of A against the canonical basis of its cone, from A's own LDL*
+    alone (TPM through the reversal)."""
+    if A.cone != LPM:
+        return reverse_matrix(cone_factor(reverse_point(A)))
+    LA, radicand = _signed_pivots(A, DEFAULT_TOL)
+    return LA * np.sqrt(radicand)
+
+
+def _as_points(M, patterns, cone, size):
+    """ConePoints of a matrix stack with one or per-matrix patterns; the list,
+    or its only point when size is None."""
+    rows = np.broadcast_to(np.asarray(patterns, dtype=int), M.shape[:-1]).tolist()
+    points = [ConePoint(matrix=Mi, cone=cone, pattern=tuple(p))
+              for Mi, p in zip(M, rows)]
+    return points[0] if size is None else points
+
+
+def _cone_points(F, patterns, cone, size):
+    """The API edge of a factor stack: its cone points (see _cone_matrices)."""
+    return _as_points(_cone_matrices(F, patterns, cone), patterns, cone, size)
 
 
 def cone_compose(L, pattern, cone=LPM):
     """Compose L against the canonical basis of the requested cone."""
-    base = canonical_point(pattern, cone)
-    return compose(L, base) if cone == LPM else compose_tpm(L, base)
+    return _cone_points(np.asarray(L)[np.newaxis], as_pattern(pattern), cone, None)
 
 
 def lpm_distance(A, B):
@@ -189,15 +206,11 @@ def log_cholesky_mean(points):
     return cone_compose(eta_inv(coords), first.pattern, first.cone)
 
 
-def _klein_rev(L):
-    return L.T[::-1, ::-1]
-
-
 KLEIN_MAPS = {
     "id": lambda L: np.asarray(L, dtype=float),
     "inv": group_inv,
-    "rev": _klein_rev,
-    "rev_inv": lambda L: _klein_rev(group_inv(L)),
+    "rev": reverse_matrix,
+    "rev_inv": lambda L: reverse_matrix(group_inv(L)),
 }
 
 

@@ -15,8 +15,8 @@ import numpy as np
 from .core import LPM, ConePoint, as_pattern
 from .geometry import cone_factor, eta
 from .errors import GroupMismatch, SpecInvalid
-from .sampling import DistributionSpec, _factor_samples, clone_patterns, \
-    cholesky_normal_etas, wishart_factors
+from .sampling import DistributionSpec, clone_patterns, cholesky_normal_etas, \
+    wishart_factors
 from .biggroup import BigGroupElement
 
 __all__ = ["Report", "WalkStats", "simulate_walk", "verify_from_stats",
@@ -60,28 +60,19 @@ class WalkStats:
 def _eta_increments(rng, spec, paths):
     """Coordinate increments and their patterns for one walk step."""
     spec.validate()
-    n = spec.dim
     if spec.kind == "inertial_clone":
         patterns = np.array(clone_patterns(spec), dtype=int)
         idx = rng.generator.integers(len(patterns), size=paths)
-        factors = _factor_samples(rng, spec.base, paths)
-        return _eta_batch(factors), patterns[idx]
+        return eta(wishart_factors(rng, spec.base, size=paths)), patterns[idx]
     if spec.kind == "cholesky_normal":
         v = cholesky_normal_etas(rng, spec, size=paths)
         pattern = as_pattern(spec.m0.pattern)
     elif spec.kind == "wishart":
-        v = _eta_batch(wishart_factors(rng, spec, size=paths))
+        v = eta(wishart_factors(rng, spec, size=paths))
         pattern = as_pattern(spec.pattern)
     else:
         raise SpecInvalid(f"walk steps cannot have kind {spec.kind!r}")
     return v, np.tile(np.array(pattern, dtype=int), (paths, 1))
-
-
-def _eta_batch(Ls):
-    n = Ls.shape[-1]
-    idx = np.arange(n)
-    rows, cols = np.tril_indices(n, -1)
-    return np.concatenate([np.log(Ls[:, idx, idx]), Ls[:, rows, cols]], axis=1)
 
 
 def _combine(d_eta, mismatch, p):
@@ -169,13 +160,11 @@ def _product(terms):
 
 def _min_prob(indicators):
     """min_k P(event_k): value and the SE of the minimizing estimate."""
-    probs = [_prob(ind) for ind in indicators]
-    return min(probs, key=lambda t: t[0])
+    return min(map(_prob, indicators), key=lambda t: t[0])
 
 
 def _max_prob(indicators):
-    probs = [_prob(ind) for ind in indicators]
-    return max(probs, key=lambda t: t[0])
+    return max(map(_prob, indicators), key=lambda t: t[0])
 
 
 def verify_from_stats(stats, which, params):
@@ -225,16 +214,13 @@ def verify_from_stats(stats, which, params):
         s = float(params["s"])
         if len(counts) != len(thresholds) or not counts:
             raise SpecInvalid("counts and thresholds must align and be nonempty")
-        if any(c < 1 for c in counts):
+        reason = ("every count must be >= 1" if any(c < 1 for c in counts) else
+                  "sum of counts exceeds n+1" if sum(counts) > n + 1 else None)
+        if reason:
             return Report(inequality=which, n_paths=stats.n_paths, lhs=math.nan,
                           rhs=math.nan, lhs_se=math.nan, rhs_se=math.nan,
                           passed=False, applicable=False,
-                          details={**details, "reason": "every count must be >= 1"})
-        if sum(counts) > n + 1:
-            return Report(inequality=which, n_paths=stats.n_paths, lhs=math.nan,
-                          rhs=math.nan, lhs_se=math.nan, rhs_se=math.nan,
-                          passed=False, applicable=False,
-                          details={**details, "reason": "sum of counts exceeds n+1"})
+                          details={**details, "reason": reason})
         U = np.max(d_z1, axis=1)
         M = np.max(d_inc, axis=1)
         le = [_prob(U <= t) for t in thresholds]

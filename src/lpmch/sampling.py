@@ -4,10 +4,16 @@ Samplers and log-densities for the transferred Wishart family (signed
 Bartlett construction), the Cholesky-normal law, the inverse Wishart, and
 inertial cloning. All densities are computed in log space; all draws are
 reproducible from an explicit seeded stream.
+
+Every sampler draws one (m, n, n) stack of lower triangular factors (a
+Bartlett stack, or the chart image of a stack of normal coordinates) and
+turns the whole stack into cone points in one batched congruence at the
+end; the inverse Wishart inverts that stack in one call. Densities read
+the factor of a point against its canonical basis (cone_factor).
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -15,15 +21,16 @@ from .core import (
     LPM,
     TPM,
     ConePoint,
+    _inverse,
     all_patterns,
     as_pattern,
     cones_with_inertia,
     reverse_matrix,
-    reverse_point,
+    reverse_pattern,
     symmetrize,
 )
-from .cholesky import canonical_point, factor
-from .geometry import cone_compose, cone_factor, eta, eta_inv
+from .cholesky import _cone_matrices, _congruence
+from .geometry import _as_points, _cone_points, cone_factor, eta, eta_inv
 from .errors import PatternMismatch, SpecInvalid
 
 __all__ = [
@@ -109,8 +116,8 @@ class DistributionSpec:
             if np.any(np.linalg.eigvalsh(symmetrize(st)) < -1e-12):
                 raise SpecInvalid("sigma_tilde must be positive semidefinite")
         elif self.kind == "inertial_clone":
-            if self.base is None:
-                raise SpecInvalid("inertial_clone needs a base spec")
+            if self.base is None or self.base.kind != "wishart":
+                raise SpecInvalid("inertial_clone needs a wishart base spec")
             self.base.validate()
             if any(s != 1 for s in as_pattern(self.base.pattern)):
                 raise SpecInvalid("inertial_clone base must be PD-supported")
@@ -120,10 +127,6 @@ class DistributionSpec:
         else:
             raise SpecInvalid(f"unknown distribution kind {self.kind!r}")
         return self
-
-
-def _tril_indices(n):
-    return np.tril_indices(n, -1)
 
 
 def bartlett_sample(rng, n, N, size=None):
@@ -139,7 +142,7 @@ def bartlett_sample(rng, n, N, size=None):
     K = np.zeros((m, n, n))
     for j in range(n):
         K[:, j, j] = np.sqrt(g.chisquare(N - j, size=m))
-    rows, cols = _tril_indices(n)
+    rows, cols = np.tril_indices(n, -1)
     if rows.size:
         K[:, rows, cols] = g.standard_normal((m, rows.size))
     return K[0] if size is None else K
@@ -158,20 +161,14 @@ def wishart_factors(rng, spec, size=None):
         sigma = symmetrize(reverse_matrix(sigma))
     n = sigma.shape[0]
     L0 = np.linalg.cholesky(sigma)
-    K = bartlett_sample(rng, n, spec.dof, size=1 if size is None else size)
-    F = L0[np.newaxis] @ K
-    if spec.cone == TPM:
-        F = np.transpose(F, (0, 2, 1))[:, ::-1, ::-1]
-    return F[0] if size is None else F
+    F = L0 @ bartlett_sample(rng, n, spec.dof, size=size)
+    return np.swapaxes(F, -1, -2)[..., ::-1, ::-1] if spec.cone == TPM else F
 
 
 def wishart_sample(rng, spec, size=None):
     """Signed-Bartlett Wishart draw(s) as cone points."""
-    F = wishart_factors(rng, spec, size=size)
-    pattern = as_pattern(spec.pattern)
-    if size is None:
-        return cone_compose(F, pattern, spec.cone)
-    return [cone_compose(Fi, pattern, spec.cone) for Fi in F]
+    F = wishart_factors(rng, spec, size=1 if size is None else size)
+    return _cone_points(F, as_pattern(spec.pattern), spec.cone, size)
 
 
 def _multigammaln(a, d):
@@ -192,29 +189,30 @@ def _pd_wishart_logpdf(W_logdet, W, sigma, N):
             - 0.5 * N * sigma_logdet)
 
 
-def _check_point_matches(M, spec):
-    if M.cone != spec.cone or M.pattern != as_pattern(spec.pattern):
+def _check_point_matches(M, spec, pattern=None):
+    pattern = as_pattern(spec.pattern if pattern is None else pattern)
+    if M.cone != spec.cone or M.pattern != pattern:
         raise PatternMismatch(
-            f"point is {M.cone}{M.pattern}, spec wants {spec.cone}{tuple(spec.pattern)}")
+            f"point is {M.cone}{M.pattern}, spec wants {spec.cone}{pattern}")
+
+
+def _pd_image(L, cone):
+    """The PD matrix behind a cone factor: L L* (LPM) or L* L (TPM)."""
+    return _congruence(L, np.eye(L.shape[-1]), cone).real
 
 
 def wishart_log_density(M, spec):
     """Log-density of the transferred Wishart at the cone point M.
 
     The transfer rides the factorization: the density at L D L* is the
-    classical Wishart density at L L^T.
+    classical Wishart density at L L^T (L^T L in the TPM cone).
     """
     spec.validate()
     _check_point_matches(M, spec)
-    if spec.cone == TPM:
-        rev_spec = replace(spec, cone=LPM,
-                           sigma=symmetrize(reverse_matrix(np.asarray(spec.sigma))))
-        return wishart_log_density(reverse_point(M), rev_spec)
-    L = factor(M, canonical_point(M.pattern, LPM))
-    W = L @ L.conj().T
+    L = cone_factor(M)
     W_logdet = 2.0 * float(np.sum(np.log(np.diagonal(L).real)))
-    return float(_pd_wishart_logpdf(W_logdet, W, np.asarray(spec.sigma, dtype=float),
-                                    spec.dof))
+    return float(_pd_wishart_logpdf(W_logdet, _pd_image(L, M.cone),
+                                    np.asarray(spec.sigma, dtype=float), spec.dof))
 
 
 def jacobian_logdet(L, eps=None):
@@ -246,11 +244,8 @@ def cholesky_normal_etas(rng, spec, size=None):
 
 def cholesky_normal_sample(rng, spec, size=None):
     """Cone point(s) whose factor coordinates are multivariate normal."""
-    v = cholesky_normal_etas(rng, spec, size=size)
-    pattern = as_pattern(spec.m0.pattern)
-    if size is None:
-        return cone_compose(eta_inv(v), pattern, spec.cone)
-    return [cone_compose(eta_inv(vi), pattern, spec.cone) for vi in v]
+    v = cholesky_normal_etas(rng, spec, size=1 if size is None else size)
+    return _cone_points(eta_inv(v), spec.m0.pattern, spec.cone, size)
 
 
 def cholesky_normal_log_density(M, spec, measure="eta"):
@@ -262,9 +257,7 @@ def cholesky_normal_log_density(M, spec, measure="eta"):
     of coordinates -> matrix.
     """
     spec.validate()
-    if M.cone != spec.cone or M.pattern != as_pattern(spec.m0.pattern):
-        raise PatternMismatch(
-            f"point is {M.cone}{M.pattern}, spec wants {spec.cone}{tuple(spec.m0.pattern)}")
+    _check_point_matches(M, spec, spec.m0.pattern)
     L = cone_factor(M)
     v = eta(L)
     mean = eta(cone_factor(spec.m0))
@@ -290,17 +283,14 @@ def inverse_wishart_sample(rng, spec, size=None):
     Inverts Wishart draws on the cone with the reversed pattern and kind, so
     the results land in spec's cone and pattern.
     """
-    from .core import invert_cone_point, reverse_pattern
-
     spec.validate()
     fwd = replace(spec, kind="wishart",
                   cone=LPM if spec.cone == TPM else TPM,
                   pattern=reverse_pattern(spec.pattern),
                   sigma=np.linalg.inv(np.asarray(spec.sigma, dtype=float)))
-    draws = wishart_sample(rng, fwd, size=size)
-    if size is None:
-        return invert_cone_point(draws)
-    return [invert_cone_point(d) for d in draws]
+    F = wishart_factors(rng, fwd, size=1 if size is None else size)
+    M = _inverse(_cone_matrices(F, fwd.pattern, fwd.cone))
+    return _as_points(M, as_pattern(spec.pattern), spec.cone, size)
 
 
 def inverse_wishart_log_density(X, spec):
@@ -311,13 +301,7 @@ def inverse_wishart_log_density(X, spec):
     """
     spec.validate()
     _check_point_matches(X, spec)
-    K = cone_factor(X)
-    # PD image of X under the transfer along its own cone's factorization.
-    if X.cone == LPM:
-        W = K @ K.conj().T
-    else:
-        W = K.conj().T @ K
-    W = symmetrize(W).real
+    W = _pd_image(cone_factor(X), X.cone)
     omega = symmetrize(np.asarray(spec.sigma, dtype=float))
     n = omega.shape[0]
     N = spec.dof
@@ -343,20 +327,7 @@ def clone_patterns(spec):
 def inertial_clone_sample(rng, spec, size=None):
     """PD base draws pushed to a uniformly random cone of fixed inertia."""
     spec.validate()
-    patterns = clone_patterns(spec)
-    m = 1 if size is None else int(size)
-    idx = rng.generator.integers(len(patterns), size=m)
-    base_factors = _factor_samples(rng, spec.base, m)
-    out = [cone_compose(base_factors[i], patterns[idx[i]], spec.cone)
-           for i in range(m)]
-    return out[0] if size is None else out
-
-
-def _factor_samples(rng, spec, size):
-    """Batch of cone factors for a sampleable spec, shape (size, n, n)."""
-    if spec.kind == "wishart":
-        return wishart_factors(rng, spec, size=size)
-    if spec.kind == "cholesky_normal":
-        v = cholesky_normal_etas(rng, spec, size=size)
-        return np.stack([eta_inv(vi) for vi in v])
-    raise SpecInvalid(f"no factor sampler for kind {spec.kind!r}")
+    patterns = np.array(clone_patterns(spec), dtype=int)
+    idx = rng.generator.integers(len(patterns), size=1 if size is None else size)
+    F = wishart_factors(rng, spec.base, size=idx.size)
+    return _cone_points(F, patterns[idx], spec.cone, size)

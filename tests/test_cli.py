@@ -33,6 +33,19 @@ def test_classify_output(tmp_path, capsys):
     assert lines[2].split() == ["minors:", "1", "-3"]
 
 
+@pytest.mark.parametrize("cone", ["lpm", "tpm"])
+def test_classify_eliminates_once(tmp_path, capsys, monkeypatch, cone):
+    import lpmch.core
+
+    calls = []
+    kernel = lpmch.core.ldl
+    monkeypatch.setattr(lpmch.core, "ldl", lambda A: calls.append(1) or kernel(A))
+    path = write(tmp_path, "a.json", [[1.0, 2.0], [2.0, 1.0]])
+    code, out, _ = run(capsys, "classify", path, "--cone", cone)
+    assert code == 0 and out.startswith("pattern: ")
+    assert len(calls) == 1
+
+
 def test_classify_tpm(tmp_path, capsys):
     path = write(tmp_path, "a.json", [[-1.0, 0.0], [0.0, 1.0]])
     code, out, _ = run(capsys, "classify", path, "--cone", "tpm")

@@ -1,0 +1,133 @@
+"""One factor and a stack of factors take the same path.
+
+The chart works over the last axes, and every sampler turns one stack of
+factors into cone points; draw i of a batch must be bit-for-bit the cone
+point of factor i taken on its own.
+"""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from conftest import random_lower
+from lpmch import (
+    DistributionSpec,
+    RngStream,
+    cholesky_normal_sample,
+    classify,
+    cone_compose,
+    eta,
+    eta_inv,
+    inertial_clone_sample,
+    invert_cone_point,
+    inverse_wishart_sample,
+    is_lower_triangular,
+    reverse_pattern,
+    symmetrize,
+    wishart_sample,
+)
+from lpmch.errors import ComplexFactor
+from lpmch.sampling import cholesky_normal_etas, clone_patterns, wishart_factors
+
+CONES = ["lpm", "tpm"]
+EPS = (1, -1, -1, 1)
+DRAWS = 25
+
+
+def _sigma(n):
+    X = np.random.default_rng(n).standard_normal((n, n))
+    return X @ X.T / n + np.eye(n)
+
+
+def test_eta_stack_matches_slices():
+    rng = np.random.default_rng(0)
+    F = np.stack([random_lower(rng, 5) for _ in range(7)])
+    V = eta(F)
+    assert V.shape == (7, 15)
+    for Fi, Vi in zip(F, V):
+        assert np.array_equal(Vi, eta(Fi))
+    back = eta_inv(V)
+    assert back.shape == F.shape
+    for Vi, Li in zip(V, back):
+        assert np.array_equal(Li, eta_inv(Vi))
+    assert np.allclose(back, F)
+
+
+def test_eta_stack_rejects_complex():
+    F = np.stack([np.eye(3, dtype=complex)] * 4)
+    F[2, 1, 0] = 1j
+    with pytest.raises(ComplexFactor):
+        eta(F)
+
+
+def test_symmetrize_and_triangularity_over_stacks():
+    rng = np.random.default_rng(1)
+    A = rng.standard_normal((6, 4, 4))
+    H = symmetrize(A)
+    for Ai, Hi in zip(A, H):
+        assert np.array_equal(Hi, symmetrize(Ai))
+    F = np.stack([random_lower(rng, 4) for _ in range(6)])
+    assert is_lower_triangular(F)
+    F[3, 0, 2] = 1.0
+    assert not is_lower_triangular(F)
+
+
+@pytest.mark.parametrize("cone", CONES)
+def test_wishart_draws_match_single_composition(cone):
+    spec = DistributionSpec(kind="wishart", pattern=EPS, cone=cone,
+                            sigma=_sigma(4), dof=6)
+    draws = wishart_sample(RngStream(3), spec, size=DRAWS)
+    F = wishart_factors(RngStream(3), spec, size=DRAWS)
+    for point, Fi in zip(draws, F):
+        assert np.array_equal(point.matrix, cone_compose(Fi, EPS, cone).matrix)
+        assert (point.cone, point.pattern) == (cone, EPS)
+
+
+@pytest.mark.parametrize("cone", CONES)
+def test_inverse_wishart_draws_match_single_inversion(cone):
+    spec = DistributionSpec(kind="inverse_wishart", pattern=EPS, cone=cone,
+                            sigma=_sigma(4), dof=6)
+    fwd = replace(spec, kind="wishart", cone="tpm" if cone == "lpm" else "lpm",
+                  pattern=reverse_pattern(EPS), sigma=np.linalg.inv(spec.sigma))
+    draws = inverse_wishart_sample(RngStream(4), spec, size=DRAWS)
+    F = wishart_factors(RngStream(4), fwd, size=DRAWS)
+    for point, Fi in zip(draws, F):
+        single = invert_cone_point(cone_compose(Fi, fwd.pattern, fwd.cone))
+        assert np.array_equal(point.matrix, single.matrix)
+        assert (point.cone, point.pattern) == (single.cone, single.pattern) == (cone, EPS)
+
+
+@pytest.mark.parametrize("cone", CONES)
+def test_cholesky_normal_draws_match_single_composition(cone):
+    m0 = cone_compose(random_lower(np.random.default_rng(5), 4), EPS, cone)
+    spec = DistributionSpec(kind="cholesky_normal", cone=cone, m0=m0,
+                            sigma_tilde=0.1 * np.eye(10))
+    draws = cholesky_normal_sample(RngStream(5), spec, size=DRAWS)
+    V = cholesky_normal_etas(RngStream(5), spec, size=DRAWS)
+    for point, v in zip(draws, V):
+        assert np.array_equal(point.matrix, cone_compose(eta_inv(v), EPS, cone).matrix)
+
+
+@pytest.mark.parametrize("cone", CONES)
+def test_clone_draws_match_single_composition(cone):
+    base = DistributionSpec(kind="wishart", pattern=(1,) * 4, sigma=_sigma(4), dof=6)
+    spec = DistributionSpec(kind="inertial_clone", cone=cone, base=base, k=2)
+    draws = inertial_clone_sample(RngStream(6), spec, size=DRAWS)
+    twin = RngStream(6)
+    patterns = clone_patterns(spec)
+    idx = twin.generator.integers(len(patterns), size=DRAWS)
+    F = wishart_factors(twin, base, size=DRAWS)
+    for point, i, Fi in zip(draws, idx, F):
+        assert point.pattern == patterns[i]
+        assert np.array_equal(point.matrix, cone_compose(Fi, patterns[i], cone).matrix)
+
+
+def test_single_draw_is_first_of_batch():
+    spec = DistributionSpec(kind="wishart", pattern=EPS, cone="tpm",
+                            sigma=_sigma(4), dof=6)
+    one = wishart_sample(RngStream(7), spec)
+    batch = wishart_sample(RngStream(7), spec, size=1)
+    assert np.array_equal(one.matrix, batch[0].matrix)
+    assert classify(one.matrix, cone="tpm").pattern == EPS
+    assert wishart_sample(RngStream(7), spec, size=0) == []

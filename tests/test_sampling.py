@@ -312,6 +312,14 @@ def test_spec_validation():
     base = wishart_spec((1, -1), np.eye(2), 5)
     with pytest.raises(SpecInvalid):
         DistributionSpec(kind="inertial_clone", base=base, k=1).validate()
+    # Clones push Wishart factors; other base laws are refused up front.
+    normal = DistributionSpec(kind="cholesky_normal", m0=classify(np.eye(2)),
+                              sigma_tilde=np.eye(3))
+    inverse = DistributionSpec(kind="inverse_wishart", pattern=(1, 1),
+                               sigma=np.eye(2), dof=5)
+    for other in (normal, inverse):
+        with pytest.raises(SpecInvalid):
+            DistributionSpec(kind="inertial_clone", base=other, k=1).validate()
 
 
 def test_pd_densities_match_scipy_n3():
