@@ -13,7 +13,7 @@ import sys
 import numpy as np
 
 from . import biggroup, geometry, inequalities, sampling, ssrpm
-from .cholesky import canonical_point, factor, factor_tpm, resign
+from .cholesky import factor, factor_tpm, resign
 from .core import (
     LPM,
     TPM,
@@ -23,7 +23,7 @@ from .core import (
     pattern_from_string,
     pattern_to_string,
 )
-from .errors import LpmchError, SpecInvalid
+from .errors import LpmchError, PatternMismatch, SpecInvalid
 from .matio import format_float, matrix_to_json_line, read_matrix, write_matrix
 
 __all__ = ["main"]
@@ -50,17 +50,18 @@ def _cmd_classify(args):
     return 0
 
 
-def _basis_point(args, point):
-    if args.basis == "diag":
-        eps = pattern_from_string(args.epsilon) if args.epsilon else point.pattern
-        return canonical_point(eps, point.cone)
-    return classify(read_matrix(args.basis), cone=point.cone, tol=args.tol)
-
-
 def _cmd_factor(args):
     point = _classified(args.matrix, args.cone, args.tol)
-    base = _basis_point(args, point)
-    L = factor(point, base) if args.cone == LPM else factor_tpm(point, base)
+    if args.basis == "diag":
+        # Against the canonical basis the factor needs only the point's own
+        # LDL*; an explicit --epsilon must still match the point's pattern.
+        eps = pattern_from_string(args.epsilon) if args.epsilon else point.pattern
+        if eps != point.pattern:
+            raise PatternMismatch(f"patterns differ: {point.pattern} vs {eps}")
+        L = geometry.cone_factor(point)
+    else:
+        base = classify(read_matrix(args.basis), cone=point.cone, tol=args.tol)
+        L = factor(point, base) if args.cone == LPM else factor_tpm(point, base)
     write_matrix(np.asarray(L, dtype=float), args.output)
     return 0
 

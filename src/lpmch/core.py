@@ -74,6 +74,38 @@ def scale(A):
     return float(np.max(np.abs(A))) if np.asarray(A).size else 0.0
 
 
+# Panel width of the blocked elimination in ldl.
+_BLOCK = 32
+
+
+def _eliminate_block(U, L, d, det):
+    """Unblocked elimination of the square block U, in place.
+
+    Writes the block's unit-lower L and real pivots d; afterwards the upper
+    triangle of U (pivots on its diagonal) holds the rows of the upper
+    factor. det is the running leading minor, or None for real input, whose
+    minors have no imaginary part to check. Returns the number of columns
+    eliminated (fewer than the block's width when a pivot is exactly zero)
+    and the updated det.
+    """
+    b = U.shape[0]
+    for k in range(b):
+        pivot = U[k, k]
+        if det is not None:
+            det *= complex(pivot)
+            if abs(det.imag) > 1e-8 * max(1.0, abs(det)):
+                raise ValueError("leading minor has a non-negligible imaginary part; "
+                                 "input is not Hermitian")
+        d[k] = pivot.real
+        if pivot == 0:
+            return k, det
+        if k + 1 < b:
+            col = U[k + 1:, k] / pivot
+            L[k + 1:, k] = col
+            U[k + 1:, k + 1:] -= col[:, np.newaxis] * U[k, k + 1:]
+    return b, det
+
+
 def ldl(A):
     """Unit-lower LDL* elimination without pivoting: A = L diag(d) L*.
 
@@ -83,26 +115,32 @@ def ldl(A):
     exactly the elimination stops there and the remaining pivots are NaN.
     Hermitian input gives real pivots; a leading minor with a
     non-negligible imaginary part raises ValueError.
+
+    The elimination is blocked and right-looking (Golub & Van Loan,
+    Matrix Computations, 4th ed., 4.1-4.2), in panels of 32 columns. The
+    plain rank-1 loop runs only inside each 32 x 32 diagonal block, giving
+    L11 and the upper factor U11; then L21 = A21 U11^{-1} and
+    U12 = L11^{-1} A12 (one solve each) and one matrix product updates the
+    Schur complement, A22 -= L21 U12. For n <= 32 only the plain loop runs.
     """
     A = np.asarray(A)
     n = A.shape[0]
-    U = A.astype(complex if np.iscomplexobj(A) else float, copy=True)
+    U = np.array(A, dtype=complex if np.iscomplexobj(A) else float, order="C")
     L = np.eye(n, dtype=U.dtype)
     d = np.full(n, np.nan)
-    det = 1.0 + 0.0j
-    for k in range(n):
-        pivot = U[k, k]
-        det *= complex(pivot)
-        if abs(det.imag) > 1e-8 * max(1.0, abs(det)):
-            raise ValueError("leading minor has a non-negligible imaginary part; "
-                             "input is not Hermitian")
-        d[k] = pivot.real
-        if k + 1 < n:
-            if pivot == 0:
-                break
-            col = U[k + 1:, k] / pivot
-            L[k + 1:, k] = col
-            U[k + 1:, k + 1:] -= np.outer(col, U[k, k + 1:])
+    det = 1.0 + 0.0j if np.iscomplexobj(U) else None
+    for p in range(0, n, _BLOCK):
+        q = min(p + _BLOCK, n)
+        done, det = _eliminate_block(U[p:q, p:q], L[p:q, p:q], d[p:q], det)
+        if q == n:
+            break
+        # The columns of L below the block, up to a zero pivot if there is one.
+        e = p + done
+        L[q:, p:e] = np.linalg.solve(np.triu(U[p:e, p:e]).T, U[q:, p:e].T).T
+        if e < q:
+            break
+        U12 = np.linalg.solve(L[p:q, p:q], U[p:q, q:])
+        U[q:, q:] -= L[q:, p:q] @ U12
     return L, d
 
 

@@ -15,7 +15,7 @@ import numpy as np
 from .core import LPM, ConePoint, as_pattern
 from .geometry import cone_factor, eta
 from .errors import GroupMismatch, SpecInvalid
-from .sampling import DistributionSpec, clone_patterns, cholesky_normal_etas, \
+from .sampling import DistributionSpec, _draw_clone_patterns, cholesky_normal_etas, \
     wishart_factors
 from .biggroup import BigGroupElement
 
@@ -61,9 +61,8 @@ def _eta_increments(rng, spec, paths):
     """Coordinate increments and their patterns for one walk step."""
     spec.validate()
     if spec.kind == "inertial_clone":
-        patterns = np.array(clone_patterns(spec), dtype=int)
-        idx = rng.generator.integers(len(patterns), size=paths)
-        return eta(wishart_factors(rng, spec.base, size=paths)), patterns[idx]
+        patterns = _draw_clone_patterns(rng, spec, paths)
+        return eta(wishart_factors(rng, spec.base, size=paths)), patterns
     if spec.kind == "cholesky_normal":
         v = cholesky_normal_etas(rng, spec, size=paths)
         pattern = as_pattern(spec.m0.pattern)

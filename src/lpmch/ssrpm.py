@@ -5,7 +5,7 @@ principal minors (not just the leading ones) are nonzero and share one
 sign. The test is exponential in n and capped accordingly.
 """
 
-from itertools import combinations
+from itertools import combinations, islice
 
 import numpy as np
 
@@ -15,6 +15,8 @@ from .errors import ConstraintViolation, DegenerateParameters, DimensionCap
 __all__ = ["is_ssrpm", "toeplitz_example", "almost_n_example", "DEFAULT_CAP"]
 
 DEFAULT_CAP = 14
+# Principal minors per batched det call, which keeps memory flat for any cap.
+_CHUNK = 4096
 
 
 def is_ssrpm(A, tol=DEFAULT_TOL, cap=DEFAULT_CAP):
@@ -33,15 +35,15 @@ def is_ssrpm(A, tol=DEFAULT_TOL, cap=DEFAULT_CAP):
     for k in range(1, n + 1):
         cutoff = tol * s**k
         sign_k = 0
-        for subset in combinations(range(n), k):
-            idx = np.asarray(subset)
-            minor = float(np.linalg.det(A[np.ix_(idx, idx)]))
-            if abs(minor) <= cutoff:
+        subsets = combinations(range(n), k)
+        while chunk := list(islice(subsets, _CHUNK)):
+            idx = np.array(chunk)
+            minors = np.linalg.det(A[idx[:, :, None], idx[:, None, :]])
+            if np.any(np.abs(minors) <= cutoff):
                 return None
-            sign = 1 if minor > 0 else -1
-            if sign_k == 0:
-                sign_k = sign
-            elif sign != sign_k:
+            signs = np.where(minors > 0, 1, -1)
+            sign_k = sign_k or int(signs[0])
+            if np.any(signs != sign_k):
                 return None
         pattern.append(sign_k)
     return tuple(pattern)

@@ -1,6 +1,15 @@
+import os
+
 import numpy as np
+from hypothesis import settings
 
 from lpmch import all_patterns, cone_compose
+
+# On CI (GitHub Actions sets CI) property tests draw a fixed sequence of
+# examples, so a failure there reproduces from its log.
+settings.register_profile("ci", derandomize=True)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 
 def random_lower(rng, n, complex_scalars=False):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from lpmch import classify, factor, canonical_point, lpm_distance, lpm_geodesic
+from lpmch import inequalities, sampling
 from lpmch.cli import main
 from lpmch.matio import read_matrix, write_matrix
 
@@ -63,6 +64,35 @@ def test_factor_roundtrip_file(tmp_path, capsys):
     expected = factor(classify(A), canonical_point((1, -1)))
     # 17 significant digits make the file round-trip bit-exact
     assert np.array_equal(L, expected)
+
+
+@pytest.mark.parametrize("cone", ["lpm", "tpm"])
+def test_factor_eliminates_twice(tmp_path, capsys, monkeypatch, cone):
+    import lpmch.cholesky
+    import lpmch.core
+
+    calls = []
+    kernel = lpmch.core.ldl
+
+    def counted(A):
+        calls.append(1)
+        return kernel(A)
+
+    monkeypatch.setattr(lpmch.core, "ldl", counted)
+    monkeypatch.setattr(lpmch.cholesky, "ldl", counted)
+    path = write(tmp_path, "a.json", [[1.0, 2.0], [2.0, 1.0]])
+    code, _, _ = run(capsys, "factor", path, "--cone", cone, "-o", str(tmp_path / "l.json"))
+    assert code == 0
+    # classify, then the point's own LDL*; the canonical basis is not eliminated
+    assert len(calls) == 2
+
+
+def test_factor_epsilon_must_match_the_point(tmp_path, capsys):
+    path = write(tmp_path, "a.json", [[1.0, 2.0], [2.0, 1.0]])
+    code, _, err = run(capsys, "factor", path, "--epsilon=++")
+    assert code == 1 and err.startswith("PatternMismatch:")
+    code, out, _ = run(capsys, "factor", path, "--epsilon=+-")
+    assert code == 0 and out
 
 
 def test_factor_against_basis_file(tmp_path, capsys):
@@ -168,6 +198,29 @@ def test_verify(tmp_path, capsys):
     assert code == 0
     assert "passed: True" in out
     assert "lhs:" in out and "rhs:" in out
+
+
+def _enumerated_clone_draw(rng, spec, size):
+    """The clone draw by indexing the enumerated patterns, as it was done
+    before patterns were unranked."""
+    patterns = np.array(sampling.clone_patterns(spec), dtype=int)
+    return patterns[rng.generator.integers(len(patterns), size=size)]
+
+
+def test_clone_streams_match_the_enumerated_draw(tmp_path, capsys, monkeypatch):
+    sigma = write(tmp_path, "s.json", np.eye(3) + 0.2)
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"preset": "mixed_box_walk"}))
+    sample = ["sample", "--dist", "clone", "--sigma", sigma, "--dof", "5",
+              "--count", "20", "--seed", "5"]
+    calls = [sample + ["--k", "1"], sample + ["--all-cones", "--cone", "tpm"],
+             ["verify", "--inequality", "hoffmann_jorgensen", "--trials", "500",
+              "--seed", "5", "--config", str(config)]]
+    unranked = [run(capsys, *argv) for argv in calls]
+    assert all(code == 0 for code, _, _ in unranked)
+    monkeypatch.setattr(sampling, "_draw_clone_patterns", _enumerated_clone_draw)
+    monkeypatch.setattr(inequalities, "_draw_clone_patterns", _enumerated_clone_draw)
+    assert [run(capsys, *argv) for argv in calls] == unranked
 
 
 def test_ssrpm_check(tmp_path, capsys):

@@ -1,6 +1,8 @@
-"""Property tests for the LDL* kernel and the maps built on it, up to n = 64."""
+"""Property tests for the LDL* kernel and the maps built on it, up to n = 64,
+and tests of the blocked kernel across its panel boundaries."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,6 +15,7 @@ from lpmch import (
     factor_tpm,
     leading_minors,
     resign,
+    reverse_matrix,
 )
 from lpmch.core import ldl
 
@@ -83,3 +86,87 @@ def test_resign_round_trip(pair, seed):
     eps, delta = pair
     A = compose(random_factor(np.random.default_rng(seed), len(eps)), canonical_point(eps))
     assert relative_error(resign(resign(A, delta), eps).matrix, A.matrix) < 1e-13
+
+
+def unblocked_ldl(A):
+    """The plain rank-1 elimination loop: the reference for the blocked kernel."""
+    U = np.array(A, dtype=complex if np.iscomplexobj(A) else float)
+    n = U.shape[0]
+    L = np.eye(n, dtype=U.dtype)
+    d = np.full(n, np.nan)
+    for k in range(n):
+        d[k] = U[k, k].real
+        if U[k, k] == 0:
+            break
+        col = U[k + 1:, k] / U[k, k]
+        L[k + 1:, k] = col
+        U[k + 1:, k + 1:] -= np.outer(col, U[k, k + 1:])
+    return L, d
+
+
+def seeded_cone_matrix(n, cone, seed=0):
+    """A point of a random cone of size n, and the matrix whose leading minors
+    carry its pattern (the reversal for TPM)."""
+    rng = np.random.default_rng([seed, n])
+    eps = tuple(int(e) for e in rng.choice((1, -1), n))
+    A = cone_compose(random_factor(rng, n), eps, cone).matrix
+    return eps, A, (A if cone == "lpm" else reverse_matrix(A))
+
+
+@pytest.mark.parametrize("cone", ("lpm", "tpm"))
+@pytest.mark.parametrize("n", (31, 32, 33, 63, 64, 65, 97, 130))
+def test_blocked_ldl_across_panel_boundaries(n, cone):
+    eps, _, work = seeded_cone_matrix(n, cone)
+    L, d = ldl(work)
+    L0, d0 = unblocked_ldl(work)
+    assert relative_error((L * d) @ L.T, work) < 1e-13
+    assert relative_error(L, L0) < 1e-13
+    assert relative_error(d, d0) < 1e-13
+    assert tuple(int(s) for s in np.sign(leading_minors(work))) == eps
+
+
+@pytest.mark.parametrize("cone", ("lpm", "tpm"))
+@pytest.mark.parametrize("n", (1, 2, 3, 10, 17, 31, 32))
+def test_ldl_within_one_panel_is_the_plain_loop(n, cone):
+    _, _, work = seeded_cone_matrix(n, cone)
+    L, d = ldl(work)
+    L0, d0 = unblocked_ldl(work)
+    assert np.array_equal(L, L0) and np.array_equal(d, d0)
+
+
+def test_ldl_stops_at_exact_zero_pivot_in_a_later_panel():
+    A = np.eye(70)
+    A[40, 40] = 0.0
+    L, d = ldl(A)
+    assert np.array_equal(d[:41], np.r_[np.ones(40), 0.0])
+    assert np.all(np.isnan(d[41:]))
+    assert np.array_equal(L, np.eye(70))
+
+
+def test_ldl_complex_hermitian_across_panels():
+    rng = np.random.default_rng(70)
+    n = 70
+    K = random_factor(rng, n) + 1j * np.tril(rng.standard_normal((n, n)), -1) / np.sqrt(n)
+    H = (K * rng.choice((1.0, -1.0), n)) @ K.conj().T
+    L, d = ldl(H)
+    assert d.dtype == float
+    assert relative_error((L * d) @ L.conj().T, H) < 1e-13
+
+
+def test_ldl_rejects_complex_symmetric_in_a_later_panel():
+    rng = np.random.default_rng(71)
+    K = random_factor(rng, 70)
+    S = (K @ K.T).astype(complex)
+    S[40, 40] += 0.5j
+    with pytest.raises(ValueError, match="not Hermitian"):
+        ldl(S)
+
+
+@pytest.mark.parametrize("n", (20, 70))
+def test_ldl_does_not_depend_on_memory_layout(n):
+    _, A, _ = seeded_cone_matrix(n, "tpm")
+    R = reverse_matrix(A)
+    assert not R.flags.c_contiguous
+    L, d = ldl(R)
+    Lc, dc = ldl(np.ascontiguousarray(R))
+    assert np.array_equal(L, Lc) and np.array_equal(d, dc)

@@ -6,6 +6,7 @@ from conftest import random_lower
 from lpmch import (
     DistributionSpec,
     RngStream,
+    all_patterns,
     bartlett_sample,
     canonical_point,
     cholesky_normal_log_density,
@@ -31,7 +32,7 @@ from lpmch import (
 )
 from lpmch.errors import PatternMismatch, SpecInvalid
 from lpmch.geometry import cone_factor
-from lpmch.sampling import cholesky_normal_etas, wishart_factors
+from lpmch.sampling import _unrank_patterns, cholesky_normal_etas, wishart_factors
 
 
 def wishart_spec(eps, sigma, dof, cone="lpm"):
@@ -282,6 +283,34 @@ def test_inertial_clone():
     pd_only = DistributionSpec(kind="inertial_clone", base=base, k=0)
     M = inertial_clone_sample(RngStream(17), pd_only)
     assert M.pattern == (1, 1, 1)
+
+
+def test_unranked_clone_patterns_follow_the_enumeration():
+    for n in range(1, 11):
+        for k in range(n + 1):
+            expected = cones_with_inertia(n, k)
+            got = _unrank_patterns(np.arange(len(expected)), n, k)
+            assert [tuple(p) for p in got.tolist()] == expected
+        got = _unrank_patterns(np.arange(2**n), n)
+        assert [tuple(p) for p in got.tolist()] == all_patterns(n)
+
+
+def test_inertial_clone_at_n40():
+    # 2^40 patterns: drawn by unranking, never enumerated
+    n = 40
+    base = wishart_spec((1,) * n, np.eye(n), n + 2)
+    spec = DistributionSpec(kind="inertial_clone", base=base, k=20)
+    draws = inertial_clone_sample(RngStream(40), spec, size=3)
+    assert [negative_inertia(M.pattern) for M in draws] == [20, 20, 20]
+    assert all(len(M.pattern) == n for M in draws)
+
+
+def test_clone_count_beyond_int64_is_invalid():
+    base = wishart_spec((1,) * 70, np.eye(70), 72)
+    for spec in (DistributionSpec(kind="inertial_clone", base=base, k=35),
+                 DistributionSpec(kind="inertial_clone", base=base, all_cones=True)):
+        with pytest.raises(SpecInvalid):
+            inertial_clone_sample(RngStream(70), spec)
 
 
 def test_change_of_variables_box_probability():

@@ -1,8 +1,12 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
 from conftest import random_cone_point
 from lpmch import all_patterns, almost_n_example, classify, is_ssrpm, toeplitz_example
+from lpmch import ssrpm
+from lpmch.core import scale, symmetrize
 from lpmch.errors import ConstraintViolation, DegenerateParameters, DimensionCap
 
 
@@ -115,3 +119,40 @@ def test_equality_characterization():
             assert hits == 60
         else:
             assert hits < 60
+
+
+def per_subset_ssrpm(A, tol=1e-10):
+    """One det per principal submatrix: the reference for the batched test."""
+    A = symmetrize(np.asarray(A, dtype=float))
+    n = A.shape[0]
+    s = max(1.0, scale(A))
+    pattern = []
+    for k in range(1, n + 1):
+        signs = set()
+        for subset in combinations(range(n), k):
+            idx = np.asarray(subset)
+            minor = float(np.linalg.det(A[np.ix_(idx, idx)]))
+            if abs(minor) <= tol * s**k:
+                return None
+            signs.add(1 if minor > 0 else -1)
+        if len(signs) > 1:
+            return None
+        pattern.append(signs.pop())
+    return tuple(pattern)
+
+
+@pytest.mark.parametrize("chunk", [ssrpm._CHUNK, 3])
+def test_is_ssrpm_matches_per_subset_minors(monkeypatch, chunk):
+    monkeypatch.setattr(ssrpm, "_CHUNK", chunk)
+    rng = np.random.default_rng(12)
+    found = []
+    for _ in range(30):
+        n = int(rng.integers(1, 9))
+        X = rng.standard_normal((n, n))
+        a, b = rng.uniform(-2.0, 2.0, 2)
+        for A in (X + X.T, X @ X.T + 0.1 * np.eye(n), -X @ X.T - 0.1 * np.eye(n),
+                  toeplitz_example(a, b, n)[0]):
+            expected = per_subset_ssrpm(A)
+            assert is_ssrpm(A) == expected
+            found.append(expected is not None)
+    assert any(found) and not all(found)
