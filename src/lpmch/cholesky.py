@@ -5,9 +5,11 @@ Phi_B : L -> L B L* is a bijection from the Cholesky space (lower
 triangular, positive diagonal) onto the same cone. ``compose`` evaluates
 Phi_B and ``factor`` inverts it in closed form from the unpivoted LDL*
 factorizations A = L_A D_A L_A* and B = L_B D_B L_B*:
-L = L_A diag(sqrt(d_A / d_B)) L_B^{-1}. The trailing-minor (TPM) duals are
-obtained through the reversal map, and ``resign`` moves a matrix between
-cones by swapping the signs of its LDL* pivots.
+L = L_A diag(sqrt(d_A / d_B)) L_B^{-1}, one matrix product with the blocked
+inverse of L_B. A diagonal basis (such as the canonical D_eps) is its own
+LDL*, (I, diag B), and is not eliminated. The trailing-minor (TPM) duals
+are obtained through the reversal map, and ``resign`` moves a matrix
+between cones by swapping the signs of its LDL* pivots.
 """
 
 import numpy as np
@@ -17,6 +19,7 @@ from .core import (
     LPM,
     TPM,
     ConePoint,
+    _unit_lower_inverse,
     as_pattern,
     canonical_diagonal,
     canonical_signs,
@@ -69,8 +72,9 @@ def _check_same_cone(A, B, cone):
 
 
 def _check_radicands(radicand, tol):
-    """Raise NegativeRadicand at the first squared diagonal entry <= tol**2."""
-    bad = np.flatnonzero(~(radicand > tol * tol))
+    """Raise NegativeRadicand at the first squared diagonal entry that is
+    <= tol**2 or not finite (a zero pivot of the basis gives an infinite one)."""
+    bad = np.flatnonzero(~((radicand > tol * tol) & (radicand < np.inf)))
     if bad.size:
         j = int(bad[0])
         raise NegativeRadicand(j + 1, float(radicand[j]))
@@ -104,17 +108,27 @@ def factor(A, B, tol=DEFAULT_TOL):
 
     A and B must lie in the same LPM cone. With A = L_A D_A L_A* and
     B = L_B D_B L_B* their unit-lower LDL* factorizations, the factor is
-    L = L_A diag(sqrt(d_A / d_B)) L_B^{-1}, in O(n^3). Its diagonal entries
-    are the square roots of the ratios of elimination pivots; a ratio at or
-    below tol**2 raises NegativeRadicand.
+    L = L_A diag(sqrt(d_A / d_B)) L_B^{-1}, in O(n^3): one product with the
+    blocked inverse of L_B. When B has no nonzero entry below its diagonal
+    (and no imaginary part on it), its LDL* is (I, diag B) exactly, and
+    L = L_A diag(sqrt(d_A / diag B)) needs only A's elimination. The
+    diagonal entries of L are the square roots of the ratios of elimination
+    pivots; a ratio at or below tol**2, or an infinite one from a zero pivot
+    of B, raises NegativeRadicand.
     """
     _check_same_cone(A, B, LPM)
     LA, dA = ldl(A.matrix)
-    LB, dB = ldl(B.matrix)
+    Bm = B.matrix
+    diagonal = np.diagonal(Bm)
+    # A complex diagonal goes through ldl, which rejects a non-Hermitian one.
+    if np.tril(Bm, -1).any() or diagonal.imag.any():
+        LB, dB = ldl(Bm)
+    else:
+        LB, dB = None, diagonal.real
     radicand = dA / dB
     _check_radicands(radicand, tol)
-    # L L_B = L_A diag(q), solved as L_B^T L^T = (L_A diag(q))^T.
-    return np.linalg.solve(LB.T, (LA * np.sqrt(radicand)).T).T
+    scaled = LA * np.sqrt(radicand)
+    return scaled if LB is None else scaled @ _unit_lower_inverse(LB)
 
 
 def compose_tpm(L, C):
@@ -127,7 +141,10 @@ def compose_tpm(L, C):
 
 
 def factor_tpm(A, C, tol=DEFAULT_TOL):
-    """Invert compose_tpm by reversal: factor the reversed pair, reverse back."""
+    """Invert compose_tpm by reversal: factor the reversed pair, reverse back.
+
+    The reversal of a diagonal basis is diagonal, so it is not eliminated
+    here either."""
     _check_same_cone(A, C, TPM)
     return reverse_matrix(factor(reverse_point(A), reverse_point(C), tol=tol))
 

@@ -13,7 +13,7 @@ import sys
 import numpy as np
 
 from . import biggroup, geometry, inequalities, sampling, ssrpm
-from .cholesky import factor, factor_tpm, resign
+from .cholesky import canonical_point, factor, factor_tpm, resign
 from .core import (
     LPM,
     TPM,
@@ -23,7 +23,7 @@ from .core import (
     pattern_from_string,
     pattern_to_string,
 )
-from .errors import LpmchError, PatternMismatch, SpecInvalid
+from .errors import LpmchError, SpecInvalid
 from .matio import format_float, matrix_to_json_line, read_matrix, write_matrix
 
 __all__ = ["main"]
@@ -53,15 +53,11 @@ def _cmd_classify(args):
 def _cmd_factor(args):
     point = _classified(args.matrix, args.cone, args.tol)
     if args.basis == "diag":
-        # Against the canonical basis the factor needs only the point's own
-        # LDL*; an explicit --epsilon must still match the point's pattern.
         eps = pattern_from_string(args.epsilon) if args.epsilon else point.pattern
-        if eps != point.pattern:
-            raise PatternMismatch(f"patterns differ: {point.pattern} vs {eps}")
-        L = geometry.cone_factor(point)
+        base = canonical_point(eps, point.cone)
     else:
         base = classify(read_matrix(args.basis), cone=point.cone, tol=args.tol)
-        L = factor(point, base) if args.cone == LPM else factor_tpm(point, base)
+    L = factor(point, base) if args.cone == LPM else factor_tpm(point, base)
     write_matrix(np.asarray(L, dtype=float), args.output)
     return 0
 
@@ -195,6 +191,18 @@ def _cmd_ssrpm_check(args):
     return 0
 
 
+class _PatternArg(argparse.Action):
+    """Stores a '+-' pattern string as given.
+
+    Some argparse versions drop an explicit option value of exactly '--'
+    (as in --to=--) as the end-of-options marker and pass an empty list;
+    for a single-value option that list can only have come from '--'.
+    """
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, "--" if values == [] else values)
+
+
 def _add_common(parser):
     parser.add_argument("--cone", choices=[LPM, TPM], default=LPM)
     parser.add_argument("--tol", type=float, default=1e-10)
@@ -206,7 +214,8 @@ def _add_dist_flags(parser):
                                  "clone"])
     parser.add_argument("--sigma", help="scale matrix file")
     parser.add_argument("--dof", type=int, help="degrees of freedom")
-    parser.add_argument("--epsilon", help="sign pattern over '+-'")
+    parser.add_argument("--epsilon", action=_PatternArg,
+                        help="sign pattern over '+-'")
     parser.add_argument("--m0", help="centre matrix file (cholesky-normal)")
     parser.add_argument("--sigma-tilde", dest="sigma_tilde",
                         help="coordinate covariance file (cholesky-normal)")
@@ -231,7 +240,8 @@ def build_parser():
     p.add_argument("matrix")
     p.add_argument("--basis", default="diag",
                    help="'diag' for the canonical diagonal, or a matrix file")
-    p.add_argument("--epsilon", help="pattern for the canonical basis")
+    p.add_argument("--epsilon", action=_PatternArg,
+                   help="pattern for the canonical basis")
     p.add_argument("--output", "-o")
     _add_common(p)
     p.set_defaults(run=_cmd_factor)
@@ -274,7 +284,8 @@ def build_parser():
 
     p = sub.add_parser("resign", help="move a matrix to another cone")
     p.add_argument("matrix")
-    p.add_argument("--to", required=True, help="target pattern over '+-'")
+    p.add_argument("--to", required=True, action=_PatternArg,
+                   help="target pattern over '+-'")
     p.add_argument("--output", "-o")
     _add_common(p)
     p.set_defaults(run=_cmd_resign)

@@ -119,9 +119,10 @@ def ldl(A):
     The elimination is blocked and right-looking (Golub & Van Loan,
     Matrix Computations, 4th ed., 4.1-4.2), in panels of 32 columns. The
     plain rank-1 loop runs only inside each 32 x 32 diagonal block, giving
-    L11 and the upper factor U11; then L21 = A21 U11^{-1} and
-    U12 = L11^{-1} A12 (one solve each) and one matrix product updates the
-    Schur complement, A22 -= L21 U12. For n <= 32 only the plain loop runs.
+    L11 and the upper factor U11; then the two triangular blocks are
+    inverted and L21 = A21 U11^{-1} and U12 = L11^{-1} A12 are one matrix
+    product each, as is the Schur complement update A22 -= L21 U12. For
+    n <= 32 only the plain loop runs.
     """
     A = np.asarray(A)
     n = A.shape[0]
@@ -135,13 +136,35 @@ def ldl(A):
         if q == n:
             break
         # The columns of L below the block, up to a zero pivot if there is one.
+        # Every inverted block is cut back to its triangle: np.linalg.inv
+        # pivots, and its result need not be exactly triangular.
         e = p + done
-        L[q:, p:e] = np.linalg.solve(np.triu(U[p:e, p:e]).T, U[q:, p:e].T).T
+        L[q:, p:e] = U[q:, p:e] @ np.triu(np.linalg.inv(np.triu(U[p:e, p:e])))
         if e < q:
             break
-        U12 = np.linalg.solve(L[p:q, p:q], U[p:q, q:])
+        U12 = _unit_lower_inverse(L[p:q, p:q]) @ U[p:q, q:]
         U[q:, q:] -= L[q:, p:q] @ U12
     return L, d
+
+
+def _unit_lower_inverse(L):
+    """Inverse X of a unit-lower triangular L, block row by block row.
+
+    X_ii = L_ii^{-1} for each 32 x 32 diagonal block and
+    X_i,<i = -X_ii (L_i,<i X_<i,<i), so everything below the diagonal
+    blocks comes from matrix products. np.linalg.inv pivots, so each
+    inverted block is cut back to its strict lower triangle and given its
+    exact unit diagonal; X is then exactly lower triangular.
+    """
+    n = L.shape[0]
+    X = np.zeros_like(L)
+    for p in range(0, n, _BLOCK):
+        q = min(p + _BLOCK, n)
+        Xii = np.tril(np.linalg.inv(L[p:q, p:q]), -1)
+        np.fill_diagonal(Xii, 1)
+        X[p:q, p:q] = Xii
+        X[p:q, :p] = -Xii @ (L[p:q, :p] @ X[:p, :p])
+    return X
 
 
 def leading_minors(A):

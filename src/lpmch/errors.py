@@ -26,7 +26,7 @@ class PatternMismatch(LpmchError):
 
 
 class NegativeRadicand(LpmchError):
-    """The squared diagonal entry in the factorization is not positive."""
+    """The squared diagonal entry in the factorization is not positive and finite."""
 
     def __init__(self, j, value):
         self.j = j

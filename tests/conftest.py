@@ -20,6 +20,18 @@ def random_lower(rng, n, complex_scalars=False):
     return L + np.diag(rng.uniform(0.5, 2.0, n))
 
 
+def random_factor(rng, n):
+    """Lower triangular, diagonal in [0.5, 2], strict-lower entries N(0, 1/n).
+
+    With unit-variance entries the condition number of such a factor grows
+    exponentially (median about 6e7 at n = 64, 3e14 at n = 128), and the
+    composed matrices are too ill-conditioned for any unpivoted elimination
+    to keep the pivot signs; with variance 1/n it stays near 10 up to n = 128.
+    """
+    strict = np.tril(rng.standard_normal((n, n)), -1) / np.sqrt(n)
+    return strict + np.diag(rng.uniform(0.5, 2.0, n))
+
+
 def random_cone_point(rng, eps, cone="lpm", complex_scalars=False):
     """Random point of the cone with pattern eps, built through composition."""
     L = random_lower(rng, len(eps), complex_scalars)

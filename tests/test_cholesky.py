@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 
-from conftest import random_cone_point, random_lower
+from conftest import random_cone_point, random_factor, random_lower
 from lpmch import (
+    ConePoint,
     all_patterns,
     canonical_point,
     classify,
     compose,
     compose_tpm,
+    cone_compose,
     factor,
     factor_tpm,
     is_lower_triangular,
@@ -15,7 +17,10 @@ from lpmch import (
     reverse_matrix,
     symmetrize,
 )
+from lpmch.cholesky import _check_radicands
+from lpmch.core import DEFAULT_TOL, _unit_lower_inverse, canonical_signs, ldl
 from lpmch.errors import ConeKindMismatch, NegativeRadicand, PatternMismatch
+from lpmch.geometry import cone_factor
 
 
 def test_compose_examples():
@@ -181,3 +186,92 @@ def test_factor_generic_n256():
     assert np.all(np.isfinite(L)) and is_lower_triangular(L)
     residual = np.linalg.norm(compose(L, D).matrix - A.matrix) / np.linalg.norm(A.matrix)
     assert residual <= 1e-6
+
+
+FACTOR_SIZES = (16, 31, 32, 33, 64, 65, 256)
+
+
+def seeded_pair(n, cone):
+    """Two points of one random cone of size n, built from well-conditioned factors."""
+    rng = np.random.default_rng([n, cone == "lpm"])
+    eps = tuple(int(e) for e in rng.choice((1, -1), n))
+    return (cone_compose(random_factor(rng, n), eps, cone),
+            cone_compose(random_factor(rng, n), eps, cone))
+
+
+@pytest.mark.parametrize("cone", ["lpm", "tpm"])
+@pytest.mark.parametrize("n", FACTOR_SIZES)
+def test_factor_outputs_are_exactly_lower_triangular(n, cone):
+    A, B = seeded_pair(n, cone)
+    fac, comp = (factor, compose) if cone == "lpm" else (factor_tpm, compose_tpm)
+    for basis in (B, canonical_point(A.pattern, cone)):
+        F = fac(A, basis)
+        assert not np.triu(F, 1).any() and is_lower_triangular(F)
+        residual = np.linalg.norm(comp(F, basis).matrix - A.matrix)
+        assert residual <= 1e-13 * np.linalg.norm(A.matrix)
+
+
+@pytest.mark.parametrize("cone", ["lpm", "tpm"])
+@pytest.mark.parametrize("n", (1, 2, 3) + FACTOR_SIZES)
+def test_factor_against_the_canonical_basis_is_cone_factor(n, cone):
+    A, _ = seeded_pair(n, cone)
+    fac = factor if cone == "lpm" else factor_tpm
+    assert np.array_equal(fac(A, canonical_point(A.pattern, cone)), cone_factor(A))
+
+
+def factor_by_elimination(A, B, tol=DEFAULT_TOL):
+    """factor through the LDL* of both points, whatever the basis: the path
+    that a basis with a nonzero strict-lower entry takes."""
+    LA, dA = ldl(A.matrix)
+    LB, dB = ldl(B.matrix)
+    radicand = dA / dB
+    _check_radicands(radicand, tol)
+    return (LA * np.sqrt(radicand)) @ _unit_lower_inverse(LB)
+
+
+@pytest.mark.parametrize("n", [3, 40])
+def test_zero_pivot_in_the_basis_raises_at_its_index(n):
+    rng = np.random.default_rng(n)
+    eps = tuple(int(e) for e in rng.choice((1, -1), n))
+    A = cone_compose(random_factor(rng, n), eps)
+    for k in sorted({0, 1, n // 2, n - 1}):
+        diag = canonical_signs(eps)
+        diag[k] = 0.0
+        bases = [ConePoint(matrix=np.diag(diag), cone="lpm", pattern=eps)]
+        if k > 0:
+            # The same zero pivot at k in a basis that has to be eliminated:
+            # its block [[s, s], [s, s]] at k - 1, k leaves pivot k - 1 as it was.
+            M = np.diag(diag)
+            M[k, k - 1] = M[k - 1, k] = M[k, k] = diag[k - 1]
+            bases.append(ConePoint(matrix=M, cone="lpm", pattern=eps))
+        for B in bases:
+            for fac in (factor, factor_by_elimination):
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    with pytest.raises(NegativeRadicand) as info:
+                        fac(A, B)
+                assert info.value.j == k + 1
+
+
+def test_diagonal_basis_with_a_complex_diagonal():
+    rng = np.random.default_rng(3)
+    eps = (1, -1, 1)
+    A = cone_compose(random_factor(rng, 3), eps)
+    diag = canonical_signs(eps) * [2.0, 1.0, 0.5]
+    B = ConePoint(matrix=np.diag(diag + [0.0, 1e-3j, 0.0]), cone="lpm", pattern=eps)
+    for fac in (factor, factor_by_elimination):
+        with pytest.raises(ValueError, match="not Hermitian"):
+            fac(A, B)
+    B = ConePoint(matrix=np.diag(diag).astype(complex), cone="lpm", pattern=eps)
+    assert np.array_equal(factor(A, B), factor_by_elimination(A, B))
+
+
+@pytest.mark.parametrize("n", [3, 40])
+def test_basis_with_zero_strict_lower_part_need_not_be_symmetric(n):
+    rng = np.random.default_rng(n)
+    eps = tuple(int(e) for e in rng.choice((1, -1), n))
+    A = cone_compose(random_factor(rng, n), eps)
+    D = np.diag(canonical_signs(eps) * rng.uniform(0.5, 2.0, n))
+    B = ConePoint(matrix=D + np.triu(rng.standard_normal((n, n)), 1), cone="lpm", pattern=eps)
+    F = factor(A, B)
+    assert np.array_equal(F, factor_by_elimination(A, B))
+    assert np.array_equal(F, factor(A, ConePoint(matrix=D, cone="lpm", pattern=eps)))

@@ -95,6 +95,27 @@ def test_factor_epsilon_must_match_the_point(tmp_path, capsys):
     assert code == 0 and out
 
 
+def test_pattern_of_dashes_only(tmp_path, capsys):
+    # Some argparse versions read an explicit '--' value as the end of options.
+    minus = write(tmp_path, "m.json", [[-1.0, 0.5], [0.5, 2.0]])
+    plus = write(tmp_path, "p.json", [[1.0, 2.0], [2.0, 1.0]])
+    dst = str(tmp_path / "out.json")
+    code, _, _ = run(capsys, "resign", plus, "--to=--", "-o", dst)
+    assert code == 0 and classify(read_matrix(dst)).pattern == (-1, -1)
+    code, _, _ = run(capsys, "factor", minus, "--epsilon=--", "-o", dst)
+    assert code == 0
+    assert np.array_equal(read_matrix(dst), factor(classify(read_matrix(minus)),
+                                                   canonical_point((-1, -1))))
+    code, _, err = run(capsys, "factor", plus, "--epsilon=--")
+    assert code == 1 and err.startswith("PatternMismatch:")
+    sigma = write(tmp_path, "s.json", np.eye(2))
+    code, out, _ = run(capsys, "sample", "--dist", "wishart", "--sigma", sigma,
+                       "--dof", "3", "--epsilon=--", "--seed", "1")
+    header, draw = out.splitlines()
+    assert code == 0 and json.loads(header)["spec"]["epsilon"] == "--"
+    assert classify(np.array(json.loads(draw)["rows"])).pattern == (-1, -1)
+
+
 def test_factor_against_basis_file(tmp_path, capsys):
     A = write(tmp_path, "a.json", [[1.0, 2.0], [2.0, 1.0]])
     B = write(tmp_path, "b.json", [[1.0, 0.5], [0.5, -1.0]])

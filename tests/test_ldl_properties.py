@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import random_factor
 from lpmch import (
     canonical_point,
     compose,
@@ -17,7 +18,7 @@ from lpmch import (
     resign,
     reverse_matrix,
 )
-from lpmch.core import ldl
+from lpmch.core import _unit_lower_inverse, ldl
 
 PROPERTY = settings(max_examples=40, deadline=None)
 
@@ -30,18 +31,6 @@ sizes = st.integers(1, 64)
 patterns = sizes.flatmap(patterns_of)
 pattern_pairs = sizes.flatmap(lambda n: st.tuples(patterns_of(n), patterns_of(n)))
 seeds = st.integers(0, 2**32 - 1)
-
-
-def random_factor(rng, n):
-    """Lower triangular, diagonal in [0.5, 2], strict-lower entries N(0, 1/n).
-
-    With unit-variance entries the condition number of such a factor grows
-    exponentially (median about 6e7 at n = 64, 3e14 at n = 128), and the
-    composed matrices are too ill-conditioned for any unpivoted elimination
-    to keep the pivot signs; with variance 1/n it stays near 10 up to n = 128.
-    """
-    strict = np.tril(rng.standard_normal((n, n)), -1) / np.sqrt(n)
-    return strict + np.diag(rng.uniform(0.5, 2.0, n))
 
 
 def relative_error(X, Y):
@@ -114,7 +103,7 @@ def seeded_cone_matrix(n, cone, seed=0):
 
 
 @pytest.mark.parametrize("cone", ("lpm", "tpm"))
-@pytest.mark.parametrize("n", (31, 32, 33, 63, 64, 65, 97, 130))
+@pytest.mark.parametrize("n", (31, 32, 33, 63, 64, 65, 97, 130, 256))
 def test_blocked_ldl_across_panel_boundaries(n, cone):
     eps, _, work = seeded_cone_matrix(n, cone)
     L, d = ldl(work)
@@ -170,3 +159,23 @@ def test_ldl_does_not_depend_on_memory_layout(n):
     L, d = ldl(R)
     Lc, dc = ldl(np.ascontiguousarray(R))
     assert np.array_equal(L, Lc) and np.array_equal(d, dc)
+
+
+@settings(max_examples=10, deadline=None)
+@given(seeds)
+@pytest.mark.parametrize("n", (31, 32, 33, 64, 97, 256))
+def test_unit_lower_inverse(n, seed):
+    """Exactly lower triangular with a unit diagonal, and a left residual
+    within the componentwise bound |XL - I| <= c_n u |X||L| of Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., ch. 14, taken
+    normwise with c_n = n; the unit-lower factor of a cone point is the
+    matrix factor inverts."""
+    rng = np.random.default_rng(seed)
+    eps = tuple(int(e) for e in rng.choice((1, -1), n))
+    L = ldl(cone_compose(random_factor(rng, n), eps).matrix)[0]
+    X = _unit_lower_inverse(L)
+    assert not np.triu(X, 1).any()
+    assert np.array_equal(np.diagonal(X), np.ones(n))
+    u = np.finfo(float).eps / 2
+    bound = n * u * np.linalg.norm(np.abs(X) @ np.abs(L))
+    assert np.linalg.norm(X @ L - np.eye(n)) <= bound
