@@ -125,7 +125,9 @@ def factor(A, B, tol=DEFAULT_TOL):
         LB, dB = ldl(Bm)
     else:
         LB, dB = None, diagonal.real
-    radicand = dA / dB
+    # A zero pivot of B gives an infinite radicand, which is raised below.
+    with np.errstate(divide="ignore"):
+        radicand = dA / dB
     _check_radicands(radicand, tol)
     scaled = LA * np.sqrt(radicand)
     return scaled if LB is None else scaled @ _unit_lower_inverse(LB)

@@ -154,16 +154,26 @@ def _unit_lower_inverse(L):
     X_i,<i = -X_ii (L_i,<i X_<i,<i), so everything below the diagonal
     blocks comes from matrix products. np.linalg.inv pivots, so each
     inverted block is cut back to its strict lower triangle and given its
-    exact unit diagonal; X is then exactly lower triangular.
+    exact unit diagonal; X is then exactly lower triangular. For n <= 32 the
+    one inverted block is X.
     """
     n = L.shape[0]
+    if n <= _BLOCK:
+        return _unit_lower_block_inverse(L)
     X = np.zeros_like(L)
-    for p in range(0, n, _BLOCK):
+    X[:_BLOCK, :_BLOCK] = _unit_lower_block_inverse(L[:_BLOCK, :_BLOCK])
+    for p in range(_BLOCK, n, _BLOCK):
         q = min(p + _BLOCK, n)
-        Xii = np.tril(np.linalg.inv(L[p:q, p:q]), -1)
-        np.fill_diagonal(Xii, 1)
+        Xii = _unit_lower_block_inverse(L[p:q, p:q])
         X[p:q, p:q] = Xii
         X[p:q, :p] = -Xii @ (L[p:q, :p] @ X[:p, :p])
+    return X
+
+
+def _unit_lower_block_inverse(L):
+    """L^{-1} for one unit-lower block, cut back to exact lower triangularity."""
+    X = np.tril(np.linalg.inv(L), -1)
+    np.fill_diagonal(X, 1)
     return X
 
 

@@ -3,6 +3,8 @@
 Each error name doubles as the CLI's machine-readable failure tag.
 """
 
+import math
+
 
 class LpmchError(Exception):
     """Base class for all domain errors."""
@@ -26,12 +28,20 @@ class PatternMismatch(LpmchError):
 
 
 class NegativeRadicand(LpmchError):
-    """The squared diagonal entry in the factorization is not positive and finite."""
+    """The squared diagonal entry in the factorization is not positive and finite.
+
+    A non-finite one comes from a zero pivot of the basis."""
 
     def __init__(self, j, value):
         self.j = j
         self.value = value
-        super().__init__(f"nonpositive radicand {value} at diagonal position {j}")
+        if not math.isfinite(value):
+            what = f"non-finite radicand {value}"
+        elif value <= 0:
+            what = f"nonpositive radicand {value}"
+        else:
+            what = f"radicand {value} at or below the tolerance"
+        super().__init__(f"{what} at diagonal position {j}")
 
 
 class ComplexFactor(LpmchError):

@@ -48,6 +48,8 @@ class WalkStats:
     d_z1[i, k]: distance from the reference point to the k-th partial sum;
     d_to_end[i, k]: distance from the k-th partial sum to the last one;
     d_inc[i, k]: distance from the identity to the k-th increment.
+    Each array is C-contiguous with shape (n_paths, n_steps): one row per
+    path.
     """
 
     n_paths: int
@@ -58,7 +60,8 @@ class WalkStats:
 
 
 def _eta_increments(rng, spec, paths):
-    """Coordinate increments and their patterns for one walk step."""
+    """Coordinate increments (paths, m) for one walk step, and their patterns:
+    one (n,) pattern shared by every path, or (paths, n) for a clone step."""
     spec.validate()
     if spec.kind == "inertial_clone":
         patterns = _draw_clone_patterns(rng, spec, paths)
@@ -71,7 +74,7 @@ def _eta_increments(rng, spec, paths):
         pattern = as_pattern(spec.pattern)
     else:
         raise SpecInvalid(f"walk steps cannot have kind {spec.kind!r}")
-    return v, np.tile(np.array(pattern, dtype=int), (paths, 1))
+    return v, np.array(pattern, dtype=int)
 
 
 def _combine(d_eta, mismatch, p):
@@ -98,47 +101,68 @@ def simulate_walk(rng, walk, paths, group="star", p=2, z1=None):
     group='star' works inside one cone (all steps must share the pattern and
     the pattern of z1); group='box' works in the global group, where the
     metric adds a unit penalty for a pattern mismatch via the l^p norm.
+
+    The walk runs one step at a time. A step's increments are drawn for all
+    paths at once and added into one (steps, paths, m) float buffer of
+    partial sums, m = n(n+1)/2 coordinates; box walks also keep a
+    (steps, paths, n) int8 buffer of pattern products. Memory is therefore
+    those buffers plus the temporaries of one step. The returned arrays are
+    C-contiguous (paths, steps); see WalkStats. Fewer than one path raises
+    SpecInvalid, and a z1 of another dimension than the walk GroupMismatch.
     """
     walk = list(walk)
     if not walk:
         raise SpecInvalid("walk must have at least one step")
+    if paths < 1:
+        raise SpecInvalid(f"a walk needs at least one path, got {paths}")
     n = walk[0].dim
-    etas = []
-    pats = []
-    for spec in walk:
+    m = n * (n + 1) // 2
+    steps = len(walk)
+    S = np.empty((steps, paths, m))
+    P = np.empty((steps, paths, n), dtype=np.int8) if group == "box" else None
+    d_inc, mis_inc = [], []
+    common = True
+    for k, spec in enumerate(walk):
         if spec.dim != n:
             raise GroupMismatch("walk steps have mixed dimensions")
         v, pat = _eta_increments(rng, spec, paths)
-        etas.append(v)
-        pats.append(pat)
-    etas = np.stack(etas, axis=1)          # (paths, steps, m)
-    pats = np.stack(pats, axis=1)          # (paths, steps, n)
+        d_inc.append(np.linalg.norm(v, axis=1))
+        if k == 0:
+            S[0] = v
+            first = pat
+        else:
+            np.add(S[k - 1], v, out=S[k])
+            common = common and bool(np.all(pat == first))
+        if P is not None:
+            if k == 0:
+                P[0] = pat
+            else:
+                np.multiply(P[k - 1], pat, out=P[k])
+            mis_inc.append(np.broadcast_to(np.any(pat != 1, axis=-1), paths))
     z_eta, z_pat = _reference(z1, n)
+    if z_eta.shape != (m,) or z_pat.shape != (n,):
+        raise GroupMismatch(f"reference point does not have the walk's dimension {n}")
 
     if group == "star":
-        if not np.all(pats == pats[:, :1, :]):
+        if not common:
             raise GroupMismatch("per-cone walks need one common pattern")
-        if z1 is not None and not np.all(pats[0, 0] == z_pat):
+        if z1 is not None and not np.all(first.reshape(-1, n)[0] == z_pat):
             raise GroupMismatch("reference point lies in a different cone")
     elif group != "box":
         raise ValueError(f"group must be 'star' or 'box', got {group!r}")
 
-    S_eta = np.cumsum(etas, axis=1)
-    S_pat = np.cumprod(pats, axis=1)
-    d_eta_z1 = np.linalg.norm(S_eta - z_eta, axis=2)
-    d_eta_end = np.linalg.norm(S_eta[:, -1:, :] - S_eta, axis=2)
-    d_eta_inc = np.linalg.norm(etas, axis=2)
-    if group == "box":
-        mis_z1 = np.any(S_pat != z_pat, axis=2)
-        mis_end = np.any(S_pat != S_pat[:, -1:, :], axis=2)
-        mis_inc = np.any(pats != 1, axis=2)
-        d_z1 = _combine(d_eta_z1, mis_z1, p)
-        d_end = _combine(d_eta_end, mis_end, p)
-        d_inc = _combine(d_eta_inc, mis_inc, p)
-    else:
-        d_z1, d_end, d_inc = d_eta_z1, d_eta_end, d_eta_inc
-    return WalkStats(n_paths=paths, n_steps=len(walk),
-                     d_z1=d_z1, d_to_end=d_end, d_inc=d_inc)
+    # Per-step (paths,) columns, stacked into C-contiguous (paths, steps).
+    d_z1 = np.stack([np.linalg.norm(s - z_eta, axis=1) for s in S], axis=1)
+    d_end = np.stack([np.linalg.norm(S[-1] - s, axis=1) for s in S], axis=1)
+    d_inc = np.stack(d_inc, axis=1)
+    if P is not None:
+        mis_z1 = np.stack([np.any(q != z_pat, axis=1) for q in P], axis=1)
+        mis_end = np.stack([np.any(q != P[-1], axis=1) for q in P], axis=1)
+        d_z1 = _combine(d_z1, mis_z1, p)
+        d_end = _combine(d_end, mis_end, p)
+        d_inc = _combine(d_inc, np.stack(mis_inc, axis=1), p)
+    return WalkStats(n_paths=paths, n_steps=steps, d_z1=d_z1, d_to_end=d_end,
+                     d_inc=d_inc)
 
 
 def _prob(indicator):

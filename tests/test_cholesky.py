@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -245,11 +247,27 @@ def test_zero_pivot_in_the_basis_raises_at_its_index(n):
             M[k, k - 1] = M[k - 1, k] = M[k, k] = diag[k - 1]
             bases.append(ConePoint(matrix=M, cone="lpm", pattern=eps))
         for B in bases:
-            for fac in (factor, factor_by_elimination):
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    with pytest.raises(NegativeRadicand) as info:
-                        fac(A, B)
-                assert info.value.j == k + 1
+            # factor raises without NumPy warning about the division first.
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                with pytest.raises(NegativeRadicand, match="non-finite") as info:
+                    factor(A, B)
+            assert caught == []
+            assert info.value.j == k + 1
+            with np.errstate(divide="ignore", invalid="ignore"):
+                with pytest.raises(NegativeRadicand) as info:
+                    factor_by_elimination(A, B)
+            assert info.value.j == k + 1
+
+
+def test_negative_radicand_names_its_case():
+    cases = [(2, -1.5, "nonpositive radicand -1.5"),
+             (1, 0.0, "nonpositive radicand 0.0"),
+             (3, np.inf, "non-finite radicand inf"),
+             (3, np.nan, "non-finite radicand nan"),
+             (4, 1e-40, "radicand 1e-40 at or below the tolerance")]
+    for j, value, what in cases:
+        assert str(NegativeRadicand(j, value)) == f"{what} at diagonal position {j}"
 
 
 def test_diagonal_basis_with_a_complex_diagonal():

@@ -1,19 +1,26 @@
+import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from conftest import random_factor
 from lpmch import (
     INEQUALITIES,
     PRESETS,
+    BigGroupElement,
     DistributionSpec,
     RngStream,
     classify,
+    cone_compose,
+    inequalities,
     preset_config,
     simulate_walk,
     verify_from_stats,
     verify_inequality,
 )
+from lpmch.cli import main
 from lpmch.errors import GroupMismatch, SpecInvalid
 
 
@@ -146,3 +153,203 @@ def test_report_fields():
     assert report.n_paths == 1000
     assert report.details["lhs_threshold"] == pytest.approx(
         3 * 1.0 + 2 * 1 * 2.0 + 2 * 1.0)
+
+
+def _stacked_walk(rng, walk, paths, group="star", p=2, z1=None):
+    """(d_z1, d_to_end, d_inc) as simulate_walk computed them before it ran
+    step by step: every increment and pattern stacked into (paths, steps, .)
+    arrays, cumsum / cumprod along the step axis, norms over 3-D arrays."""
+    n = walk[0].dim
+    etas, pats = [], []
+    for spec in walk:
+        v, pat = inequalities._eta_increments(rng, spec, paths)
+        etas.append(v)
+        pats.append(np.broadcast_to(pat, (paths, n)))
+    etas = np.stack(etas, axis=1)
+    pats = np.stack(pats, axis=1)
+    z_eta, z_pat = inequalities._reference(z1, n)
+    S_eta = np.cumsum(etas, axis=1)
+    S_pat = np.cumprod(pats, axis=1)
+    d_z1 = np.linalg.norm(S_eta - z_eta, axis=2)
+    d_end = np.linalg.norm(S_eta[:, -1:, :] - S_eta, axis=2)
+    d_inc = np.linalg.norm(etas, axis=2)
+    if group == "box":
+        combine = inequalities._combine
+        d_z1 = combine(d_z1, np.any(S_pat != z_pat, axis=2), p)
+        d_end = combine(d_end, np.any(S_pat != S_pat[:, -1:, :], axis=2), p)
+        d_inc = combine(d_inc, np.any(pats != 1, axis=2), p)
+    return d_z1, d_end, d_inc
+
+
+def _assert_matches_stacked(seed, walk, paths, **kw):
+    stats = simulate_walk(RngStream(seed), walk, paths, **kw)
+    expected = _stacked_walk(RngStream(seed), walk, paths, **kw)
+    for got, want in zip((stats.d_z1, stats.d_to_end, stats.d_inc), expected):
+        assert got.shape == (paths, len(walk))
+        assert got.flags.c_contiguous
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_presets_match_the_stacked_walk(name):
+    walk, params = preset_config(name, INEQUALITIES[0])
+    for seed in (0, 1):
+        _assert_matches_stacked(seed, walk, 700, group=params["group"],
+                                p=params.get("p", 2))
+    for p in (1, 2, math.inf):
+        _assert_matches_stacked(2, walk, 300, group="box", p=p)
+
+
+def _walk_steps(n, eps):
+    rng = np.random.default_rng(n)
+    sigma = np.eye(n) + 0.2
+    wishart = DistributionSpec(kind="wishart", pattern=eps, cone="lpm",
+                               sigma=sigma / n, dof=n + 2)
+    normal = DistributionSpec(kind="cholesky_normal",
+                              m0=cone_compose(random_factor(rng, n), eps),
+                              sigma_tilde=0.2 * np.eye(n * (n + 1) // 2))
+    pd = DistributionSpec(kind="wishart", pattern=(1,) * n, cone="lpm",
+                          sigma=sigma / n, dof=n + 2)
+    clone = DistributionSpec(kind="inertial_clone", base=pd, all_cones=True)
+    return {"wishart": [wishart] * 5, "cholesky_normal": [normal] * 4,
+            "mixed": [wishart, normal, wishart], "clone": [clone, pd, clone]}
+
+
+def _reference_points(n, eps):
+    z = cone_compose(random_factor(np.random.default_rng(n + 1), n), eps)
+    coords = np.random.default_rng(n + 2).standard_normal(n * (n + 1) // 2)
+    return {"none": None, "cone_point": z, "big_group": BigGroupElement(z),
+            "tuple": (coords, eps)}
+
+
+@pytest.mark.parametrize("z_kind", ["none", "cone_point", "big_group", "tuple"])
+@pytest.mark.parametrize("walk_kind", ["wishart", "cholesky_normal", "mixed", "clone"])
+@pytest.mark.parametrize("n", [1, 3])
+def test_walks_match_the_stacked_walk(n, walk_kind, z_kind):
+    eps = (1,) if n == 1 else (1, -1, -1)
+    walk = _walk_steps(n, eps)[walk_kind]
+    z1 = _reference_points(n, eps)[z_kind]
+    if walk_kind != "clone":  # clone paths lie in several cones
+        _assert_matches_stacked(4, walk, 400, group="star", z1=z1)
+    for p in (1, 2, math.inf):
+        _assert_matches_stacked(5, walk, 400, group="box", p=p, z1=z1)
+
+
+def test_wishart_walk_at_n10_matches_the_stacked_walk():
+    rng = np.random.default_rng(6)
+    eps = tuple(int(e) for e in rng.choice((1, -1), 10))
+    walk = [DistributionSpec(kind="wishart", pattern=eps, cone="lpm",
+                             sigma=np.eye(10) / 10, dof=12)] * 10
+    _assert_matches_stacked(7, walk, 500)
+    _assert_matches_stacked(7, walk, 500, group="box", p=3)
+
+
+def test_walk_memory_is_one_partial_sum_buffer():
+    # The stacked form peaked at 4.5 times the (steps, paths, m) buffer here.
+    n, steps, paths = 10, 10, 10_000
+    rng = np.random.default_rng(8)
+    eps = tuple(int(e) for e in rng.choice((1, -1), n))
+    walk = [DistributionSpec(kind="wishart", pattern=eps, cone="lpm",
+                             sigma=np.eye(n) / n, dof=n + 2)] * steps
+    buffer = steps * paths * (n * (n + 1) // 2) * 8
+    tracemalloc.start()
+    try:
+        simulate_walk(RngStream(9), walk, paths)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * buffer, peak / buffer
+
+
+def test_reference_point_of_another_dimension():
+    pd_walk, _ = preset_config("pd_walk", INEQUALITIES[0])
+    wrong = [cone_compose(np.eye(2), (1, 1)), (np.zeros(3), (1, 1)),
+             (np.zeros(2), (1,))]
+    for z1 in wrong:
+        for group in ("star", "box"):
+            with pytest.raises(GroupMismatch, match="dimension"):
+                simulate_walk(RngStream(0), pd_walk, 10, group=group, z1=z1)
+
+
+@pytest.mark.parametrize("paths", [0, -5])
+def test_walks_need_a_path(paths):
+    walk, _ = preset_config("pd_walk", INEQUALITIES[0])
+    with pytest.raises(SpecInvalid, match="at least one path"):
+        simulate_walk(RngStream(0), walk, paths)
+
+
+def _verify(capsys, tmp_path, preset, *argv):
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"preset": preset}))
+    code = main(["verify", "--config", str(config), *argv])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("trials", ["--trials=0", "--trials=-5"])
+def test_verify_without_trials_is_spec_invalid(capsys, tmp_path, trials):
+    code, out, err = _verify(capsys, tmp_path, "pd_walk", "--inequality",
+                             "mogulskii_min", "--seed", "1", trials)
+    assert code == 1 and out == ""
+    assert err.startswith("SpecInvalid: ")
+
+
+# `lpmch verify --trials 1000 --seed 7` as printed by the stacked walk.
+_SEEDED_VERIFY = {
+    ("pd_walk", "ottaviani_skorohod"): """\
+inequality: ottaviani_skorohod
+paths: 1000
+applicable: True
+lhs: 0.19453000000000001 (se 0.011244235331937875)
+rhs: 0.75 (se 0.013693063937629153)
+passed: True
+""",
+    ("pd_walk", "hoffmann_jorgensen"): """\
+inequality: hoffmann_jorgensen
+paths: 1000
+applicable: True
+lhs: 0.0070000000000000001 (se 0.0026364749192814255)
+rhs: 1.7403586500000001 (se 0.014806017673943846)
+passed: True
+""",
+    ("mixed_box_walk", "levy_ottaviani"): """\
+inequality: levy_ottaviani
+paths: 1000
+applicable: True
+lhs: 0.98099999999999998 (se 0.0043172908171676388)
+rhs: 2 (se 0)
+passed: True
+""",
+    ("mixed_box_walk", "hoffmann_jorgensen"): """\
+inequality: hoffmann_jorgensen
+paths: 1000
+applicable: True
+lhs: 0.001 (se 0.00099949987493746085)
+rhs: 1.9809999999999999 (se 0.0043172908171676362)
+passed: True
+""",
+    ("deterministic_walk", "ottaviani_skorohod"): """\
+inequality: ottaviani_skorohod
+paths: 1000
+applicable: True
+lhs: 0 (se 0)
+rhs: 0 (se 0)
+passed: True
+""",
+    ("deterministic_walk", "hoffmann_jorgensen"): """\
+inequality: hoffmann_jorgensen
+paths: 1000
+applicable: True
+lhs: 0 (se 0)
+rhs: 0 (se 0)
+passed: True
+""",
+}
+
+
+@pytest.mark.parametrize("preset, which", sorted(_SEEDED_VERIFY))
+def test_seeded_verify_output_is_unchanged(capsys, tmp_path, preset, which):
+    code, out, err = _verify(capsys, tmp_path, preset, "--inequality", which,
+                             "--trials", "1000", "--seed", "7")
+    assert code == 0 and err == ""
+    assert out == _SEEDED_VERIFY[preset, which]
