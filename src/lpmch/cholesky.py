@@ -59,9 +59,15 @@ def _check_lower(L, ndim=2):
 
 
 def _congruence(L, B, cone):
-    """L B L* (LPM) or L* B L (TPM), self-adjoint; L is one factor or a stack."""
+    """L B L* (LPM) or L* B L (TPM), self-adjoint; L is one factor or a stack.
+    B with one axis fewer than L is a diagonal, given as its vector(s)."""
     Lh = np.swapaxes(L.conj(), -1, -2)
-    return symmetrize(L @ B @ Lh if cone == LPM else Lh @ B @ L)
+    left, right = (L, Lh) if cone == LPM else (Lh, L)
+    if B.ndim < L.ndim:
+        # In C order, as a product with a dense B would be: the one product
+        # then sees the same memory layout and computes the same sums.
+        return symmetrize(np.multiply(left, B[..., np.newaxis, :], order="C") @ right)
+    return symmetrize(left @ B @ right)
 
 
 def _check_same_cone(A, B, cone):
@@ -183,10 +189,8 @@ def canonical_point(eps, cone=LPM):
 def _cone_matrices(F, patterns, cone):
     """compose against canonical_point, batched: F_i D_i F_i* (LPM) or
     F_i* D_i F_i (TPM) for a factor stack F, with D_i the canonical basis of
-    patterns[i] (patterns is one pattern or an (m, n) array of them)."""
+    patterns[i] (patterns is one pattern or an (m, n) array of them), each
+    D_i given to the congruence as its vector of signs."""
     F = _check_lower(F, ndim=3)
     signs = np.broadcast_to(canonical_signs(patterns), F.shape[:-1])
-    n = F.shape[-1]
-    D = np.zeros(F.shape)
-    D[:, np.arange(n), np.arange(n)] = signs if cone == LPM else signs[:, ::-1]
-    return _congruence(F, D, cone)
+    return _congruence(F, signs if cone == LPM else signs[:, ::-1], cone)

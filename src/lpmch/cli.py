@@ -170,12 +170,8 @@ def _cmd_verify(args):
     walk, params = inequalities.preset_config(preset, args.inequality)
     params.update({k: v for k, v in config.items() if k != "preset"})
     params["paths"] = args.trials
-    rng = sampling.RngStream(_seed(args))
-    report = inequalities.verify_from_stats(
-        inequalities.simulate_walk(rng, walk, paths=args.trials,
-                                   group=params.get("group", "star"),
-                                   p=params.get("p", 2)),
-        args.inequality, params)
+    report = inequalities.verify_inequality(sampling.RngStream(_seed(args)),
+                                            args.inequality, walk, params)
     print(f"inequality: {report.inequality}")
     print(f"paths: {report.n_paths}")
     print(f"applicable: {report.applicable}")

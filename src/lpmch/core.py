@@ -6,6 +6,7 @@ minor has sign ``eps[k-1]`` for every k; the TPM cone is the analogue with
 trailing principal minors.
 """
 
+import math
 from dataclasses import dataclass
 from itertools import product
 
@@ -42,6 +43,31 @@ def pattern_to_string(eps):
 
 def all_patterns(n):
     return [as_pattern(p) for p in product((1, -1), repeat=n)]
+
+
+def _unrank_patterns(idx, n, k=None):
+    """The patterns at positions idx of all_patterns(n), restricted to
+    negative inertia k unless k is None, as an (len(idx), n) int array, by
+    combinatorial unranking: no pattern is enumerated."""
+    if k is None:
+        return 1 - 2 * ((idx[:, np.newaxis] >> np.arange(n - 1, -1, -1)) & 1)
+    # below[a, c + 1]: the patterns of a more entries with c more sign
+    # changes (none for c = -1). Clipping at the total count changes no entry
+    # that a valid index reaches, and keeps the table in int64.
+    count = math.comb(n, k)
+    below = np.array([[0] + [min(math.comb(a, c), count) for c in range(k + 1)]
+                      for a in range(n)], dtype=np.int64)
+    out = np.empty((len(idx), n), dtype=int)
+    prev = np.ones(len(idx), dtype=int)
+    changes = np.full(len(idx), k)
+    for j in range(n):
+        plus = below[n - 1 - j, changes - (prev < 0) + 1]
+        take_plus = idx < plus
+        idx = np.where(take_plus, idx, idx - plus)
+        out[:, j] = np.where(take_plus, 1, -1)
+        changes -= out[:, j] != prev
+        prev = out[:, j]
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,9 +225,10 @@ def canonical_diagonal(eps):
 
 
 def reverse_matrix(A):
-    """The reversal (P A P)* with P the anti-diagonal permutation."""
+    """The reversal (P A P)* with P the anti-diagonal permutation, of a matrix
+    or of each matrix of a stack (the last two axes)."""
     A = np.asarray(A)
-    return A.conj().T[::-1, ::-1]
+    return np.swapaxes(A.conj(), -1, -2)[..., ::-1, ::-1]
 
 
 def reverse_point(point):
@@ -294,7 +321,10 @@ def negative_inertia(eps):
 
 
 def cones_with_inertia(n, k):
-    """All patterns of length n whose cones carry exactly k negative eigenvalues."""
+    """All C(n, k) patterns of length n whose cones carry exactly k negative
+    eigenvalues, in the order of all_patterns(n); unranked, so the other
+    patterns are never enumerated."""
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
-    return [eps for eps in all_patterns(n) if negative_inertia(eps) == k]
+    rows = _unrank_patterns(np.arange(math.comb(n, k)), n, k)
+    return [as_pattern(p) for p in rows.tolist()]

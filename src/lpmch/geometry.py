@@ -12,8 +12,8 @@ import numpy as np
 
 from .core import DEFAULT_TOL, LPM, ConePoint, as_pattern, canonical_diagonal, \
     reverse_matrix, reverse_point, symmetrize
-from .cholesky import _cone_matrices, _signed_pivots
-from .errors import ComplexFactor, ConeKindMismatch, PatternMismatch
+from .cholesky import _check_same_cone, _cone_matrices, _signed_pivots
+from .errors import ComplexFactor
 
 __all__ = [
     "group_op", "group_inv", "scalar_mul", "eta", "eta_inv",
@@ -130,13 +130,6 @@ def differential_inv(L, W, eps):
     return L @ _half_lower(Z) @ D
 
 
-def _check_compatible(A, B):
-    if A.cone != B.cone:
-        raise ConeKindMismatch(f"cone kinds differ: {A.cone} vs {B.cone}")
-    if A.pattern != B.pattern:
-        raise PatternMismatch(f"patterns differ: {A.pattern} vs {B.pattern}")
-
-
 def cone_factor(A):
     """Factor of A against the canonical basis of its cone, from A's own LDL*
     alone (TPM through the reversal)."""
@@ -167,20 +160,20 @@ def cone_compose(L, pattern, cone=LPM):
 
 def lpm_distance(A, B):
     """Distance between two cone points: the factor distance, by isometry."""
-    _check_compatible(A, B)
+    _check_same_cone(A, B, A.cone)
     return distance(cone_factor(A), cone_factor(B))
 
 
 def lpm_geodesic(A, B, t):
     """Geodesic between cone points, transferred through the factorization."""
-    _check_compatible(A, B)
+    _check_same_cone(A, B, A.cone)
     G = geodesic_between(cone_factor(A), cone_factor(B), t)
     return cone_compose(G, A.pattern, A.cone)
 
 
 def star_op(A, B):
     """Per-cone abelian operation; the identity element is the canonical basis."""
-    _check_compatible(A, B)
+    _check_same_cone(A, B, A.cone)
     L = group_op(cone_factor(A), cone_factor(B))
     return cone_compose(L, A.pattern, A.cone)
 
@@ -201,7 +194,7 @@ def log_cholesky_mean(points):
         raise ValueError("mean of an empty collection")
     first = points[0]
     for other in points[1:]:
-        _check_compatible(first, other)
+        _check_same_cone(first, other, first.cone)
     coords = np.mean([eta(cone_factor(A)) for A in points], axis=0)
     return cone_compose(eta_inv(coords), first.pattern, first.cone)
 

@@ -98,58 +98,60 @@ def _reference(z1, n):
 def simulate_walk(rng, walk, paths, group="star", p=2, z1=None):
     """Simulate partial sums of the walk and collect the distance arrays.
 
-    group='star' works inside one cone (all steps must share the pattern and
-    the pattern of z1); group='box' works in the global group, where the
-    metric adds a unit penalty for a pattern mismatch via the l^p norm.
+    group='star' works inside one cone: every path of every step, and z1 if
+    given, must share one pattern. group='box' works in the global group,
+    where the metric adds a unit penalty for a pattern mismatch via the l^p
+    norm.
 
     The walk runs one step at a time. A step's increments are drawn for all
     paths at once and added into one (steps, paths, m) float buffer of
     partial sums, m = n(n+1)/2 coordinates; box walks also keep a
     (steps, paths, n) int8 buffer of pattern products. Memory is therefore
     those buffers plus the temporaries of one step. The returned arrays are
-    C-contiguous (paths, steps); see WalkStats. Fewer than one path raises
-    SpecInvalid, and a z1 of another dimension than the walk GroupMismatch.
+    C-contiguous (paths, steps); see WalkStats. Before the first draw,
+    fewer than one path raises SpecInvalid, another group ValueError, and
+    steps or a z1 of mixed dimensions GroupMismatch; a star step drawn
+    outside the walk's one cone raises GroupMismatch.
     """
     walk = list(walk)
     if not walk:
         raise SpecInvalid("walk must have at least one step")
     if paths < 1:
         raise SpecInvalid(f"a walk needs at least one path, got {paths}")
+    if group not in ("star", "box"):
+        raise ValueError(f"group must be 'star' or 'box', got {group!r}")
     n = walk[0].dim
     m = n * (n + 1) // 2
+    if any(spec.dim != n for spec in walk):
+        raise GroupMismatch("walk steps have mixed dimensions")
+    z_eta, z_pat = _reference(z1, n)
+    if z_eta.shape != (m,) or z_pat.shape != (n,):
+        raise GroupMismatch(f"reference point does not have the walk's dimension {n}")
+    # The one pattern of a star walk: z1's, else that of the first draw.
+    star_pattern = z_pat if group == "star" and z1 is not None else None
     steps = len(walk)
     S = np.empty((steps, paths, m))
     P = np.empty((steps, paths, n), dtype=np.int8) if group == "box" else None
     d_inc, mis_inc = [], []
-    common = True
     for k, spec in enumerate(walk):
-        if spec.dim != n:
-            raise GroupMismatch("walk steps have mixed dimensions")
         v, pat = _eta_increments(rng, spec, paths)
+        if group == "star":
+            if star_pattern is None:
+                star_pattern = pat.reshape(-1, n)[0]
+            if np.any(pat != star_pattern):
+                raise GroupMismatch("per-cone walks need one pattern shared by "
+                                    "every path, every step and the reference point")
         d_inc.append(np.linalg.norm(v, axis=1))
         if k == 0:
             S[0] = v
-            first = pat
         else:
             np.add(S[k - 1], v, out=S[k])
-            common = common and bool(np.all(pat == first))
         if P is not None:
             if k == 0:
                 P[0] = pat
             else:
                 np.multiply(P[k - 1], pat, out=P[k])
             mis_inc.append(np.broadcast_to(np.any(pat != 1, axis=-1), paths))
-    z_eta, z_pat = _reference(z1, n)
-    if z_eta.shape != (m,) or z_pat.shape != (n,):
-        raise GroupMismatch(f"reference point does not have the walk's dimension {n}")
-
-    if group == "star":
-        if not common:
-            raise GroupMismatch("per-cone walks need one common pattern")
-        if z1 is not None and not np.all(first.reshape(-1, n)[0] == z_pat):
-            raise GroupMismatch("reference point lies in a different cone")
-    elif group != "box":
-        raise ValueError(f"group must be 'star' or 'box', got {group!r}")
 
     # Per-step (paths,) columns, stacked into C-contiguous (paths, steps).
     d_z1 = np.stack([np.linalg.norm(s - z_eta, axis=1) for s in S], axis=1)
@@ -297,31 +299,30 @@ def verify_inequality(rng, which, walk, params):
     return verify_from_stats(stats, which, params)
 
 
-def _pd_point(n):
-    return ConePoint(matrix=np.eye(n), cone=LPM, pattern=as_pattern([1] * n))
+# Every preset walk has this many steps.
+_STEPS = 10
 
 
-def _lognormal_step(sigma2):
-    return DistributionSpec(kind="cholesky_normal", m0=_pd_point(1),
-                            sigma_tilde=np.array([[sigma2]]))
+def _lognormal_step(sigma_tilde):
+    """A Cholesky-normal step around the 1 x 1 identity."""
+    return DistributionSpec(kind="cholesky_normal",
+                            m0=ConePoint(matrix=np.eye(1), cone=LPM, pattern=(1,)),
+                            sigma_tilde=np.array([[sigma_tilde]]))
 
 
-def _preset_pd(steps=10):
-    walk = [_lognormal_step(1.0) for _ in range(steps)]
-    return walk, {"group": "star"}
+def _preset_pd():
+    return [_lognormal_step(1.0)] * _STEPS, {"group": "star"}
 
 
-def _preset_box(steps=10):
+def _preset_box():
     base = DistributionSpec(kind="wishart", pattern=(1, 1), cone=LPM,
                             sigma=0.25 * np.eye(2), dof=4)
     step = DistributionSpec(kind="inertial_clone", base=base, all_cones=True)
-    return [step for _ in range(steps)], {"group": "box", "p": 2}
+    return [step] * _STEPS, {"group": "box", "p": 2}
 
 
-def _preset_deterministic(steps=10):
-    step = DistributionSpec(kind="cholesky_normal", m0=_pd_point(1),
-                            sigma_tilde=np.zeros((1, 1)))
-    return [step for _ in range(steps)], {"group": "star"}
+def _preset_deterministic():
+    return [_lognormal_step(0.0)] * _STEPS, {"group": "star"}
 
 
 PRESETS = {

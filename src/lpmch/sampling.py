@@ -22,9 +22,8 @@ from .core import (
     TPM,
     ConePoint,
     _inverse,
-    all_patterns,
+    _unrank_patterns,
     as_pattern,
-    cones_with_inertia,
     reverse_matrix,
     reverse_pattern,
     symmetrize,
@@ -162,7 +161,7 @@ def wishart_factors(rng, spec, size=None):
     n = sigma.shape[0]
     L0 = np.linalg.cholesky(sigma)
     F = L0 @ bartlett_sample(rng, n, spec.dof, size=size)
-    return np.swapaxes(F, -1, -2)[..., ::-1, ::-1] if spec.cone == TPM else F
+    return reverse_matrix(F) if spec.cone == TPM else F
 
 
 def wishart_sample(rng, spec, size=None):
@@ -198,7 +197,7 @@ def _check_point_matches(M, spec, pattern=None):
 
 def _pd_image(L, cone):
     """The PD matrix behind a cone factor: L L* (LPM) or L* L (TPM)."""
-    return _congruence(L, np.eye(L.shape[-1]), cone).real
+    return _congruence(L, np.ones(L.shape[-1]), cone).real
 
 
 def wishart_log_density(M, spec):
@@ -316,49 +315,17 @@ def inverse_wishart_log_density(X, spec):
                  - 0.5 * np.trace(omega @ np.linalg.inv(W)))
 
 
-def clone_patterns(spec):
-    """The patterns an inertial clone mixes over, each with equal weight, in
-    the order that _draw_clone_patterns indexes (2^n of them with all_cones)."""
-    n = spec.base.dim
-    if spec.all_cones:
-        return all_patterns(n)
-    return cones_with_inertia(n, spec.k)
-
-
 def _draw_clone_patterns(rng, spec, size):
-    """size patterns drawn uniformly from clone_patterns(spec), as a (size, n)
-    int array, from one integers(count) call and without enumerating them.
-    A count beyond the int64 range raises SpecInvalid."""
+    """size patterns drawn uniformly from those an inertial clone mixes over
+    (all_patterns(n), or cones_with_inertia(n, k)), as a (size, n) int array
+    unranked from one integers(count) call. A count beyond the int64 range
+    raises SpecInvalid."""
     n = spec.base.dim
     k = None if spec.all_cones else spec.k
     count = 2**n if k is None else math.comb(n, k)
     if count > np.iinfo(np.int64).max:
         raise SpecInvalid(f"{count} clone patterns at n={n} exceed the int64 range")
     return _unrank_patterns(rng.generator.integers(count, size=size), n, k)
-
-
-def _unrank_patterns(idx, n, k=None):
-    """The patterns at positions idx in product((1, -1), repeat=n), restricted
-    to negative inertia k unless k is None, by combinatorial unranking."""
-    if k is None:
-        return 1 - 2 * ((idx[:, np.newaxis] >> np.arange(n - 1, -1, -1)) & 1)
-    # below[a, c + 1]: the patterns of a more entries with c more sign
-    # changes (none for c = -1). Clipping at the total count changes no entry
-    # that a valid index reaches, and keeps the table in int64.
-    count = math.comb(n, k)
-    below = np.array([[0] + [min(math.comb(a, c), count) for c in range(k + 1)]
-                      for a in range(n)], dtype=np.int64)
-    out = np.empty((len(idx), n), dtype=int)
-    prev = np.ones(len(idx), dtype=int)
-    changes = np.full(len(idx), k)
-    for j in range(n):
-        plus = below[n - 1 - j, changes - (prev < 0) + 1]
-        take_plus = idx < plus
-        idx = np.where(take_plus, idx, idx - plus)
-        out[:, j] = np.where(take_plus, 1, -1)
-        changes -= out[:, j] != prev
-        prev = out[:, j]
-    return out
 
 
 def inertial_clone_sample(rng, spec, size=None):

@@ -3,7 +3,7 @@ import os
 import numpy as np
 from hypothesis import settings
 
-from lpmch import all_patterns, cone_compose
+from lpmch import all_patterns, cone_compose, negative_inertia
 
 # On CI (GitHub Actions sets CI) property tests draw a fixed sequence of
 # examples, so a failure there reproduces from its log.
@@ -41,3 +41,13 @@ def random_cone_point(rng, eps, cone="lpm", complex_scalars=False):
 def patterns_up_to(n):
     for m in range(1, n + 1):
         yield from all_patterns(m)
+
+
+def clone_patterns(spec):
+    """The patterns an inertial clone mixes over, each with equal weight, in
+    the order its pattern draw indexes: all 2^n patterns with all_cones, else
+    those of inertia k. The enumerated reference for the unranked draw."""
+    patterns = all_patterns(spec.base.dim)
+    if spec.all_cones:
+        return patterns
+    return [eps for eps in patterns if negative_inertia(eps) == spec.k]

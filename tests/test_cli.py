@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from conftest import clone_patterns
 from lpmch import classify, factor, canonical_point, lpm_distance, lpm_geodesic
 from lpmch import inequalities, sampling
 from lpmch.cli import main
@@ -224,7 +225,7 @@ def test_verify(tmp_path, capsys):
 def _enumerated_clone_draw(rng, spec, size):
     """The clone draw by indexing the enumerated patterns, as it was done
     before patterns were unranked."""
-    patterns = np.array(sampling.clone_patterns(spec), dtype=int)
+    patterns = np.array(clone_patterns(spec), dtype=int)
     return patterns[rng.generator.integers(len(patterns), size=size)]
 
 

@@ -80,6 +80,17 @@ def test_reverse_matrix():
     assert classify(reverse_matrix(A), cone="tpm").pattern == classify(A).pattern
 
 
+def test_reverse_matrix_of_a_stack_reverses_each_matrix():
+    rng = np.random.default_rng(1)
+    for n in (1, 2, 5):
+        S = rng.standard_normal((3, 4, n, n)) + 1j * rng.standard_normal((3, 4, n, n))
+        R = reverse_matrix(S)
+        assert R.shape == S.shape
+        for index in np.ndindex(3, 4):
+            assert np.array_equal(R[index], reverse_matrix(S[index]))
+            assert np.array_equal(R[index], S[index].conj().T[::-1, ::-1])
+
+
 def test_reverse_pattern():
     assert reverse_pattern((1, -1)) == (-1, -1)
     assert reverse_pattern((1, 1, 1)) == (1, 1, 1)
@@ -163,8 +174,21 @@ def test_cones_with_inertia():
         for k in range(n + 1):
             cones = cones_with_inertia(n, k)
             assert len(cones) == comb(n, k)
+            # the enumerated filter, in the same order, as tuples of ints
+            assert cones == [eps for eps in all_patterns(n) if negative_inertia(eps) == k]
+            assert all(type(s) is int for eps in cones for s in eps)
             total += len(cones)
         assert total == 2**n
+    with pytest.raises(ValueError):
+        cones_with_inertia(3, 4)
+
+
+def test_cones_with_inertia_does_not_enumerate():
+    # 780 of 2^40 patterns
+    got = cones_with_inertia(40, 2)
+    assert len(got) == 780 == len(set(got))
+    assert all(negative_inertia(eps) == 2 for eps in got)
+    assert got == sorted(got, reverse=True)
 
 
 def test_cone_sample_inertia_matches_eigenvalues():

@@ -10,7 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import random_lower
+from conftest import clone_patterns, random_lower
 from lpmch import (
     DistributionSpec,
     RngStream,
@@ -27,8 +27,10 @@ from lpmch import (
     symmetrize,
     wishart_sample,
 )
+from lpmch.cholesky import _cone_matrices
+from lpmch.core import canonical_signs, reverse_matrix
 from lpmch.errors import ComplexFactor
-from lpmch.sampling import cholesky_normal_etas, clone_patterns, wishart_factors
+from lpmch.sampling import cholesky_normal_etas, wishart_factors
 
 CONES = ["lpm", "tpm"]
 EPS = (1, -1, -1, 1)
@@ -131,3 +133,39 @@ def test_single_draw_is_first_of_batch():
     assert np.array_equal(one.matrix, batch[0].matrix)
     assert classify(one.matrix, cone="tpm").pattern == EPS
     assert wishart_sample(RngStream(7), spec, size=0) == []
+
+
+def _dense_cone_matrices(F, patterns, cone):
+    """F_i D_i F_i* (LPM) or F_i* D_i F_i (TPM) with each canonical basis D_i
+    built as a dense diagonal matrix, as the congruence once did."""
+    signs = np.broadcast_to(canonical_signs(patterns), F.shape[:-1])
+    n = F.shape[-1]
+    D = np.zeros(F.shape)
+    D[:, np.arange(n), np.arange(n)] = signs if cone == "lpm" else signs[:, ::-1]
+    Fh = np.swapaxes(F.conj(), -1, -2)
+    return symmetrize(F @ D @ Fh if cone == "lpm" else Fh @ D @ F)
+
+
+def _factor_stacks(n):
+    rng = np.random.default_rng(n)
+    m = 6
+    lower = np.stack([random_lower(rng, n) for _ in range(m)])
+    diagonal = np.zeros((m, n, n))
+    diagonal[:, np.arange(n), np.arange(n)] = rng.uniform(0.5, 2.0, (m, n))
+    # A TPM Wishart stack is the reversal view of a lower triangular stack.
+    return {"random": lower, "reversed": reverse_matrix(lower),
+            "identity": np.broadcast_to(np.eye(n), (m, n, n)), "diagonal": diagonal}
+
+
+@pytest.mark.parametrize("cone", CONES)
+@pytest.mark.parametrize("n", [1, 3, 10, 33])
+def test_cone_matrices_match_the_dense_basis(n, cone):
+    rng = np.random.default_rng(100 + n)
+    one = tuple(int(e) for e in rng.choice((1, -1), n))
+    each = rng.choice((1, -1), (6, n))
+    for F in _factor_stacks(n).values():
+        for patterns in (one, each):
+            got = _cone_matrices(F, patterns, cone)
+            want = _dense_cone_matrices(F, patterns, cone)
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))

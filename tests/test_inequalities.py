@@ -22,6 +22,7 @@ from lpmch import (
 )
 from lpmch.cli import main
 from lpmch.errors import GroupMismatch, SpecInvalid
+from lpmch.matio import format_float
 
 
 def test_all_inequalities_pass_on_presets_small():
@@ -353,3 +354,60 @@ def test_seeded_verify_output_is_unchanged(capsys, tmp_path, preset, which):
                              "--trials", "1000", "--seed", "7")
     assert code == 0 and err == ""
     assert out == _SEEDED_VERIFY[preset, which]
+
+
+def test_star_walk_checks_every_path_of_every_step():
+    base = DistributionSpec(kind="wishart", pattern=(1, 1), cone="lpm",
+                            sigma=np.eye(2), dof=4)
+    clone = DistributionSpec(kind="inertial_clone", base=base, all_cones=True)
+    with pytest.raises(GroupMismatch):
+        simulate_walk(RngStream(0), [clone], 1000, group="star")
+    # A clone of one cone stays in it: inertia 0 is the all-plus cone only.
+    pd_clone = DistributionSpec(kind="inertial_clone", base=base, k=0)
+    stats = simulate_walk(RngStream(0), [pd_clone] * 3, 50, group="star",
+                          z1=cone_compose(np.eye(2), (1, 1)))
+    assert stats.d_z1.shape == (50, 3)
+
+
+def test_walk_checks_run_before_the_first_draw():
+    walk, _ = preset_config("pd_walk", INEQUALITIES[0])
+    bad_calls = [(ValueError, {"group": "x"}),
+                 (GroupMismatch, {"z1": (np.zeros(3), (1, 1))}),
+                 (GroupMismatch, {"group": "box", "z1": cone_compose(np.eye(2), (1, 1))})]
+    for error, kw in bad_calls:
+        rng = RngStream(0)
+        state = rng.generator.bit_generator.state
+        with pytest.raises(error):
+            simulate_walk(rng, walk, 10, **kw)
+        assert rng.generator.bit_generator.state == state
+    pd2 = DistributionSpec(kind="wishart", pattern=(1, 1), cone="lpm",
+                           sigma=np.eye(2), dof=4)
+    rng = RngStream(0)
+    state = rng.generator.bit_generator.state
+    with pytest.raises(GroupMismatch, match="mixed dimensions"):
+        simulate_walk(rng, [walk[0], pd2], 10)
+    assert rng.generator.bit_generator.state == state
+
+
+def test_verify_config_reference_point_reaches_the_walk(capsys, tmp_path):
+    which = "mogulskii_min"
+    config = tmp_path / "c.json"
+    z1 = [[0.5], [1]]
+    config.write_text(json.dumps({"preset": "pd_walk", "z1": z1}))
+    code = main(["verify", "--config", str(config), "--inequality", which,
+                 "--trials", "500", "--seed", "4"])
+    out = capsys.readouterr().out
+    assert code == 0
+    walk, params = preset_config("pd_walk", which)
+    shifted = verify_inequality(RngStream(4), which, walk, {**params, "paths": 500, "z1": z1})
+    plain = verify_inequality(RngStream(4), which, walk, {**params, "paths": 500})
+    assert shifted.lhs != plain.lhs
+    assert f"lhs: {format_float(shifted.lhs)} (se {format_float(shifted.lhs_se)})" in out
+    assert f"rhs: {format_float(shifted.rhs)} (se {format_float(shifted.rhs_se)})" in out
+    # A reference point outside the walk's one cone is refused.
+    config.write_text(json.dumps({"preset": "pd_walk", "z1": [[0.0], [-1]]}))
+    code = main(["verify", "--config", str(config), "--inequality", which,
+                 "--trials", "500", "--seed", "4"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("GroupMismatch: ")

@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from conftest import random_lower
+from conftest import clone_patterns, random_lower
 from lpmch import (
     DistributionSpec,
     RngStream,
-    all_patterns,
     bartlett_sample,
     canonical_point,
     cholesky_normal_log_density,
@@ -32,7 +31,8 @@ from lpmch import (
 )
 from lpmch.errors import PatternMismatch, SpecInvalid
 from lpmch.geometry import cone_factor
-from lpmch.sampling import _unrank_patterns, cholesky_normal_etas, wishart_factors
+from lpmch.core import _unrank_patterns
+from lpmch.sampling import cholesky_normal_etas, wishart_factors
 
 
 def wishart_spec(eps, sigma, dof, cone="lpm"):
@@ -287,12 +287,15 @@ def test_inertial_clone():
 
 def test_unranked_clone_patterns_follow_the_enumeration():
     for n in range(1, 11):
+        base = wishart_spec((1,) * n, np.eye(n), n)
         for k in range(n + 1):
-            expected = cones_with_inertia(n, k)
+            spec = DistributionSpec(kind="inertial_clone", base=base, k=k)
+            expected = clone_patterns(spec)
             got = _unrank_patterns(np.arange(len(expected)), n, k)
             assert [tuple(p) for p in got.tolist()] == expected
+        spec = DistributionSpec(kind="inertial_clone", base=base, all_cones=True)
         got = _unrank_patterns(np.arange(2**n), n)
-        assert [tuple(p) for p in got.tolist()] == all_patterns(n)
+        assert [tuple(p) for p in got.tolist()] == clone_patterns(spec)
 
 
 def test_inertial_clone_at_n40():
