@@ -19,6 +19,7 @@ from .core import (
     LPM,
     TPM,
     ConePoint,
+    _check_tol,
     _unit_lower_inverse,
     as_pattern,
     canonical_diagonal,
@@ -79,7 +80,9 @@ def _check_same_cone(A, B, cone):
 
 def _check_radicands(radicand, tol):
     """Raise NegativeRadicand at the first squared diagonal entry that is
-    <= tol**2 or not finite (a zero pivot of the basis gives an infinite one)."""
+    <= tol**2 or not finite (a zero pivot of the basis gives an infinite one);
+    ValueError when tol is not finite and >= 0."""
+    _check_tol(tol)
     bad = np.flatnonzero(~((radicand > tol * tol) & (radicand < np.inf)))
     if bad.size:
         j = int(bad[0])

@@ -15,6 +15,7 @@ import numpy as np
 from . import biggroup, geometry, inequalities, sampling, ssrpm
 from .cholesky import canonical_point, factor, factor_tpm, resign
 from .core import (
+    DEFAULT_TOL,
     LPM,
     TPM,
     _classify_with_minors,
@@ -90,7 +91,7 @@ def _cmd_mean(args):
     return 0
 
 
-def _spec_from_args(args, need_pattern=True):
+def _spec_from_args(args):
     kind = {"wishart": "wishart", "inv-wishart": "inverse_wishart",
             "cholesky-normal": "cholesky_normal", "clone": "inertial_clone"}[args.dist]
     cone = args.cone
@@ -110,7 +111,7 @@ def _spec_from_args(args, need_pattern=True):
                                          dof=args.dof)
         return sampling.DistributionSpec(kind=kind, cone=cone, base=base,
                                          k=args.k, all_cones=args.all_cones)
-    if need_pattern and not args.epsilon:
+    if not args.epsilon:
         raise SpecInvalid(f"{args.dist} needs --epsilon")
     return sampling.DistributionSpec(kind=kind, cone=cone,
                                      pattern=pattern_from_string(args.epsilon),
@@ -126,6 +127,8 @@ _SAMPLERS = {
 
 
 def _cmd_sample(args):
+    if args.count < 0:
+        raise SpecInvalid(f"--count must be >= 0, got {args.count}")
     spec = _spec_from_args(args).validate()
     seed = _seed(args)
     rng = sampling.RngStream(seed)
@@ -201,7 +204,7 @@ class _PatternArg(argparse.Action):
 
 def _add_common(parser):
     parser.add_argument("--cone", choices=[LPM, TPM], default=LPM)
-    parser.add_argument("--tol", type=float, default=1e-10)
+    parser.add_argument("--tol", type=float, default=DEFAULT_TOL)
 
 
 def _add_dist_flags(parser):
@@ -298,7 +301,7 @@ def build_parser():
     p = sub.add_parser("ssrpm-check", help="common sign pattern of all "
                                            "principal minors, if any")
     p.add_argument("matrix")
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.set_defaults(run=_cmd_ssrpm_check)
 
     return parser

@@ -100,8 +100,25 @@ def scale(A):
     return float(np.max(np.abs(A))) if np.asarray(A).size else 0.0
 
 
+def _check_tol(tol):
+    """A tolerance must be finite and >= 0; ValueError naming it otherwise."""
+    if not 0 <= tol < math.inf:
+        raise ValueError(f"tolerance must be finite and >= 0, got {tol!r}")
+
+
+def _minor_cutoff(A, tol):
+    """The function k -> tol * max(1, scale(A))**k, the modulus that a k-th
+    minor of A must exceed."""
+    _check_tol(tol)
+    s = max(1.0, scale(A))
+    return lambda k: tol * s**k
+
+
 # Panel width of the blocked elimination in ldl.
 _BLOCK = 32
+# Relative size of an anti-Hermitian part, or of the imaginary part of a
+# leading minor, at which input counts as not Hermitian.
+_HERMITIAN_TOL = 1e-8
 
 
 def _eliminate_block(U, L, d, det):
@@ -119,7 +136,7 @@ def _eliminate_block(U, L, d, det):
         pivot = U[k, k]
         if det is not None:
             det *= complex(pivot)
-            if abs(det.imag) > 1e-8 * max(1.0, abs(det)):
+            if abs(det.imag) > _HERMITIAN_TOL * max(1.0, abs(det)):
                 raise ValueError("leading minor has a non-negligible imaginary part; "
                                  "input is not Hermitian")
         d[k] = pivot.real
@@ -145,10 +162,11 @@ def ldl(A):
     The elimination is blocked and right-looking (Golub & Van Loan,
     Matrix Computations, 4th ed., 4.1-4.2), in panels of 32 columns. The
     plain rank-1 loop runs only inside each 32 x 32 diagonal block, giving
-    L11 and the upper factor U11; then the two triangular blocks are
-    inverted and L21 = A21 U11^{-1} and U12 = L11^{-1} A12 are one matrix
-    product each, as is the Schur complement update A22 -= L21 U12. For
-    n <= 32 only the plain loop runs.
+    L11 and D11; then L11 is inverted once, and L21 = A21 L11^{-*} D11^{-1}
+    and the Schur complement update A22 -= (L21 D11) L21* are one matrix
+    product each. The panel's upper half D11 L21* is never formed: outside
+    the diagonal blocks only the lower triangle of A is read. For n <= 32
+    only the plain loop runs.
     """
     A = np.asarray(A)
     n = A.shape[0]
@@ -162,14 +180,13 @@ def ldl(A):
         if q == n:
             break
         # The columns of L below the block, up to a zero pivot if there is one.
-        # Every inverted block is cut back to its triangle: np.linalg.inv
-        # pivots, and its result need not be exactly triangular.
         e = p + done
-        L[q:, p:e] = U[q:, p:e] @ np.triu(np.linalg.inv(np.triu(U[p:e, p:e])))
+        X = _unit_lower_block_inverse(L[p:e, p:e])
+        L[q:, p:e] = (U[q:, p:e] @ X.conj().T) / d[p:e]
         if e < q:
             break
-        U12 = _unit_lower_inverse(L[p:q, p:q]) @ U[p:q, q:]
-        U[q:, q:] -= L[q:, p:q] @ U12
+        L21 = L[q:, p:q]
+        U[q:, q:] -= (L21 * d[p:q]) @ L21.conj().T
     return L, d
 
 
@@ -204,11 +221,18 @@ def _unit_lower_block_inverse(L):
 
 
 def leading_minors(A):
-    """All n leading principal minors: the running products of the ldl pivots.
+    """All n leading principal minors of a Hermitian (or real symmetric) A:
+    the running products of the ldl pivots.
 
-    After an exact zero pivot the remaining minors are reported as NaN;
-    callers apply their own tolerance per minor.
+    The elimination reads only the lower triangle of A outside its 32 x 32
+    diagonal blocks, so A must be Hermitian: ValueError when the largest
+    entry of |A - A*| exceeds 1e-8 times the largest |A|. After an exact
+    zero pivot the remaining minors are reported as NaN; callers apply
+    their own tolerance per minor.
     """
+    A = np.asarray(A)
+    if scale(A - A.conj().T) > _HERMITIAN_TOL * scale(A):
+        raise ValueError("input is not Hermitian")
     return np.cumprod(ldl(A)[1])
 
 
@@ -253,12 +277,12 @@ def reverse_pattern(eps):
 def _classify_with_minors(A, cone=LPM, tol=DEFAULT_TOL):
     """classify, plus the minors it tested (of the reversal for TPM)."""
     A = symmetrize(A)
+    cutoff = _minor_cutoff(A, tol)
     work = reverse_matrix(A) if cone == TPM else A
-    minors = leading_minors(work)
-    s = max(1.0, scale(A))
+    minors = np.cumprod(ldl(work)[1])
     signs = []
     for k, m in enumerate(minors, start=1):
-        if not np.isfinite(m) or abs(m) <= tol * s**k:
+        if not np.isfinite(m) or abs(m) <= cutoff(k):
             raise MinorNearZero(k, None if not np.isfinite(m) else float(m))
         signs.append(1 if m > 0 else -1)
     point = ConePoint(matrix=A, cone=cone, pattern=tuple(signs), tolerance_used=tol)
@@ -269,7 +293,8 @@ def classify(A, cone=LPM, tol=DEFAULT_TOL):
     """Classify a symmetric matrix into its LPM or TPM cone.
 
     Raises MinorNearZero(k) when the k-th minor fails the scale-aware
-    tolerance |minor| > tol * max(1, scale(A))**k.
+    tolerance |minor| > tol * max(1, scale(A))**k, and ValueError when tol
+    is not finite and >= 0.
     """
     return _classify_with_minors(A, cone, tol)[0]
 

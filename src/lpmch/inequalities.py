@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import LPM, ConePoint, as_pattern
+from .core import LPM, ConePoint, as_pattern, pattern_from_string
 from .geometry import cone_factor, eta
 from .errors import GroupMismatch, SpecInvalid
 from .sampling import DistributionSpec, _draw_clone_patterns, cholesky_normal_etas, \
@@ -92,6 +92,8 @@ def _reference(z1, n):
     if isinstance(z1, ConePoint):
         return eta(cone_factor(z1)), np.array(z1.pattern, dtype=int)
     v, pattern = z1
+    if isinstance(pattern, str):
+        pattern = pattern_from_string(pattern)
     return np.asarray(v, dtype=float), np.array(as_pattern(pattern), dtype=int)
 
 

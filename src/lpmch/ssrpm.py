@@ -9,7 +9,7 @@ from itertools import combinations, islice
 
 import numpy as np
 
-from .core import DEFAULT_TOL, scale, symmetrize
+from .core import DEFAULT_TOL, _minor_cutoff, symmetrize
 from .errors import ConstraintViolation, DegenerateParameters, DimensionCap
 
 __all__ = ["is_ssrpm", "toeplitz_example", "almost_n_example", "DEFAULT_CAP"]
@@ -24,16 +24,17 @@ def is_ssrpm(A, tol=DEFAULT_TOL, cap=DEFAULT_CAP):
 
     Returns the pattern (sign of every k x k principal minor, k = 1..n) when
     one exists and every minor clears the scale-aware tolerance; None as soon
-    as some size is mixed-sign or some minor is zero up to tolerance.
+    as some size is mixed-sign or some minor is zero up to tolerance. A tol
+    that is not finite and >= 0 raises ValueError.
     """
     A = symmetrize(np.asarray(A, dtype=float))
     n = A.shape[0]
+    minor_cutoff = _minor_cutoff(A, tol)
     if n > cap:
         raise DimensionCap(f"n={n} exceeds the SSRPM cap {cap}")
-    s = max(1.0, scale(A))
     pattern = []
     for k in range(1, n + 1):
-        cutoff = tol * s**k
+        cutoff = minor_cutoff(k)
         sign_k = 0
         subsets = combinations(range(n), k)
         while chunk := list(islice(subsets, _CHUNK)):

@@ -115,6 +115,15 @@ def test_factor_errors():
         factor(A, canonical_point((1, -1), cone="tpm"))
 
 
+@pytest.mark.parametrize("tol", (-1.0, float("nan"), float("inf")))
+def test_radicand_tolerance_must_be_finite_and_nonnegative(tol):
+    A = classify(np.array([[1.0, 2.0], [2.0, 1.0]]))
+    with pytest.raises(ValueError, match="tolerance must be finite and >= 0"):
+        factor(A, canonical_point((1, -1)), tol=tol)
+    with pytest.raises(ValueError, match="tolerance must be finite and >= 0"):
+        resign(A, (1, 1), tol=tol)
+
+
 def test_commuting_square():
     rng = np.random.default_rng(7)
     for eps in all_patterns(3):

@@ -273,6 +273,26 @@ def test_exit_codes(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", ("classify", "ssrpm-check"))
+@pytest.mark.parametrize("tol", ("-1", "nan"))
+def test_bad_tolerance_is_a_usage_error(tmp_path, capsys, command, tol):
+    path = write(tmp_path, "a.json", [[1.0, 1.0], [1.0, 1.0]])
+    code, out, err = run(capsys, command, path, f"--tol={tol}")
+    assert code == 2 and out == ""
+    assert err.startswith("error: tolerance must be finite and >= 0, got ")
+
+
+def test_negative_sample_count_fails_before_the_header(tmp_path, capsys):
+    sigma = write(tmp_path, "s.json", np.eye(2))
+    draw = ["sample", "--dist", "wishart", "--sigma", sigma, "--dof", "3",
+            "--epsilon", "+-", "--seed", "1", "--count"]
+    code, out, err = run(capsys, *draw, "-1")
+    assert code == 1 and out == ""
+    assert err.startswith("SpecInvalid: ")
+    code, out, _ = run(capsys, *draw, "0")
+    assert code == 0 and json.loads(out)["count"] == 0
+
+
 def test_csv_roundtrip(tmp_path, capsys):
     A = np.array([[np.pi, 0.0], [1.0 / 3.0, np.e]])
     L = np.tril(A) + np.eye(2)

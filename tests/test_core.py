@@ -59,6 +59,17 @@ def test_classify_hermitian_complex():
     assert classify(B).pattern == (1, 1)
 
 
+@pytest.mark.parametrize("cone", ("lpm", "tpm"))
+@pytest.mark.parametrize("tol", (-1.0, float("nan"), float("inf")))
+def test_classify_tolerance_must_be_finite_and_nonnegative(tol, cone):
+    # With a negative or NaN tol, the zero minor of [[1, 1], [1, 1]] would
+    # pass as negative.
+    with pytest.raises(ValueError, match=f"tolerance must be finite and >= 0, got {tol}"):
+        classify(np.ones((2, 2)), cone, tol=tol)
+    with pytest.raises(MinorNearZero):
+        classify(np.ones((2, 2)), cone, tol=0.0)
+
+
 def test_leading_minors_against_determinants():
     rng = np.random.default_rng(11)
     for n in range(1, 6):

@@ -411,3 +411,15 @@ def test_verify_config_reference_point_reaches_the_walk(capsys, tmp_path):
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
     assert captured.err.startswith("GroupMismatch: ")
+
+
+def test_verify_config_reference_pattern_may_be_a_string(capsys, tmp_path):
+    outputs = []
+    for z1 in ([[0.5], "+"], [[0.5], [1]]):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"preset": "pd_walk", "z1": z1}))
+        code = main(["verify", "--config", str(config), "--inequality", "mogulskii_min",
+                     "--trials", "500", "--seed", "4"])
+        assert code == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1]

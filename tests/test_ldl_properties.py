@@ -12,6 +12,7 @@ from lpmch import (
     compose,
     compose_tpm,
     cone_compose,
+    cone_factor,
     factor,
     factor_tpm,
     leading_minors,
@@ -112,6 +113,54 @@ def test_blocked_ldl_across_panel_boundaries(n, cone):
     assert relative_error(L, L0) < 1e-13
     assert relative_error(d, d0) < 1e-13
     assert tuple(int(s) for s in np.sign(leading_minors(work))) == eps
+
+
+def wide_factor(rng, n, complex_scalars=False):
+    """Lower triangular, diagonal in [0.5, 2], strict-lower entries N(0, 0.3^2)
+    (real and imaginary parts each, for complex scalars): far worse
+    conditioned than random_factor at n >= 64."""
+    strict = np.tril(rng.standard_normal((n, n)), -1)
+    if complex_scalars:
+        strict = strict + 1j * np.tril(rng.standard_normal((n, n)), -1)
+    return 0.3 * strict + np.diag(rng.uniform(0.5, 2.0, n))
+
+
+@pytest.mark.parametrize("cone", ("lpm", "tpm"))
+@pytest.mark.parametrize("n", (128, 256))
+def test_ldl_backward_error_of_ill_conditioned_points(n, cone):
+    """Panels whose upper half is eliminated apart from their lower half let
+    the two halves drift, and L diag(d) L* then misses A by 1e-13 at n = 128
+    and 1e-9 at n = 256; built from the lower half alone, it stays near u."""
+    rng = np.random.default_rng([n, 0])
+    eps = tuple(int(e) for e in rng.choice((1, -1), n))
+    A = cone_compose(wide_factor(rng, n), eps, cone)
+    work = A.matrix if cone == "lpm" else reverse_matrix(A.matrix)
+    L, d = ldl(work)
+    assert relative_error((L * d) @ L.T, work) < 1e-14
+    assert relative_error(cone_compose(cone_factor(A), eps, cone).matrix, A.matrix) < 1e-14
+
+
+def test_ldl_complex_hermitian_ill_conditioned():
+    """An exactly Hermitian matrix is factored, not refused: drift between
+    the halves of a panel would give its leading minors an imaginary part."""
+    rng = np.random.default_rng([128, 0])
+    K = wide_factor(rng, 128, complex_scalars=True)
+    H = (K * rng.choice((1.0, -1.0), 128)) @ K.conj().T
+    H = (H + H.conj().T) / 2
+    L, d = ldl(H)
+    assert relative_error((L * d) @ L.conj().T, H) < 1e-13
+
+
+@pytest.mark.parametrize("n", (20, 40))
+def test_leading_minors_rejects_non_hermitian_input(n):
+    rng = np.random.default_rng(n)
+    A = rng.standard_normal((n, n)) + n * np.eye(n)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        leading_minors(A)
+    S = (A + A.T) / 2
+    with pytest.raises(ValueError, match="not Hermitian"):
+        leading_minors(S + 1j * S[::-1])
+    assert np.array_equal(leading_minors(S), np.cumprod(ldl(S)[1]))
 
 
 @pytest.mark.parametrize("cone", ("lpm", "tpm"))

@@ -24,6 +24,13 @@ def test_is_ssrpm_dimension_cap():
     assert is_ssrpm(np.eye(15), cap=15) == (1,) * 15
 
 
+@pytest.mark.parametrize("tol", (-1.0, float("nan"), float("inf")))
+def test_is_ssrpm_tolerance_must_be_finite_and_nonnegative(tol):
+    with pytest.raises(ValueError, match="tolerance must be finite and >= 0"):
+        is_ssrpm(np.ones((2, 2)), tol=tol)
+    assert is_ssrpm(np.ones((2, 2)), tol=0.0) is None
+
+
 def test_ssrpm_subset_of_lpm():
     rng = np.random.default_rng(0)
     for _ in range(20):
