@@ -80,16 +80,27 @@ def box_inv(A):
     return _from_factor(group_inv(A.factor), A.pattern, A.cone)
 
 
-def dp_distance(A, B, p=2):
-    """Bi-invariant metric: the l^p norm of (factor distance, pattern mismatch)."""
-    _check_pair(A, B)
-    if not (p >= 1):
+def _check_p(p):
+    """float(p), so 'inf' works; ValueError unless it lies in [1, inf]."""
+    p = float(p)
+    if not 1 <= p <= math.inf:
         raise ValueError(f"p must be in [1, inf], got {p}")
-    d_factor = distance(A.factor, B.factor)
-    mismatch = 0.0 if A.pattern == B.pattern else 1.0
+    return p
+
+
+def _combine(d_factor, mismatch, p):
+    """The l^p norm of (factor distance, boolean pattern mismatch), elementwise."""
     if math.isinf(p):
-        return max(d_factor, mismatch)
-    return float((d_factor**p + mismatch**p) ** (1.0 / p))
+        return np.maximum(d_factor, mismatch)
+    return (d_factor**p + np.asarray(mismatch, dtype=float) ** p) ** (1.0 / p)
+
+
+def dp_distance(A, B, p=2):
+    """Bi-invariant metric: the l^p norm of (factor distance, pattern mismatch),
+    for p in [1, inf] (or 'inf'); ValueError for any other p."""
+    _check_pair(A, B)
+    p = _check_p(p)
+    return float(_combine(distance(A.factor, B.factor), A.pattern != B.pattern, p))
 
 
 def torsion_order(A, tol=1e-10):

@@ -89,14 +89,13 @@ def _check_radicands(radicand, tol):
         raise NegativeRadicand(j + 1, float(radicand[j]))
 
 
-def _signed_pivots(A, tol):
-    """L_A and s_eps d from A = L_A diag(d) L_A*, so that A = L D_eps L* with
-    L = L_A diag(sqrt(s_eps d)); an s_eps d at or below tol**2 raises
-    NegativeRadicand."""
-    LA, d = ldl(A.matrix)
-    radicand = canonical_signs(A.pattern) * d
+def _radicands(d, divisor, tol):
+    """d / divisor, the squared diagonal of a factor from the pivots of a point
+    and of its basis (or its canonical signs), checked by _check_radicands."""
+    with np.errstate(divide="ignore"):
+        radicand = d / divisor
     _check_radicands(radicand, tol)
-    return LA, radicand
+    return radicand
 
 
 def compose(L, B):
@@ -134,11 +133,7 @@ def factor(A, B, tol=DEFAULT_TOL):
         LB, dB = ldl(Bm)
     else:
         LB, dB = None, diagonal.real
-    # A zero pivot of B gives an infinite radicand, which is raised below.
-    with np.errstate(divide="ignore"):
-        radicand = dA / dB
-    _check_radicands(radicand, tol)
-    scaled = LA * np.sqrt(radicand)
+    scaled = LA * np.sqrt(_radicands(dA, dB, tol))
     return scaled if LB is None else scaled @ _unit_lower_inverse(LB)
 
 
@@ -177,7 +172,8 @@ def resign(A, delta, tol=DEFAULT_TOL):
         raise PatternMismatch(f"pattern length {len(delta)} != dimension {len(eps)}")
     if delta == eps:
         return A
-    LA, radicand = _signed_pivots(A, tol)
+    LA, d = ldl(A.matrix)
+    radicand = _radicands(d, canonical_signs(eps), tol)
     out = (LA * (radicand * canonical_signs(delta))) @ LA.conj().T
     return ConePoint(matrix=symmetrize(out), cone=LPM, pattern=delta,
                      tolerance_used=A.tolerance_used)

@@ -69,7 +69,7 @@ def _cmd_distance(args):
     if args.group == "star":
         value = geometry.lpm_distance(A, B)
     else:
-        p = float("inf") if args.p == "inf" else float(args.p)
+        p = float(args.p)
         value = biggroup.dp_distance(biggroup.BigGroupElement(A),
                                      biggroup.BigGroupElement(B), p=p)
     print(format_float(value))

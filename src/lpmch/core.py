@@ -90,7 +90,7 @@ def symmetrize(A):
     if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {A.shape}")
     H = (A + np.swapaxes(A.conj(), -1, -2)) / 2
-    if np.iscomplexobj(H) and np.allclose(H.imag, 0):
+    if np.iscomplexobj(H) and not H.imag.any():
         H = H.real
     return H
 
@@ -106,12 +106,12 @@ def _check_tol(tol):
         raise ValueError(f"tolerance must be finite and >= 0, got {tol!r}")
 
 
-def _minor_cutoff(A, tol):
-    """The function k -> tol * max(1, scale(A))**k, the modulus that a k-th
-    minor of A must exceed."""
+def _log_minor_cutoffs(A, tol):
+    """log(tol * max(1, scale(A))**k) for k = 1..n, without overflow: the log
+    of the modulus that a k-th minor of A must exceed."""
     _check_tol(tol)
-    s = max(1.0, scale(A))
-    return lambda k: tol * s**k
+    log_tol = math.log(tol) if tol > 0 else -math.inf
+    return log_tol + np.arange(1, A.shape[-1] + 1) * math.log(max(1.0, scale(A)))
 
 
 # Panel width of the blocked elimination in ldl.
@@ -275,26 +275,27 @@ def reverse_pattern(eps):
 
 
 def _classify_with_minors(A, cone=LPM, tol=DEFAULT_TOL):
-    """classify, plus the minors it tested (of the reversal for TPM)."""
+    """classify, plus its minors (of the reversal for TPM), inf past the float range."""
     A = symmetrize(A)
-    cutoff = _minor_cutoff(A, tol)
-    work = reverse_matrix(A) if cone == TPM else A
-    minors = np.cumprod(ldl(work)[1])
-    signs = []
-    for k, m in enumerate(minors, start=1):
-        if not np.isfinite(m) or abs(m) <= cutoff(k):
-            raise MinorNearZero(k, None if not np.isfinite(m) else float(m))
-        signs.append(1 if m > 0 else -1)
-    point = ConePoint(matrix=A, cone=cone, pattern=tuple(signs), tolerance_used=tol)
-    return point, minors
+    cutoffs = _log_minor_cutoffs(A, tol)
+    d = ldl(reverse_matrix(A) if cone == TPM else A)[1]
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        minors = np.cumprod(d)
+        passed = np.cumsum(np.log(np.abs(d))) > cutoffs
+    if not passed.all():
+        k = int(np.argmin(passed)) + 1
+        m = minors[k - 1]
+        raise MinorNearZero(k, float(m) if np.isfinite(m) else None)
+    signs = tuple(np.cumprod(np.sign(d)).astype(int).tolist())
+    return ConePoint(matrix=A, cone=cone, pattern=signs, tolerance_used=tol), minors
 
 
 def classify(A, cone=LPM, tol=DEFAULT_TOL):
     """Classify a symmetric matrix into its LPM or TPM cone.
 
     Raises MinorNearZero(k) when the k-th minor fails the scale-aware
-    tolerance |minor| > tol * max(1, scale(A))**k, and ValueError when tol
-    is not finite and >= 0.
+    tolerance |minor| > tol * max(1, scale(A))**k, tested in logs so that
+    neither side overflows, and ValueError when tol is not finite and >= 0.
     """
     return _classify_with_minors(A, cone, tol)[0]
 

@@ -11,8 +11,8 @@ each cone an isometric copy of the Cholesky space. Real scalars only.
 import numpy as np
 
 from .core import DEFAULT_TOL, LPM, ConePoint, as_pattern, canonical_diagonal, \
-    reverse_matrix, reverse_point, symmetrize
-from .cholesky import _check_same_cone, _cone_matrices, _signed_pivots
+    canonical_signs, ldl, reverse_matrix, reverse_point, symmetrize
+from .cholesky import _check_same_cone, _cone_matrices, _radicands
 from .errors import ComplexFactor
 
 __all__ = [
@@ -135,8 +135,8 @@ def cone_factor(A):
     alone (TPM through the reversal)."""
     if A.cone != LPM:
         return reverse_matrix(cone_factor(reverse_point(A)))
-    LA, radicand = _signed_pivots(A, DEFAULT_TOL)
-    return LA * np.sqrt(radicand)
+    LA, d = ldl(A.matrix)
+    return LA * np.sqrt(_radicands(d, canonical_signs(A.pattern), DEFAULT_TOL))
 
 
 def _as_points(M, patterns, cone, size):

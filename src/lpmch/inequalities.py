@@ -17,7 +17,7 @@ from .geometry import cone_factor, eta
 from .errors import GroupMismatch, SpecInvalid
 from .sampling import DistributionSpec, _draw_clone_patterns, cholesky_normal_etas, \
     wishart_factors
-from .biggroup import BigGroupElement
+from .biggroup import BigGroupElement, _check_p, _combine
 
 __all__ = ["Report", "WalkStats", "simulate_walk", "verify_from_stats",
            "verify_inequality", "INEQUALITIES", "PRESETS", "preset_config"]
@@ -77,12 +77,6 @@ def _eta_increments(rng, spec, paths):
     return v, np.array(pattern, dtype=int)
 
 
-def _combine(d_eta, mismatch, p):
-    if math.isinf(p):
-        return np.maximum(d_eta, mismatch)
-    return (d_eta**p + mismatch.astype(float) ** p) ** (1.0 / p)
-
-
 def _reference(z1, n):
     if z1 is None:
         m = n * (n + 1) // 2
@@ -110,10 +104,10 @@ def simulate_walk(rng, walk, paths, group="star", p=2, z1=None):
     partial sums, m = n(n+1)/2 coordinates; box walks also keep a
     (steps, paths, n) int8 buffer of pattern products. Memory is therefore
     those buffers plus the temporaries of one step. The returned arrays are
-    C-contiguous (paths, steps); see WalkStats. Before the first draw,
-    fewer than one path raises SpecInvalid, another group ValueError, and
-    steps or a z1 of mixed dimensions GroupMismatch; a star step drawn
-    outside the walk's one cone raises GroupMismatch.
+    C-contiguous (paths, steps); see WalkStats. Before the first draw, fewer
+    than one path raises SpecInvalid, another group or a box walk's p
+    outside [1, inf] ValueError, and steps or a z1 of mixed dimensions
+    GroupMismatch; a star step outside the walk's one cone raises it later.
     """
     walk = list(walk)
     if not walk:
@@ -122,6 +116,7 @@ def simulate_walk(rng, walk, paths, group="star", p=2, z1=None):
         raise SpecInvalid(f"a walk needs at least one path, got {paths}")
     if group not in ("star", "box"):
         raise ValueError(f"group must be 'star' or 'box', got {group!r}")
+    p = _check_p(p) if group == "box" else p
     n = walk[0].dim
     m = n * (n + 1) // 2
     if any(spec.dim != n for spec in walk):

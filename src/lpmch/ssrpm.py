@@ -9,13 +9,13 @@ from itertools import combinations, islice
 
 import numpy as np
 
-from .core import DEFAULT_TOL, _minor_cutoff, symmetrize
+from .core import DEFAULT_TOL, _log_minor_cutoffs, symmetrize
 from .errors import ConstraintViolation, DegenerateParameters, DimensionCap
 
 __all__ = ["is_ssrpm", "toeplitz_example", "almost_n_example", "DEFAULT_CAP"]
 
 DEFAULT_CAP = 14
-# Principal minors per batched det call, which keeps memory flat for any cap.
+# Principal minors per batched slogdet call, which keeps memory flat for any cap.
 _CHUNK = 4096
 
 
@@ -23,28 +23,24 @@ def is_ssrpm(A, tol=DEFAULT_TOL, cap=DEFAULT_CAP):
     """The common sign pattern of all principal minors, or None.
 
     Returns the pattern (sign of every k x k principal minor, k = 1..n) when
-    one exists and every minor clears the scale-aware tolerance; None as soon
-    as some size is mixed-sign or some minor is zero up to tolerance. A tol
-    that is not finite and >= 0 raises ValueError.
+    one exists and every minor clears classify's cutoff, tested in logs from
+    slogdet; None as soon as some size is mixed-sign or some minor is zero up
+    to tolerance. A tol that is not finite and >= 0 raises ValueError.
     """
     A = symmetrize(np.asarray(A, dtype=float))
     n = A.shape[0]
-    minor_cutoff = _minor_cutoff(A, tol)
+    cutoffs = _log_minor_cutoffs(A, tol)
     if n > cap:
         raise DimensionCap(f"n={n} exceeds the SSRPM cap {cap}")
     pattern = []
     for k in range(1, n + 1):
-        cutoff = minor_cutoff(k)
         sign_k = 0
         subsets = combinations(range(n), k)
         while chunk := list(islice(subsets, _CHUNK)):
             idx = np.array(chunk)
-            minors = np.linalg.det(A[idx[:, :, None], idx[:, None, :]])
-            if np.any(np.abs(minors) <= cutoff):
-                return None
-            signs = np.where(minors > 0, 1, -1)
+            signs, log_minors = np.linalg.slogdet(A[idx[:, :, None], idx[:, None, :]])
             sign_k = sign_k or int(signs[0])
-            if np.any(signs != sign_k):
+            if not np.all(log_minors > cutoffs[k - 1]) or np.any(signs != sign_k):
                 return None
         pattern.append(sign_k)
     return tuple(pattern)

@@ -102,6 +102,15 @@ def test_dp_distance():
         dp_distance(A, B, p=0.5)
 
 
+@pytest.mark.parametrize("p", [0, 0.5, -math.inf, math.nan, "-1"])
+def test_dp_distance_exponent_must_lie_in_one_to_infinity(p):
+    D = BigGroupElement(canonical_point((1, -1)))
+    E = BigGroupElement(canonical_point((-1, 1)))
+    with pytest.raises(ValueError, match=r"p must be in \[1, inf\]"):
+        dp_distance(D, E, p=p)
+    assert dp_distance(D, E, p="inf") == dp_distance(D, E, p=math.inf) == 1.0
+
+
 def test_dp_bi_invariance():
     rng = np.random.default_rng(6)
     for p in (1, 2, math.inf):

@@ -273,6 +273,19 @@ def test_exit_codes(tmp_path, capsys):
     assert code == 2
 
 
+def test_classify_minors_beyond_the_float_range(tmp_path, capsys):
+    X = np.random.default_rng(0).standard_normal((256, 256))
+    path = write(tmp_path, "a.json", 1280 * np.eye(256) + (X + X.T) / 2)
+    code, out, err = run(capsys, "classify", path)
+    assert code == 0 and err == ""
+    assert out.splitlines()[0] == "pattern: " + "+" * 256
+    assert out.split()[-1] == "inf"
+    path = write(tmp_path, "d.json", np.diag([1e10] * 30 + [1.0] * 10))
+    code, out, err = run(capsys, "classify", path)
+    assert code == 1 and out == ""
+    assert err.startswith("MinorNearZero: ") and "Traceback" not in err
+
+
 @pytest.mark.parametrize("command", ("classify", "ssrpm-check"))
 @pytest.mark.parametrize("tol", ("-1", "nan"))
 def test_bad_tolerance_is_a_usage_error(tmp_path, capsys, command, tol):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from lpmch import (
     reverse_matrix,
     reverse_pattern,
 )
+from lpmch.core import _classify_with_minors
 from lpmch.errors import MinorNearZero, SingularMatrix
 
 
@@ -57,6 +60,33 @@ def test_classify_hermitian_complex():
         classify(A)
     B = np.array([[2.0, 1 + 1j], [1 - 1j, 2.0]])
     assert classify(B).pattern == (1, 1)
+
+
+def test_classify_keeps_small_imaginary_parts():
+    # Leading minors 1e-9 and -5e-19: the imaginary parts, though below 1e-8,
+    # decide the sign of the second minor.
+    A = 1e-9 * np.array([[1, 1 + 1j], [1 - 1j, 1.5]])
+    assert leading_minors(A)[1] < 0
+    assert classify(A, tol=0).pattern == (1, -1)
+
+
+@pytest.mark.parametrize("cone", ("lpm", "tpm"))
+def test_classify_minors_beyond_the_float_range(cone):
+    # Well scaled and positive definite, but the leading minors pass 1e308
+    # near k = 100; the sign test is taken in logs and never sees them.
+    X = np.random.default_rng(0).standard_normal((256, 256))
+    A = 1280 * np.eye(256) + (X + X.T) / 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        point, minors = _classify_with_minors(A, cone)
+    assert point.pattern == (1,) * 256
+    assert np.isinf(minors[-1])
+    # A cutoff tol * 1e10**k beyond 1e308 is no error either: the 31st minor
+    # here is at most that cutoff, and is refused by name.
+    d = [1e10] * 30 + [1.0] * 10
+    with pytest.raises(MinorNearZero) as exc:
+        classify(np.diag(d if cone == "lpm" else d[::-1]), cone)
+    assert exc.value.k in (31, 32)
 
 
 @pytest.mark.parametrize("cone", ("lpm", "tpm"))

@@ -389,6 +389,38 @@ def test_walk_checks_run_before_the_first_draw():
     assert rng.generator.bit_generator.state == state
 
 
+@pytest.mark.parametrize("p", [0, 0.5, math.nan])
+def test_box_walk_exponent_is_checked_before_the_first_draw(capsys, tmp_path, p):
+    walk, _ = preset_config("mixed_box_walk", INEQUALITIES[0])
+    rng = RngStream(0)
+    state = rng.generator.bit_generator.state
+    with pytest.raises(ValueError, match=r"p must be in \[1, inf\]"):
+        simulate_walk(rng, walk, 10, group="box", p=p)
+    assert rng.generator.bit_generator.state == state
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"preset": "mixed_box_walk", "p": p}))
+    code = main(["verify", "--config", str(config), "--inequality", INEQUALITIES[0],
+                 "--trials", "50", "--seed", "1"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: p must be in [1, inf]")
+
+
+def test_verify_config_exponent_may_be_the_string_inf(capsys, tmp_path):
+    which = "mogulskii_min"
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"preset": "mixed_box_walk", "p": "inf"}))
+    code = main(["verify", "--config", str(config), "--inequality", which,
+                 "--trials", "500", "--seed", "4"])
+    out = capsys.readouterr().out
+    assert code == 0
+    walk, params = preset_config("mixed_box_walk", which)
+    report = verify_inequality(RngStream(4), which, walk,
+                               {**params, "paths": 500, "p": math.inf})
+    assert f"lhs: {format_float(report.lhs)} (se {format_float(report.lhs_se)})" in out
+    assert f"rhs: {format_float(report.rhs)} (se {format_float(report.rhs_se)})" in out
+
+
 def test_verify_config_reference_point_reaches_the_walk(capsys, tmp_path):
     which = "mogulskii_min"
     config = tmp_path / "c.json"

@@ -24,6 +24,11 @@ def test_is_ssrpm_dimension_cap():
     assert is_ssrpm(np.eye(15), cap=15) == (1,) * 15
 
 
+def test_is_ssrpm_minors_beyond_the_float_range():
+    # The 12 x 12 minor is 1e360, and its cutoff 1e-10 * 1e30**12 is 1e350.
+    assert is_ssrpm(1e30 * np.eye(12)) == (1,) * 12
+
+
 @pytest.mark.parametrize("tol", (-1.0, float("nan"), float("inf")))
 def test_is_ssrpm_tolerance_must_be_finite_and_nonnegative(tol):
     with pytest.raises(ValueError, match="tolerance must be finite and >= 0"):
