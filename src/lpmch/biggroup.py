@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import LPM, ConePoint, as_pattern
-from .geometry import cone_compose, cone_factor, distance, group_inv, group_op
+from .geometry import _factor, cone_compose, distance, group_inv, group_op
 from .errors import ConeKindMismatch, GroupMismatch
 
 __all__ = ["BigGroupElement", "box_op", "box_inv", "dp_distance",
@@ -31,14 +31,18 @@ def schur_pattern(eps, delta):
 
 @dataclass(frozen=True, eq=False)
 class BigGroupElement:
-    """A cone point with its factor against the canonical basis, cached."""
+    """A cone point with its factor against the canonical basis.
+
+    Unless given, the factor is the point's own cached one (read-only; see
+    geometry.cone_factor), read when the element is made.
+    """
 
     point: ConePoint
     factor: np.ndarray = field(default=None)
 
     def __post_init__(self):
         if self.factor is None:
-            object.__setattr__(self, "factor", cone_factor(self.point))
+            object.__setattr__(self, "factor", _factor(self.point))
 
     @property
     def pattern(self):
@@ -54,7 +58,7 @@ class BigGroupElement:
 
 
 def _from_factor(L, pattern, cone):
-    return BigGroupElement(point=cone_compose(L, pattern, cone), factor=L)
+    return BigGroupElement(point=cone_compose(L, pattern, cone))
 
 
 def identity_element(n, cone=LPM):
@@ -81,8 +85,12 @@ def box_inv(A):
 
 
 def _check_p(p):
-    """float(p), so 'inf' works; ValueError unless it lies in [1, inf]."""
-    p = float(p)
+    """float(p), so 'inf' works; ValueError unless it lies in [1, inf], also
+    for a p that is not a number at all (None, a list)."""
+    try:
+        p = float(p)
+    except TypeError:
+        raise ValueError(f"p must be in [1, inf], got {p!r}") from None
     if not 1 <= p <= math.inf:
         raise ValueError(f"p must be in [1, inf], got {p}")
     return p

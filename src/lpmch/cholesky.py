@@ -19,7 +19,7 @@ from .core import (
     LPM,
     TPM,
     ConePoint,
-    _check_tol,
+    _radicands,
     _unit_lower_inverse,
     as_pattern,
     canonical_diagonal,
@@ -29,7 +29,7 @@ from .core import (
     reverse_point,
     symmetrize,
 )
-from .errors import ConeKindMismatch, NegativeRadicand, PatternMismatch
+from .errors import ConeKindMismatch, PatternMismatch
 
 __all__ = [
     "is_lower_triangular",
@@ -76,26 +76,6 @@ def _check_same_cone(A, B, cone):
         raise ConeKindMismatch(f"expected two {cone} points, got {A.cone} and {B.cone}")
     if A.pattern != B.pattern:
         raise PatternMismatch(f"patterns differ: {A.pattern} vs {B.pattern}")
-
-
-def _check_radicands(radicand, tol):
-    """Raise NegativeRadicand at the first squared diagonal entry that is
-    <= tol**2 or not finite (a zero pivot of the basis gives an infinite one);
-    ValueError when tol is not finite and >= 0."""
-    _check_tol(tol)
-    bad = np.flatnonzero(~((radicand > tol * tol) & (radicand < np.inf)))
-    if bad.size:
-        j = int(bad[0])
-        raise NegativeRadicand(j + 1, float(radicand[j]))
-
-
-def _radicands(d, divisor, tol):
-    """d / divisor, the squared diagonal of a factor from the pivots of a point
-    and of its basis (or its canonical signs), checked by _check_radicands."""
-    with np.errstate(divide="ignore"):
-        radicand = d / divisor
-    _check_radicands(radicand, tol)
-    return radicand
 
 
 def compose(L, B):

@@ -7,12 +7,12 @@ trailing principal minors.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
 
 import numpy as np
 
-from .errors import MinorNearZero, SingularMatrix
+from .errors import MinorNearZero, NegativeRadicand, NonFiniteInput, SingularMatrix
 
 DEFAULT_TOL = 1e-10
 
@@ -72,16 +72,58 @@ def _unrank_patterns(idx, n, k=None):
 
 @dataclass(frozen=True, eq=False)
 class ConePoint:
-    """A symmetric matrix together with its cone kind and sign pattern."""
+    """A symmetric matrix together with its cone kind and sign pattern.
+
+    A point may carry its factor against the canonical basis of its cone
+    (geometry.cone_factor), cached where the factor was built or first
+    derived; it is used only while ``matrix`` holds exactly the entries it
+    was cached against.
+    """
 
     matrix: np.ndarray
     cone: str
     pattern: tuple
     tolerance_used: float = DEFAULT_TOL
+    # (entries, factor), both read-only: the factor and a copy of the matrix
+    # entries it belongs to; None until a factor is cached.
+    _factor_cache: tuple = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def dim(self):
         return self.matrix.shape[0]
+
+
+def _read_only(a):
+    """A read-only view of the array a."""
+    view = np.asarray(a).view()
+    view.setflags(write=False)
+    return view
+
+
+def _cache_factors(points, M, F):
+    """Cache F[i] as the factor of points[i], against a copy of M[i], the
+    entries points[i].matrix holds now. Nothing may write into F afterwards."""
+    for point, entries, Fi in zip(points, _read_only(np.array(M)), _read_only(F)):
+        object.__setattr__(point, "_factor_cache", (entries, Fi))
+
+
+def _cache_factor(point, F):
+    """Cache F as the factor of one point; returns the cached, read-only F."""
+    _cache_factors([point], [point.matrix], [F])
+    return point._factor_cache[1]
+
+
+def _cached_factor(point):
+    """The cached factor of point (read-only), or None when there is none or
+    point.matrix no longer holds, bit for bit, the entries it was cached
+    against."""
+    if point._factor_cache is None:
+        return None
+    entries, F = point._factor_cache
+    M = np.asarray(point.matrix)
+    same = M.dtype == entries.dtype and M.shape == entries.shape \
+        and M.tobytes() == entries.tobytes()
+    return F if same else None
 
 
 def symmetrize(A):
@@ -104,6 +146,40 @@ def _check_tol(tol):
     """A tolerance must be finite and >= 0; ValueError naming it otherwise."""
     if not 0 <= tol < math.inf:
         raise ValueError(f"tolerance must be finite and >= 0, got {tol!r}")
+
+
+def _check_finite(A):
+    """NonFiniteInput at the first NaN or infinite entry of A."""
+    bad = np.argwhere(~np.isfinite(A))
+    if bad.size:
+        where = tuple(int(i) for i in bad[0])
+        raise NonFiniteInput(f"entry {where} is {A[where]}; every entry must be finite")
+
+
+def _check_radicands(radicand, tol):
+    """Raise NegativeRadicand at the first squared diagonal entry that is
+    <= tol**2 or not finite (a zero pivot of the basis gives an infinite one);
+    ValueError when tol is not finite and >= 0."""
+    _check_tol(tol)
+    bad = np.flatnonzero(~((radicand > tol * tol) & (radicand < np.inf)))
+    if bad.size:
+        j = int(bad[0])
+        raise NegativeRadicand(j + 1, float(radicand[j]))
+
+
+def _radicands(d, divisor, tol):
+    """d / divisor, the squared diagonal of a factor from the pivots of a point
+    and of its basis (or its canonical signs), checked by _check_radicands."""
+    with np.errstate(divide="ignore"):
+        radicand = d / divisor
+    _check_radicands(radicand, tol)
+    return radicand
+
+
+def _pivot_factor(LA, d, pattern):
+    """The factor LA diag(sqrt(s d)) against the canonical basis of pattern,
+    from the LDL* (LA, d) of an LPM point (s: the canonical signs)."""
+    return LA * np.sqrt(_radicands(d, canonical_signs(pattern), DEFAULT_TOL))
 
 
 def _log_minor_cutoffs(A, tol):
@@ -228,12 +304,15 @@ def leading_minors(A):
     diagonal blocks, so A must be Hermitian: ValueError when the largest
     entry of |A - A*| exceeds 1e-8 times the largest |A|. After an exact
     zero pivot the remaining minors are reported as NaN; callers apply
-    their own tolerance per minor.
+    their own tolerance per minor. A minor beyond the float range comes
+    back as +inf or -inf, with its sign right and no overflow warning;
+    classify tests the minors in logs instead.
     """
     A = np.asarray(A)
     if scale(A - A.conj().T) > _HERMITIAN_TOL * scale(A):
         raise ValueError("input is not Hermitian")
-    return np.cumprod(ldl(A)[1])
+    with np.errstate(over="ignore"):
+        return np.cumprod(ldl(A)[1])
 
 
 def canonical_signs(eps):
@@ -259,11 +338,16 @@ def reverse_point(point):
     """The reversal of a cone point: LPM <-> TPM with the same pattern.
 
     The trailing minors of A are the leading minors of its reversal, so the
-    pattern carries over unchanged.
+    pattern carries over unchanged, and a cached factor F becomes
+    reverse_matrix(F).
     """
-    return ConePoint(matrix=symmetrize(reverse_matrix(point.matrix)),
-                     cone=TPM if point.cone == LPM else LPM,
-                     pattern=point.pattern, tolerance_used=point.tolerance_used)
+    out = ConePoint(matrix=symmetrize(reverse_matrix(point.matrix)),
+                    cone=TPM if point.cone == LPM else LPM,
+                    pattern=point.pattern, tolerance_used=point.tolerance_used)
+    F = _cached_factor(point)
+    if F is not None:
+        _cache_factor(out, reverse_matrix(F))
+    return out
 
 
 def reverse_pattern(eps):
@@ -276,9 +360,10 @@ def reverse_pattern(eps):
 
 def _classify_with_minors(A, cone=LPM, tol=DEFAULT_TOL):
     """classify, plus its minors (of the reversal for TPM), inf past the float range."""
+    _check_finite(np.asarray(A))
     A = symmetrize(A)
     cutoffs = _log_minor_cutoffs(A, tol)
-    d = ldl(reverse_matrix(A) if cone == TPM else A)[1]
+    LA, d = ldl(reverse_matrix(A) if cone == TPM else A)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         minors = np.cumprod(d)
         passed = np.cumsum(np.log(np.abs(d))) > cutoffs
@@ -287,7 +372,14 @@ def _classify_with_minors(A, cone=LPM, tol=DEFAULT_TOL):
         m = minors[k - 1]
         raise MinorNearZero(k, float(m) if np.isfinite(m) else None)
     signs = tuple(np.cumprod(np.sign(d)).astype(int).tolist())
-    return ConePoint(matrix=A, cone=cone, pattern=signs, tolerance_used=tol), minors
+    point = ConePoint(matrix=A, cone=cone, pattern=signs, tolerance_used=tol)
+    try:
+        F = _pivot_factor(LA, d, signs)
+    except NegativeRadicand:
+        pass  # cone_factor raises it, should anyone ask for the factor
+    else:
+        _cache_factor(point, reverse_matrix(F) if cone == TPM else F)
+    return point, minors
 
 
 def classify(A, cone=LPM, tol=DEFAULT_TOL):
@@ -295,7 +387,9 @@ def classify(A, cone=LPM, tol=DEFAULT_TOL):
 
     Raises MinorNearZero(k) when the k-th minor fails the scale-aware
     tolerance |minor| > tol * max(1, scale(A))**k, tested in logs so that
-    neither side overflows, and ValueError when tol is not finite and >= 0.
+    neither side overflows, NonFiniteInput when an entry is NaN or infinite,
+    and ValueError when tol is not finite and >= 0. The point carries the
+    factor that its own elimination gives (geometry.cone_factor).
     """
     return _classify_with_minors(A, cone, tol)[0]
 

@@ -19,6 +19,10 @@ class MinorNearZero(LpmchError):
         super().__init__(f"principal minor {k} is zero up to tolerance (value={value})")
 
 
+class NonFiniteInput(LpmchError):
+    """An input matrix has a NaN or infinite entry."""
+
+
 class SingularMatrix(LpmchError):
     pass
 

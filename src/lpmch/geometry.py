@@ -8,11 +8,14 @@ transfers to each signed minor cone through the factorization maps, making
 each cone an isometric copy of the Cholesky space. Real scalars only.
 """
 
+from functools import lru_cache
+
 import numpy as np
 
-from .core import DEFAULT_TOL, LPM, ConePoint, as_pattern, canonical_diagonal, \
-    canonical_signs, ldl, reverse_matrix, reverse_point, symmetrize
-from .cholesky import _check_same_cone, _cone_matrices, _radicands
+from .core import LPM, ConePoint, _cache_factor, _cache_factors, _cached_factor, \
+    _pivot_factor, _read_only, as_pattern, canonical_diagonal, ldl, reverse_matrix, \
+    reverse_point, symmetrize
+from .cholesky import _check_same_cone, _cone_matrices
 from .errors import ComplexFactor
 
 __all__ = [
@@ -34,6 +37,13 @@ def _diag(L):
 
 def _assemble(strict, diag):
     return strict + np.diag(diag)
+
+
+@lru_cache
+def _strict_lower_indices(n):
+    """(rows, cols) of the strict lower triangle of an n x n matrix, row-major,
+    as read-only arrays: np.tril_indices(n, -1), computed once per n."""
+    return tuple(_read_only(i) for i in np.tril_indices(n, -1))
 
 
 def group_op(L, K):
@@ -62,7 +72,7 @@ def eta(L):
         raise ComplexFactor("eta needs a real factor; complex scalars are "
                             "not supported by the log-Cholesky chart")
     L = L.real.astype(float, copy=False)
-    rows, cols = np.tril_indices(L.shape[-1], -1)
+    rows, cols = _strict_lower_indices(L.shape[-1])
     return np.concatenate([np.log(np.diagonal(L, axis1=-2, axis2=-1)),
                            L[..., rows, cols]], axis=-1)
 
@@ -79,7 +89,7 @@ def eta_inv(v):
     n = _dim_from_eta(v.shape[-1])
     L = np.zeros(v.shape[:-1] + (n, n))
     L[..., np.arange(n), np.arange(n)] = np.exp(v[..., :n])
-    rows, cols = np.tril_indices(n, -1)
+    rows, cols = _strict_lower_indices(n)
     L[..., rows, cols] = v[..., n:]
     return L
 
@@ -130,56 +140,78 @@ def differential_inv(L, W, eps):
     return L @ _half_lower(Z) @ D
 
 
-def cone_factor(A):
-    """Factor of A against the canonical basis of its cone, from A's own LDL*
-    alone (TPM through the reversal)."""
+def _derived_factor(A):
+    """A's factor from A's own LDL* alone (TPM through the reversal)."""
     if A.cone != LPM:
-        return reverse_matrix(cone_factor(reverse_point(A)))
-    LA, d = ldl(A.matrix)
-    return LA * np.sqrt(_radicands(d, canonical_signs(A.pattern), DEFAULT_TOL))
+        return reverse_matrix(_derived_factor(reverse_point(A)))
+    return _pivot_factor(*ldl(A.matrix), A.pattern)
 
 
-def _as_points(M, patterns, cone, size):
-    """ConePoints of a matrix stack with one or per-matrix patterns; the list,
-    or its only point when size is None."""
+def _factor(A):
+    """A's factor against its canonical basis, read-only: the cached one, or
+    derived and then cached."""
+    F = _cached_factor(A)
+    return _cache_factor(A, _derived_factor(A)) if F is None else F
+
+
+def cone_factor(A):
+    """Factor of A against the canonical basis of its cone, as a new array.
+
+    A point built from a factor (cone_compose, the samplers, the group
+    operations, classify) returns the factor it was built with; any other
+    point derives it from its own LDL* on the first call and keeps it. A
+    cached factor is used only while A.matrix holds exactly the entries it
+    was cached against, so an in-place edit of A.matrix is never missed.
+    """
+    return np.array(_factor(A))
+
+
+def _as_points(M, patterns, cone, size, F=None):
+    """ConePoints of a matrix stack with one or per-matrix patterns, carrying
+    the factor stack F when one is given; the list, or its only point when
+    size is None."""
     rows = np.broadcast_to(np.asarray(patterns, dtype=int), M.shape[:-1]).tolist()
     points = [ConePoint(matrix=Mi, cone=cone, pattern=tuple(p))
               for Mi, p in zip(M, rows)]
+    if F is not None:
+        _cache_factors(points, M, F)
     return points[0] if size is None else points
 
 
 def _cone_points(F, patterns, cone, size):
-    """The API edge of a factor stack: its cone points (see _cone_matrices)."""
-    return _as_points(_cone_matrices(F, patterns, cone), patterns, cone, size)
+    """The API edge of a factor stack: its cone points (see _cone_matrices),
+    each carrying its row of F, which nothing may write into afterwards."""
+    return _as_points(_cone_matrices(F, patterns, cone), patterns, cone, size, F)
 
 
 def cone_compose(L, pattern, cone=LPM):
-    """Compose L against the canonical basis of the requested cone."""
-    return _cone_points(np.asarray(L)[np.newaxis], as_pattern(pattern), cone, None)
+    """Compose L against the canonical basis of the requested cone; the point
+    keeps a copy of L as its factor."""
+    return _cone_points(np.array(L)[np.newaxis], as_pattern(pattern), cone, None)
 
 
 def lpm_distance(A, B):
     """Distance between two cone points: the factor distance, by isometry."""
     _check_same_cone(A, B, A.cone)
-    return distance(cone_factor(A), cone_factor(B))
+    return distance(_factor(A), _factor(B))
 
 
 def lpm_geodesic(A, B, t):
     """Geodesic between cone points, transferred through the factorization."""
     _check_same_cone(A, B, A.cone)
-    G = geodesic_between(cone_factor(A), cone_factor(B), t)
+    G = geodesic_between(_factor(A), _factor(B), t)
     return cone_compose(G, A.pattern, A.cone)
 
 
 def star_op(A, B):
     """Per-cone abelian operation; the identity element is the canonical basis."""
     _check_same_cone(A, B, A.cone)
-    L = group_op(cone_factor(A), cone_factor(B))
+    L = group_op(_factor(A), _factor(B))
     return cone_compose(L, A.pattern, A.cone)
 
 
 def star_inv(A):
-    return cone_compose(group_inv(cone_factor(A)), A.pattern, A.cone)
+    return cone_compose(group_inv(_factor(A)), A.pattern, A.cone)
 
 
 def log_cholesky_mean(points):
@@ -195,7 +227,7 @@ def log_cholesky_mean(points):
     first = points[0]
     for other in points[1:]:
         _check_same_cone(first, other, first.cone)
-    coords = np.mean([eta(cone_factor(A)) for A in points], axis=0)
+    coords = np.mean(eta(np.stack([_factor(A) for A in points])), axis=0)
     return cone_compose(eta_inv(coords), first.pattern, first.cone)
 
 

@@ -8,8 +8,10 @@ reproducible from an explicit seeded stream.
 Every sampler draws one (m, n, n) stack of lower triangular factors (a
 Bartlett stack, or the chart image of a stack of normal coordinates) and
 turns the whole stack into cone points in one batched congruence at the
-end; the inverse Wishart inverts that stack in one call. Densities read
-the factor of a point against its canonical basis (cone_factor).
+end; the inverse Wishart inverts that stack in one call. Every drawn
+point keeps its factor (the inverse Wishart: the inverse of the drawn
+factor), and the densities read the factor of a point against its
+canonical basis from that cache (cone_factor).
 """
 
 import math
@@ -29,7 +31,8 @@ from .core import (
     symmetrize,
 )
 from .cholesky import _cone_matrices, _congruence
-from .geometry import _as_points, _cone_points, cone_factor, eta, eta_inv
+from .geometry import _as_points, _cone_points, _factor, _strict_lower_indices, eta, \
+    eta_inv
 from .errors import PatternMismatch, SpecInvalid
 
 __all__ = [
@@ -141,7 +144,7 @@ def bartlett_sample(rng, n, N, size=None):
     K = np.zeros((m, n, n))
     for j in range(n):
         K[:, j, j] = np.sqrt(g.chisquare(N - j, size=m))
-    rows, cols = np.tril_indices(n, -1)
+    rows, cols = _strict_lower_indices(n)
     if rows.size:
         K[:, rows, cols] = g.standard_normal((m, rows.size))
     return K[0] if size is None else K
@@ -208,7 +211,7 @@ def wishart_log_density(M, spec):
     """
     spec.validate()
     _check_point_matches(M, spec)
-    L = cone_factor(M)
+    L = _factor(M)
     W_logdet = 2.0 * float(np.sum(np.log(np.diagonal(L).real)))
     return float(_pd_wishart_logpdf(W_logdet, _pd_image(L, M.cone),
                                     np.asarray(spec.sigma, dtype=float), spec.dof))
@@ -233,7 +236,7 @@ def _psd_sqrt(S):
 def cholesky_normal_etas(rng, spec, size=None):
     """Linear-coordinate draws: normal around the coordinates of the centre."""
     spec.validate()
-    mean = eta(cone_factor(spec.m0))
+    mean = eta(_factor(spec.m0))
     A = _psd_sqrt(spec.sigma_tilde)
     m = 1 if size is None else int(size)
     z = rng.generator.standard_normal((m, mean.size))
@@ -257,9 +260,9 @@ def cholesky_normal_log_density(M, spec, measure="eta"):
     """
     spec.validate()
     _check_point_matches(M, spec, spec.m0.pattern)
-    L = cone_factor(M)
+    L = _factor(M)
     v = eta(L)
-    mean = eta(cone_factor(spec.m0))
+    mean = eta(_factor(spec.m0))
     St = symmetrize(np.asarray(spec.sigma_tilde, dtype=float))
     diff = v - mean
     sign, logdet = np.linalg.slogdet(St)
@@ -280,7 +283,8 @@ def inverse_wishart_sample(rng, spec, size=None):
     """Draw(s) from the inverse of a transferred Wishart.
 
     Inverts Wishart draws on the cone with the reversed pattern and kind, so
-    the results land in spec's cone and pattern.
+    the results land in spec's cone and pattern. With F the factor of a
+    draw, F^-1 is the factor of its inverse, and the point keeps it.
     """
     spec.validate()
     fwd = replace(spec, kind="wishart",
@@ -289,7 +293,8 @@ def inverse_wishart_sample(rng, spec, size=None):
                   sigma=np.linalg.inv(np.asarray(spec.sigma, dtype=float)))
     F = wishart_factors(rng, fwd, size=1 if size is None else size)
     M = _inverse(_cone_matrices(F, fwd.pattern, fwd.cone))
-    return _as_points(M, as_pattern(spec.pattern), spec.cone, size)
+    inverse_factors = np.tril(np.linalg.inv(F))
+    return _as_points(M, as_pattern(spec.pattern), spec.cone, size, inverse_factors)
 
 
 def inverse_wishart_log_density(X, spec):
@@ -300,7 +305,7 @@ def inverse_wishart_log_density(X, spec):
     """
     spec.validate()
     _check_point_matches(X, spec)
-    W = _pd_image(cone_factor(X), X.cone)
+    W = _pd_image(_factor(X), X.cone)
     omega = symmetrize(np.asarray(spec.sigma, dtype=float))
     n = omega.shape[0]
     N = spec.dof

@@ -9,7 +9,7 @@ from itertools import combinations, islice
 
 import numpy as np
 
-from .core import DEFAULT_TOL, _log_minor_cutoffs, symmetrize
+from .core import DEFAULT_TOL, _check_finite, _log_minor_cutoffs, symmetrize
 from .errors import ConstraintViolation, DegenerateParameters, DimensionCap
 
 __all__ = ["is_ssrpm", "toeplitz_example", "almost_n_example", "DEFAULT_CAP"]
@@ -25,9 +25,12 @@ def is_ssrpm(A, tol=DEFAULT_TOL, cap=DEFAULT_CAP):
     Returns the pattern (sign of every k x k principal minor, k = 1..n) when
     one exists and every minor clears classify's cutoff, tested in logs from
     slogdet; None as soon as some size is mixed-sign or some minor is zero up
-    to tolerance. A tol that is not finite and >= 0 raises ValueError.
+    to tolerance. A NaN or infinite entry raises NonFiniteInput, and a tol
+    that is not finite and >= 0 raises ValueError.
     """
-    A = symmetrize(np.asarray(A, dtype=float))
+    A = np.asarray(A, dtype=float)
+    _check_finite(A)
+    A = symmetrize(A)
     n = A.shape[0]
     cutoffs = _log_minor_cutoffs(A, tol)
     if n > cap:

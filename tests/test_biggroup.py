@@ -102,7 +102,7 @@ def test_dp_distance():
         dp_distance(A, B, p=0.5)
 
 
-@pytest.mark.parametrize("p", [0, 0.5, -math.inf, math.nan, "-1"])
+@pytest.mark.parametrize("p", [0, 0.5, -math.inf, math.nan, "-1", None, [2]])
 def test_dp_distance_exponent_must_lie_in_one_to_infinity(p):
     D = BigGroupElement(canonical_point((1, -1)))
     E = BigGroupElement(canonical_point((-1, 1)))

@@ -295,6 +295,25 @@ def test_bad_tolerance_is_a_usage_error(tmp_path, capsys, command, tol):
     assert err.startswith("error: tolerance must be finite and >= 0, got ")
 
 
+@pytest.mark.parametrize("p", (None, [2]))
+def test_verify_exponent_that_is_not_a_number_is_a_usage_error(tmp_path, capsys, p):
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"preset": "mixed_box_walk", "p": p}))
+    code, out, err = run(capsys, "verify", "--inequality", "mogulskii_min",
+                         "--config", str(config), "--seed", "1", "--trials", "100")
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: p must be in [1, inf], got {p!r}")
+
+
+@pytest.mark.parametrize("command", ("classify", "factor", "ssrpm-check"))
+@pytest.mark.parametrize("bad", (np.nan, np.inf))
+def test_non_finite_matrix_is_a_named_domain_error(tmp_path, capsys, command, bad):
+    path = write(tmp_path, "a.csv", [[1.0, bad], [bad, 2.0]])
+    code, out, err = run(capsys, command, path)
+    assert code == 1 and out == ""
+    assert err.startswith("NonFiniteInput: ") and "Warning" not in err
+
+
 def test_negative_sample_count_fails_before_the_header(tmp_path, capsys):
     sigma = write(tmp_path, "s.json", np.eye(2))
     draw = ["sample", "--dist", "wishart", "--sigma", sigma, "--dof", "3",

@@ -20,7 +20,9 @@ from lpmch import (
     reverse_pattern,
 )
 from lpmch.core import _classify_with_minors
-from lpmch.errors import MinorNearZero, SingularMatrix
+from lpmch.errors import MinorNearZero, NonFiniteInput, SingularMatrix
+
+NON_FINITE = (np.full((2, 2), np.nan), np.array([[1.0, 0.5], [0.5, np.inf]]))
 
 
 def test_pattern_strings():
@@ -98,6 +100,28 @@ def test_classify_tolerance_must_be_finite_and_nonnegative(tol, cone):
         classify(np.ones((2, 2)), cone, tol=tol)
     with pytest.raises(MinorNearZero):
         classify(np.ones((2, 2)), cone, tol=0.0)
+
+
+@pytest.mark.parametrize("cone", ("lpm", "tpm"))
+@pytest.mark.parametrize("A", NON_FINITE, ids=("nan", "inf"))
+def test_classify_refuses_non_finite_input_by_name(A, cone):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteInput, match="every entry must be finite"):
+            classify(A, cone)
+
+
+def test_leading_minors_beyond_the_float_range_are_signed_infinities():
+    X = np.random.default_rng(0).standard_normal((256, 256))
+    A = 1280 * np.eye(256) + (X + X.T) / 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        minors = leading_minors(A)
+    assert np.all(np.sign(minors) == 1)
+    assert int(np.sum(np.isinf(minors))) == 157
+    # A negative minor past the float range keeps its sign.
+    minors = leading_minors(np.diag([-1e200, 1e200]))
+    assert minors[-1] == -np.inf
 
 
 def test_leading_minors_against_determinants():

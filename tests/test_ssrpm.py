@@ -1,3 +1,4 @@
+import warnings
 from itertools import combinations
 
 import numpy as np
@@ -7,7 +8,8 @@ from conftest import random_cone_point
 from lpmch import all_patterns, almost_n_example, classify, is_ssrpm, toeplitz_example
 from lpmch import ssrpm
 from lpmch.core import scale, symmetrize
-from lpmch.errors import ConstraintViolation, DegenerateParameters, DimensionCap
+from lpmch.errors import ConstraintViolation, DegenerateParameters, DimensionCap, \
+    NonFiniteInput
 
 
 def test_is_ssrpm_examples():
@@ -27,6 +29,15 @@ def test_is_ssrpm_dimension_cap():
 def test_is_ssrpm_minors_beyond_the_float_range():
     # The 12 x 12 minor is 1e360, and its cutoff 1e-10 * 1e30**12 is 1e350.
     assert is_ssrpm(1e30 * np.eye(12)) == (1,) * 12
+
+
+@pytest.mark.parametrize("A", (np.full((2, 2), np.nan), np.array([[1.0, -np.inf], [0.0, 1.0]])),
+                         ids=("nan", "inf"))
+def test_is_ssrpm_refuses_non_finite_input_by_name(A):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteInput, match="every entry must be finite"):
+            is_ssrpm(A)
 
 
 @pytest.mark.parametrize("tol", (-1.0, float("nan"), float("inf")))
