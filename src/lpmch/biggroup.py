@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import LPM, ConePoint, as_pattern
-from .geometry import _factor, cone_compose, distance, group_inv, group_op
+from .cholesky import _factor
+from .geometry import cone_compose, distance, group_inv, group_op
 from .errors import ConeKindMismatch, GroupMismatch
 
 __all__ = ["BigGroupElement", "box_op", "box_inv", "dp_distance",

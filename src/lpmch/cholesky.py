@@ -19,7 +19,9 @@ from .core import (
     LPM,
     TPM,
     ConePoint,
-    _radicands,
+    _cache_factor,
+    _cached_factor,
+    _check_tol,
     _unit_lower_inverse,
     as_pattern,
     canonical_diagonal,
@@ -29,7 +31,7 @@ from .core import (
     reverse_point,
     symmetrize,
 )
-from .errors import ConeKindMismatch, PatternMismatch
+from .errors import ConeKindMismatch, NegativeRadicand, PatternMismatch
 
 __all__ = [
     "is_lower_triangular",
@@ -78,6 +80,42 @@ def _check_same_cone(A, B, cone):
         raise PatternMismatch(f"patterns differ: {A.pattern} vs {B.pattern}")
 
 
+def _check_radicands(radicand, tol):
+    """Raise NegativeRadicand at the first squared diagonal entry that is
+    <= tol**2 or not finite (a zero pivot of the basis gives an infinite one);
+    ValueError when tol is not finite and >= 0."""
+    _check_tol(tol)
+    bad = np.flatnonzero(~((radicand > tol * tol) & (radicand < np.inf)))
+    if bad.size:
+        j = int(bad[0])
+        raise NegativeRadicand(j + 1, float(radicand[j]))
+
+
+def _radicands(d, divisor, tol):
+    """d / divisor, the squared diagonal of a factor from the pivots of a point
+    and of its basis (or its canonical signs), checked by _check_radicands."""
+    with np.errstate(divide="ignore"):
+        radicand = d / divisor
+    _check_radicands(radicand, tol)
+    return radicand
+
+
+def _derived_factor(A):
+    """A's factor against its canonical basis from A's own LDL* alone (TPM
+    through the reversal)."""
+    if A.cone != LPM:
+        return reverse_matrix(_derived_factor(reverse_point(A)))
+    LA, d = ldl(A.matrix)
+    return LA * np.sqrt(_radicands(d, canonical_signs(A.pattern), DEFAULT_TOL))
+
+
+def _factor(A):
+    """A's factor against its canonical basis, read-only: the cached one, or
+    derived and then cached (geometry.cone_factor returns a copy)."""
+    F = _cached_factor(A)
+    return _cache_factor(A, _derived_factor(A)) if F is None else F
+
+
 def compose(L, B):
     """Phi_B(L) = L B L*, a point of the same LPM cone as B.
 
@@ -102,9 +140,14 @@ def factor(A, B, tol=DEFAULT_TOL):
     L = L_A diag(sqrt(d_A / diag B)) needs only A's elimination. The
     diagonal entries of L are the square roots of the ratios of elimination
     pivots; a ratio at or below tol**2, or an infinite one from a zero pivot
-    of B, raises NegativeRadicand.
+    of B, raises NegativeRadicand. Against the canonical basis of A's
+    pattern, at the default tol, L is cone_factor(A): a copy of the factor
+    A carries, if it carries one (see geometry.cone_factor).
     """
     _check_same_cone(A, B, LPM)
+    F = _cached_factor(A) if tol == DEFAULT_TOL else None
+    if F is not None and np.array_equal(B.matrix, canonical_diagonal(A.pattern)):
+        return np.array(F)
     LA, dA = ldl(A.matrix)
     Bm = B.matrix
     diagonal = np.diagonal(Bm)

@@ -12,7 +12,7 @@ from itertools import product
 
 import numpy as np
 
-from .errors import MinorNearZero, NegativeRadicand, NonFiniteInput, SingularMatrix
+from .errors import MinorNearZero, NonFiniteInput, SingularMatrix
 
 DEFAULT_TOL = 1e-10
 
@@ -100,17 +100,13 @@ def _read_only(a):
     return view
 
 
-def _cache_factors(points, M, F):
-    """Cache F[i] as the factor of points[i], against a copy of M[i], the
-    entries points[i].matrix holds now. Nothing may write into F afterwards."""
-    for point, entries, Fi in zip(points, _read_only(np.array(M)), _read_only(F)):
-        object.__setattr__(point, "_factor_cache", (entries, Fi))
-
-
 def _cache_factor(point, F):
-    """Cache F as the factor of one point; returns the cached, read-only F."""
-    _cache_factors([point], [point.matrix], [F])
-    return point._factor_cache[1]
+    """Cache F as the factor of point, against a copy of the entries
+    point.matrix holds now; returns the cached, read-only F. Nothing may
+    write into F afterwards."""
+    F = _read_only(F)
+    object.__setattr__(point, "_factor_cache", (_read_only(np.array(point.matrix)), F))
+    return F
 
 
 def _cached_factor(point):
@@ -154,32 +150,6 @@ def _check_finite(A):
     if bad.size:
         where = tuple(int(i) for i in bad[0])
         raise NonFiniteInput(f"entry {where} is {A[where]}; every entry must be finite")
-
-
-def _check_radicands(radicand, tol):
-    """Raise NegativeRadicand at the first squared diagonal entry that is
-    <= tol**2 or not finite (a zero pivot of the basis gives an infinite one);
-    ValueError when tol is not finite and >= 0."""
-    _check_tol(tol)
-    bad = np.flatnonzero(~((radicand > tol * tol) & (radicand < np.inf)))
-    if bad.size:
-        j = int(bad[0])
-        raise NegativeRadicand(j + 1, float(radicand[j]))
-
-
-def _radicands(d, divisor, tol):
-    """d / divisor, the squared diagonal of a factor from the pivots of a point
-    and of its basis (or its canonical signs), checked by _check_radicands."""
-    with np.errstate(divide="ignore"):
-        radicand = d / divisor
-    _check_radicands(radicand, tol)
-    return radicand
-
-
-def _pivot_factor(LA, d, pattern):
-    """The factor LA diag(sqrt(s d)) against the canonical basis of pattern,
-    from the LDL* (LA, d) of an LPM point (s: the canonical signs)."""
-    return LA * np.sqrt(_radicands(d, canonical_signs(pattern), DEFAULT_TOL))
 
 
 def _log_minor_cutoffs(A, tol):
@@ -363,7 +333,7 @@ def _classify_with_minors(A, cone=LPM, tol=DEFAULT_TOL):
     _check_finite(np.asarray(A))
     A = symmetrize(A)
     cutoffs = _log_minor_cutoffs(A, tol)
-    LA, d = ldl(reverse_matrix(A) if cone == TPM else A)
+    d = ldl(reverse_matrix(A) if cone == TPM else A)[1]
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         minors = np.cumprod(d)
         passed = np.cumsum(np.log(np.abs(d))) > cutoffs
@@ -372,14 +342,7 @@ def _classify_with_minors(A, cone=LPM, tol=DEFAULT_TOL):
         m = minors[k - 1]
         raise MinorNearZero(k, float(m) if np.isfinite(m) else None)
     signs = tuple(np.cumprod(np.sign(d)).astype(int).tolist())
-    point = ConePoint(matrix=A, cone=cone, pattern=signs, tolerance_used=tol)
-    try:
-        F = _pivot_factor(LA, d, signs)
-    except NegativeRadicand:
-        pass  # cone_factor raises it, should anyone ask for the factor
-    else:
-        _cache_factor(point, reverse_matrix(F) if cone == TPM else F)
-    return point, minors
+    return ConePoint(matrix=A, cone=cone, pattern=signs, tolerance_used=tol), minors
 
 
 def classify(A, cone=LPM, tol=DEFAULT_TOL):
@@ -388,8 +351,7 @@ def classify(A, cone=LPM, tol=DEFAULT_TOL):
     Raises MinorNearZero(k) when the k-th minor fails the scale-aware
     tolerance |minor| > tol * max(1, scale(A))**k, tested in logs so that
     neither side overflows, NonFiniteInput when an entry is NaN or infinite,
-    and ValueError when tol is not finite and >= 0. The point carries the
-    factor that its own elimination gives (geometry.cone_factor).
+    and ValueError when tol is not finite and >= 0.
     """
     return _classify_with_minors(A, cone, tol)[0]
 

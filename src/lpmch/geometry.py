@@ -12,10 +12,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import LPM, ConePoint, _cache_factor, _cache_factors, _cached_factor, \
-    _pivot_factor, _read_only, as_pattern, canonical_diagonal, ldl, reverse_matrix, \
-    reverse_point, symmetrize
-from .cholesky import _check_same_cone, _cone_matrices
+from .core import LPM, ConePoint, _cache_factor, _read_only, as_pattern, \
+    canonical_diagonal, reverse_matrix, symmetrize
+from .cholesky import _check_same_cone, _cone_matrices, _factor
 from .errors import ComplexFactor
 
 __all__ = [
@@ -140,54 +139,41 @@ def differential_inv(L, W, eps):
     return L @ _half_lower(Z) @ D
 
 
-def _derived_factor(A):
-    """A's factor from A's own LDL* alone (TPM through the reversal)."""
-    if A.cone != LPM:
-        return reverse_matrix(_derived_factor(reverse_point(A)))
-    return _pivot_factor(*ldl(A.matrix), A.pattern)
-
-
-def _factor(A):
-    """A's factor against its canonical basis, read-only: the cached one, or
-    derived and then cached."""
-    F = _cached_factor(A)
-    return _cache_factor(A, _derived_factor(A)) if F is None else F
-
-
 def cone_factor(A):
     """Factor of A against the canonical basis of its cone, as a new array.
 
-    A point built from a factor (cone_compose, the samplers, the group
-    operations, classify) returns the factor it was built with; any other
-    point derives it from its own LDL* on the first call and keeps it. A
-    cached factor is used only while A.matrix holds exactly the entries it
-    was cached against, so an in-place edit of A.matrix is never missed.
+    A point built from a factor (cone_compose and the group operations,
+    geodesics and means built on it) returns the factor it was built with;
+    any other point derives it from its own LDL* on the first call and
+    keeps it. A cached factor is used only while A.matrix holds exactly the
+    entries it was cached against, so an in-place edit of A.matrix is never
+    missed.
     """
     return np.array(_factor(A))
 
 
-def _as_points(M, patterns, cone, size, F=None):
-    """ConePoints of a matrix stack with one or per-matrix patterns, carrying
-    the factor stack F when one is given; the list, or its only point when
-    size is None."""
+def _as_points(M, patterns, cone, size):
+    """ConePoints of a matrix stack with one or per-matrix patterns; the list,
+    or its only point when size is None."""
     rows = np.broadcast_to(np.asarray(patterns, dtype=int), M.shape[:-1]).tolist()
     points = [ConePoint(matrix=Mi, cone=cone, pattern=tuple(p))
               for Mi, p in zip(M, rows)]
-    if F is not None:
-        _cache_factors(points, M, F)
     return points[0] if size is None else points
 
 
 def _cone_points(F, patterns, cone, size):
-    """The API edge of a factor stack: its cone points (see _cone_matrices),
-    each carrying its row of F, which nothing may write into afterwards."""
-    return _as_points(_cone_matrices(F, patterns, cone), patterns, cone, size, F)
+    """The API edge of a factor stack: its cone points (see _cone_matrices)."""
+    return _as_points(_cone_matrices(F, patterns, cone), patterns, cone, size)
 
 
 def cone_compose(L, pattern, cone=LPM):
     """Compose L against the canonical basis of the requested cone; the point
     keeps a copy of L as its factor."""
-    return _cone_points(np.array(L)[np.newaxis], as_pattern(pattern), cone, None)
+    L = np.asarray(L)
+    L = L.astype(np.result_type(L, float))
+    point = _cone_points(L[np.newaxis], as_pattern(pattern), cone, None)
+    _cache_factor(point, L)
+    return point
 
 
 def lpm_distance(A, B):

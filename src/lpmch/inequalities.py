@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import LPM, ConePoint, as_pattern, pattern_from_string
-from .geometry import _factor, eta
+from .cholesky import _factor
+from .geometry import eta
 from .errors import GroupMismatch, SpecInvalid
 from .sampling import DistributionSpec, _draw_clone_patterns, cholesky_normal_etas, \
     wishart_factors

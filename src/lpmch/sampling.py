@@ -8,10 +8,9 @@ reproducible from an explicit seeded stream.
 Every sampler draws one (m, n, n) stack of lower triangular factors (a
 Bartlett stack, or the chart image of a stack of normal coordinates) and
 turns the whole stack into cone points in one batched congruence at the
-end; the inverse Wishart inverts that stack in one call. Every drawn
-point keeps its factor (the inverse Wishart: the inverse of the drawn
-factor), and the densities read the factor of a point against its
-canonical basis from that cache (cone_factor).
+end; the inverse Wishart inverts that stack in one call. Densities read
+the factor of a point against its canonical basis (cone_factor), which
+the point keeps after the first read.
 """
 
 import math
@@ -30,9 +29,8 @@ from .core import (
     reverse_pattern,
     symmetrize,
 )
-from .cholesky import _cone_matrices, _congruence
-from .geometry import _as_points, _cone_points, _factor, _strict_lower_indices, eta, \
-    eta_inv
+from .cholesky import _cone_matrices, _congruence, _factor
+from .geometry import _as_points, _cone_points, _strict_lower_indices, eta, eta_inv
 from .errors import PatternMismatch, SpecInvalid
 
 __all__ = [
@@ -283,8 +281,7 @@ def inverse_wishart_sample(rng, spec, size=None):
     """Draw(s) from the inverse of a transferred Wishart.
 
     Inverts Wishart draws on the cone with the reversed pattern and kind, so
-    the results land in spec's cone and pattern. With F the factor of a
-    draw, F^-1 is the factor of its inverse, and the point keeps it.
+    the results land in spec's cone and pattern.
     """
     spec.validate()
     fwd = replace(spec, kind="wishart",
@@ -293,8 +290,7 @@ def inverse_wishart_sample(rng, spec, size=None):
                   sigma=np.linalg.inv(np.asarray(spec.sigma, dtype=float)))
     F = wishart_factors(rng, fwd, size=1 if size is None else size)
     M = _inverse(_cone_matrices(F, fwd.pattern, fwd.cone))
-    inverse_factors = np.tril(np.linalg.inv(F))
-    return _as_points(M, as_pattern(spec.pattern), spec.cone, size, inverse_factors)
+    return _as_points(M, as_pattern(spec.pattern), spec.cone, size)
 
 
 def inverse_wishart_log_density(X, spec):

@@ -12,11 +12,14 @@ from lpmch import (
     ConePoint,
     DistributionSpec,
     RngStream,
+    canonical_point,
     classify,
     cone_compose,
     cone_factor,
     eta,
     eta_inv,
+    factor,
+    factor_tpm,
     inertial_clone_sample,
     inverse_wishart_sample,
     log_cholesky_mean,
@@ -25,9 +28,9 @@ from lpmch import (
     star_op,
     wishart_sample,
 )
-from lpmch import geometry
+from lpmch import cholesky
 from lpmch.core import _cached_factor, canonical_diagonal, reverse_point
-from lpmch.sampling import cholesky_normal_etas, cholesky_normal_sample, wishart_factors
+from lpmch.sampling import cholesky_normal_sample, wishart_factors
 
 
 def fresh(P):
@@ -44,8 +47,8 @@ def built_point(seed, n, cone="lpm", scale=1.0):
 
 def count_ldl(monkeypatch):
     calls = []
-    kernel = geometry.ldl
-    monkeypatch.setattr(geometry, "ldl", lambda A: calls.append(1) or kernel(A))
+    kernel = cholesky.ldl
+    monkeypatch.setattr(cholesky, "ldl", lambda A: calls.append(1) or kernel(A))
     return calls
 
 
@@ -54,6 +57,8 @@ def test_built_point_returns_the_factor_it_was_composed_from(cone, monkeypatch):
     P, L = built_point(1, 10, cone)
     calls = count_ldl(monkeypatch)
     assert np.array_equal(cone_factor(P), L)
+    fac = factor if cone == "lpm" else factor_tpm
+    assert np.array_equal(fac(P, canonical_point(P.pattern, cone)), L)
     assert calls == []
 
 
@@ -88,16 +93,17 @@ def test_writing_into_the_returned_factor_leaves_the_cache_alone():
 
 @pytest.mark.parametrize("cone", ("lpm", "tpm"))
 @pytest.mark.parametrize("n", (1, 3, 10, 33, 64))
-def test_classify_caches_the_factor_cone_factor_would_derive(n, cone):
+def test_classified_point_caches_the_factor_it_derives(n, cone):
     # Pivots near 1, so that the minors clear classify's cutoff at every size.
     rng = np.random.default_rng(n)
     L = np.diag(rng.uniform(0.95, 1.05, n)) \
         + 0.1 * np.tril(rng.standard_normal((n, n)), -1) / n
     eps = tuple(int(e) for e in rng.choice((1, -1), n))
     C = classify(cone_compose(L, eps, cone).matrix, cone)
-    assert C.pattern == eps
-    assert _cached_factor(C) is not None
-    assert np.array_equal(cone_factor(C), cone_factor(fresh(C)))
+    assert C.pattern == eps and _cached_factor(C) is None
+    F = cone_factor(C)
+    assert np.array_equal(_cached_factor(C), F)
+    assert np.array_equal(F, cone_factor(fresh(C)))
 
 
 def test_group_element_reads_the_point_cache():
@@ -121,34 +127,30 @@ def test_reverse_point_carries_the_reversed_factor(cone, monkeypatch):
     assert _cached_factor(reverse_point(P)) is None
 
 
-def test_samplers_keep_their_drawn_factors():
+def test_sampled_points_fill_their_cache_on_first_use():
+    # Draws are rarely asked for their factor, so samplers keep none.
     n, eps = 4, (1, -1, -1, 1)
     sigma = np.eye(n) + 0.3
-    for cone in ("lpm", "tpm"):
-        spec = DistributionSpec(kind="wishart", pattern=eps, cone=cone, sigma=sigma, dof=7)
-        F = wishart_factors(RngStream(1), spec, size=20)
-        points = wishart_sample(RngStream(1), spec, 20)
-        assert all(np.array_equal(cone_factor(p), f) for p, f in zip(points, F))
-
-        inv = DistributionSpec(kind="inverse_wishart", pattern=eps, cone=cone,
-                               sigma=sigma, dof=7)
-        for p in inverse_wishart_sample(RngStream(2), inv, 20):
-            G = cone_factor(p)
-            assert np.array_equal(G, np.tril(G))
-            assert np.allclose(G, cone_factor(fresh(p)), rtol=0, atol=1e-12)
-
-        clone = DistributionSpec(kind="inertial_clone", cone=cone, k=1,
-                                 base=DistributionSpec(kind="wishart", pattern=(1,) * n,
-                                                       sigma=sigma, dof=7))
-        for p in inertial_clone_sample(RngStream(3), clone, 20):
-            assert np.allclose(cone_factor(p), cone_factor(fresh(p)), rtol=0, atol=1e-12)
-
-        m0, _ = built_point(8, n, cone)
-        normal = DistributionSpec(kind="cholesky_normal", cone=cone, m0=m0,
-                                  sigma_tilde=0.01 * np.eye(n * (n + 1) // 2))
-        F = eta_inv(cholesky_normal_etas(RngStream(4), normal, size=20))
-        points = cholesky_normal_sample(RngStream(4), normal, 20)
-        assert all(np.array_equal(cone_factor(p), f) for p, f in zip(points, F))
+    m0, _ = built_point(8, n)
+    specs = (
+        DistributionSpec(kind="wishart", pattern=eps, sigma=sigma, dof=7),
+        DistributionSpec(kind="inverse_wishart", pattern=eps, sigma=sigma, dof=7),
+        DistributionSpec(kind="inertial_clone", k=1,
+                         base=DistributionSpec(kind="wishart", pattern=(1,) * n,
+                                               sigma=sigma, dof=7)),
+        DistributionSpec(kind="cholesky_normal", m0=m0,
+                         sigma_tilde=0.01 * np.eye(n * (n + 1) // 2)),
+    )
+    samplers = (wishart_sample, inverse_wishart_sample, inertial_clone_sample,
+                cholesky_normal_sample)
+    for sample, spec in zip(samplers, specs):
+        points = sample(RngStream(1), spec, 20)
+        assert all(_cached_factor(p) is None for p in points)
+        F = [cone_factor(p) for p in points]
+        assert all(np.array_equal(_cached_factor(p), f) for p, f in zip(points, F))
+    F = wishart_factors(RngStream(1), specs[0], size=20)
+    for p, f in zip(wishart_sample(RngStream(1), specs[0], 20), F):
+        assert np.allclose(cone_factor(p), f, rtol=0, atol=1e-12)
 
 
 def test_mean_of_built_points_averages_their_factors(monkeypatch):
