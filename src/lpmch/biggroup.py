@@ -30,20 +30,28 @@ def schur_pattern(eps, delta):
     return tuple(e * d for e, d in zip(eps, delta))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class BigGroupElement:
     """A cone point with its factor against the canonical basis.
 
     Unless given, the factor is the point's own cached one (read-only; see
-    geometry.cone_factor), read when the element is made.
+    geometry.cone_factor), read each time it is used, so an in-place edit of
+    the point's matrix is seen.
     """
 
     point: ConePoint
-    factor: np.ndarray = field(default=None)
+    # The factor given when the element was made, or None.
+    _given_factor: np.ndarray = field(default=None, repr=False)
 
-    def __post_init__(self):
-        if self.factor is None:
-            object.__setattr__(self, "factor", _factor(self.point))
+    def __init__(self, point, factor=None):
+        object.__setattr__(self, "point", point)
+        object.__setattr__(self, "_given_factor", factor)
+
+    @property
+    def factor(self):
+        if self._given_factor is None:
+            return _factor(self.point)
+        return self._given_factor
 
     @property
     def pattern(self):

@@ -116,10 +116,15 @@ def _cached_factor(point):
     if point._factor_cache is None:
         return None
     entries, F = point._factor_cache
-    M = np.asarray(point.matrix)
-    same = M.dtype == entries.dtype and M.shape == entries.shape \
-        and M.tobytes() == entries.tobytes()
-    return F if same else None
+    return F if _same_entries(point.matrix, entries) else None
+
+
+def _same_entries(a, entries):
+    """Whether a holds, bit for bit, the entries of the array entries (same
+    dtype and shape too)."""
+    a = np.asarray(a)
+    return a.dtype == entries.dtype and a.shape == entries.shape \
+        and a.tobytes() == entries.tobytes()
 
 
 def symmetrize(A):

@@ -11,10 +11,21 @@ turns the whole stack into cone points in one batched congruence at the
 end; the inverse Wishart inverts that stack in one call. Densities read
 the factor of a point against its canonical basis (cone_factor), which
 the point keeps after the first read.
+
+A density splits into a spec-only part and a per-point part. The spec-only
+part, the spec's prepared law, is made by the first density call on a spec:
+the spec is validated, and the Cholesky factor of sigma, the normalising
+constant and, for the Cholesky-normal law, the coordinates of the centre and
+the inverse of sigma_tilde are computed once and kept on the spec. The law
+is kept against copies of the entries of sigma, sigma_tilde and m0.matrix;
+after an in-place edit of any of them the next density call validates and
+prepares the spec again. The per-point part reads the point's factor L:
+log det is 2 sum log l_jj, and the trace term is a squared Frobenius norm.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -23,13 +34,15 @@ from .core import (
     TPM,
     ConePoint,
     _inverse,
+    _read_only,
+    _same_entries,
     _unrank_patterns,
     as_pattern,
     reverse_matrix,
     reverse_pattern,
     symmetrize,
 )
-from .cholesky import _cone_matrices, _congruence, _factor
+from .cholesky import _cone_matrices, _factor
 from .geometry import _as_points, _cone_points, _strict_lower_indices, eta, eta_inv
 from .errors import PatternMismatch, SpecInvalid
 
@@ -62,7 +75,7 @@ class RngStream:
         return f"RngStream(seed={self.seed}, stream={self.stream})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DistributionSpec:
     """Parameters of one sampleable law on a cone.
 
@@ -72,6 +85,11 @@ class DistributionSpec:
     coordinates (cholesky_normal).
     base / k / all_cones: PD-supported base spec and target inertia for
     inertial cloning (all_cones spreads the mass over every pattern instead).
+
+    Specs compare by identity, as cone points do. A spec keeps its prepared
+    law (see the module docstring) after its first density call; it is used
+    only while sigma, sigma_tilde and m0.matrix hold exactly the entries it
+    was prepared from.
     """
 
     kind: str
@@ -84,6 +102,9 @@ class DistributionSpec:
     base: "DistributionSpec" = None
     k: int = None
     all_cones: bool = False
+    # (entries, law): read-only copies of the array entries the law was
+    # prepared from (_density_arrays) and the _Law; None until a density call.
+    _law_cache: tuple = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def dim(self):
@@ -177,16 +198,60 @@ def _multigammaln(a, d):
             + sum(math.lgamma(a - j / 2.0) for j in range(d)))
 
 
-def _pd_wishart_logpdf(W_logdet, W, sigma, N):
-    n = sigma.shape[0]
-    sign, sigma_logdet = np.linalg.slogdet(sigma)
-    if sign <= 0:
-        raise SpecInvalid("sigma must be positive definite")
-    return (0.5 * (N - n - 1) * W_logdet
-            - 0.5 * float(np.trace(np.linalg.solve(sigma, W)))
-            - 0.5 * n * N * np.log(2.0)
-            - _multigammaln(N / 2.0, n)
-            - 0.5 * N * sigma_logdet)
+def _density_arrays(spec):
+    """The array entries a validated spec's densities depend on."""
+    if spec.kind == "cholesky_normal":
+        return (spec.sigma_tilde, spec.m0.matrix)
+    return (spec.sigma,)
+
+
+class _Law:
+    """The spec-only part of the log-densities of one validated spec, from
+    read-only copies of its array entries. Each term is computed when a
+    density first asks for it, after that density's point checks, and then
+    kept; a term that raises is not kept, so it raises on every call."""
+
+    def __init__(self, spec, entries):
+        self.dof, self.m0, self.entries = spec.dof, spec.m0, entries
+
+    @cached_property
+    def scale(self):
+        """(C, C^-1, log det sigma, log Gamma_n(N/2) + n N log(2) / 2), C the
+        Cholesky factor of sigma."""
+        try:
+            C = np.linalg.cholesky(symmetrize(self.entries[0].astype(float)))
+        except np.linalg.LinAlgError:
+            raise SpecInvalid("sigma must be positive definite") from None
+        n, N = C.shape[0], self.dof
+        return (C, np.tril(np.linalg.inv(C)), 2.0 * float(np.sum(np.log(np.diagonal(C)))),
+                _multigammaln(N / 2.0, n) + 0.5 * n * N * math.log(2.0))
+
+    @cached_property
+    def normal(self):
+        """(coordinates of the centre, sigma_tilde^-1, normalising constant)
+        of the Cholesky-normal density."""
+        mean = eta(_factor(self.m0))
+        St = symmetrize(self.entries[0].astype(float))
+        sign, logdet = np.linalg.slogdet(St)
+        if sign <= 0:
+            raise SpecInvalid("density needs a positive definite sigma_tilde")
+        return mean, np.linalg.inv(St), -0.5 * (logdet + mean.size * math.log(2.0 * math.pi))
+
+
+def _prepared_law(spec):
+    """spec's prepared law: the kept one while spec's array entries are bit
+    for bit those it was prepared from, else a new one, made after
+    spec.validate() and kept on spec (a spec that fails validation keeps
+    nothing)."""
+    if spec._law_cache is not None:
+        entries, law = spec._law_cache
+        if all(map(_same_entries, _density_arrays(spec), entries)):
+            return law
+    spec.validate()
+    entries = tuple(_read_only(np.array(a)) for a in _density_arrays(spec))
+    law = _Law(spec, entries)
+    object.__setattr__(spec, "_law_cache", (entries, law))
+    return law
 
 
 def _check_point_matches(M, spec, pattern=None):
@@ -196,23 +261,32 @@ def _check_point_matches(M, spec, pattern=None):
             f"point is {M.cone}{M.pattern}, spec wants {spec.cone}{pattern}")
 
 
-def _pd_image(L, cone):
-    """The PD matrix behind a cone factor: L L* (LPM) or L* L (TPM)."""
-    return _congruence(L, np.ones(L.shape[-1]), cone).real
+def _factor_logdet(L):
+    """log det of L L* (or L* L): 2 sum log l_jj."""
+    return 2.0 * float(np.sum(np.log(np.diagonal(L).real)))
+
+
+def _squared_norm(Y):
+    """The squared Frobenius norm of Y."""
+    return float(np.vdot(Y, Y).real)
 
 
 def wishart_log_density(M, spec):
     """Log-density of the transferred Wishart at the cone point M.
 
     The transfer rides the factorization: the density at L D L* is the
-    classical Wishart density at L L^T (L^T L in the TPM cone).
+    classical Wishart density at W = L L^T (L^T L in the TPM cone). With C
+    the Cholesky factor of sigma, tr(sigma^-1 W) is ||C^-1 L||^2 (LPM) or
+    ||C^-1 L^T||^2 (TPM).
     """
-    spec.validate()
+    law = _prepared_law(spec)
     _check_point_matches(M, spec)
     L = _factor(M)
-    W_logdet = 2.0 * float(np.sum(np.log(np.diagonal(L).real)))
-    return float(_pd_wishart_logpdf(W_logdet, _pd_image(L, M.cone),
-                                    np.asarray(spec.sigma, dtype=float), spec.dof))
+    _, C_inv, sigma_logdet, gamma = law.scale
+    n, N = L.shape[0], spec.dof
+    Y = C_inv @ (L if M.cone == LPM else L.T)
+    return float(0.5 * (N - n - 1) * _factor_logdet(L) - 0.5 * _squared_norm(Y)
+                 - gamma - 0.5 * N * sigma_logdet)
 
 
 def jacobian_logdet(L, eps=None):
@@ -256,18 +330,13 @@ def cholesky_normal_log_density(M, spec, measure="eta"):
     flat measure on symmetric matrices by subtracting the full log-Jacobian
     of coordinates -> matrix.
     """
-    spec.validate()
+    law = _prepared_law(spec)
     _check_point_matches(M, spec, spec.m0.pattern)
     L = _factor(M)
     v = eta(L)
-    mean = eta(_factor(spec.m0))
-    St = symmetrize(np.asarray(spec.sigma_tilde, dtype=float))
+    mean, St_inv, const = law.normal
     diff = v - mean
-    sign, logdet = np.linalg.slogdet(St)
-    if sign <= 0:
-        raise SpecInvalid("density needs a positive definite sigma_tilde")
-    quad = float(diff @ np.linalg.solve(St, diff))
-    out = -0.5 * (quad + logdet + v.size * np.log(2.0 * np.pi))
+    out = -0.5 * float(diff @ St_inv @ diff) + const
     if measure == "lebesgue":
         # d(matrix)/d(coords) = dPhi/dL times dL/d(coords); the latter only
         # rescales the diagonal rows by l_jj.
@@ -297,23 +366,18 @@ def inverse_wishart_log_density(X, spec):
     """Log-density of the transferred inverse Wishart at X.
 
     sigma plays the role of the inverse-Wishart scale: the law of M^{-1}
-    when M is Wishart with scale sigma^{-1}.
+    when M is Wishart with scale sigma^{-1}. At W = L L^T (L^T L in the TPM
+    cone), with C the Cholesky factor of sigma, tr(sigma W^-1) is
+    ||L^-1 C||^2 (LPM) or ||L^-T C||^2 (TPM).
     """
-    spec.validate()
+    law = _prepared_law(spec)
     _check_point_matches(X, spec)
-    W = _pd_image(_factor(X), X.cone)
-    omega = symmetrize(np.asarray(spec.sigma, dtype=float))
-    n = omega.shape[0]
-    N = spec.dof
-    sign_o, omega_logdet = np.linalg.slogdet(omega)
-    if sign_o <= 0:
-        raise SpecInvalid("sigma must be positive definite")
-    _, W_logdet = np.linalg.slogdet(W)
-    return float(0.5 * N * omega_logdet
-                 - 0.5 * n * N * np.log(2.0)
-                 - _multigammaln(N / 2.0, n)
-                 - 0.5 * (N + n + 1) * W_logdet
-                 - 0.5 * np.trace(omega @ np.linalg.inv(W)))
+    L = _factor(X)
+    C, _, sigma_logdet, gamma = law.scale
+    n, N = L.shape[0], spec.dof
+    Y = np.linalg.solve(L if X.cone == LPM else L.T, C)
+    return float(0.5 * N * sigma_logdet - gamma
+                 - 0.5 * (N + n + 1) * _factor_logdet(L) - 0.5 * _squared_norm(Y))
 
 
 def _draw_clone_patterns(rng, spec, size):

@@ -12,6 +12,7 @@ from lpmch import (
     ConePoint,
     DistributionSpec,
     RngStream,
+    box_op,
     canonical_point,
     classify,
     cone_compose,
@@ -20,6 +21,7 @@ from lpmch import (
     eta_inv,
     factor,
     factor_tpm,
+    identity_element,
     inertial_clone_sample,
     inverse_wishart_sample,
     log_cholesky_mean,
@@ -113,6 +115,20 @@ def test_group_element_reads_the_point_cache():
     E = BigGroupElement(Q)
     assert E.factor is _cached_factor(Q)
     assert np.array_equal(E.factor, cone_factor(fresh(P)))
+
+
+def test_group_element_sees_an_in_place_edit_of_its_point():
+    P = cone_compose(np.array([[1.0, 0.0], [0.5, 2.0]]), (1, -1))
+    E = BigGroupElement(P)
+    given = BigGroupElement(P, factor=np.eye(2))
+    assert np.array_equal(E.factor, [[1.0, 0.0], [0.5, 2.0]])
+    P.matrix[...] *= 4.0
+    new = [[2.0, 0.0], [1.0, 4.0]]
+    assert np.allclose(cone_factor(P), new, rtol=0, atol=1e-15)
+    assert np.array_equal(E.factor, cone_factor(P))
+    assert np.array_equal(box_op(E, identity_element(2)).factor, cone_factor(P))
+    # A factor given explicitly is kept as given.
+    assert np.array_equal(given.factor, np.eye(2))
 
 
 @pytest.mark.parametrize("cone", ("lpm", "tpm"))
