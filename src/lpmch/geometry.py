@@ -70,10 +70,24 @@ def eta(L):
     if np.iscomplexobj(L) and np.any(L.imag != 0):
         raise ComplexFactor("eta needs a real factor; complex scalars are "
                             "not supported by the log-Cholesky chart")
-    L = L.real.astype(float, copy=False)
-    rows, cols = _strict_lower_indices(L.shape[-1])
-    return np.concatenate([np.log(np.diagonal(L, axis1=-2, axis2=-1)),
-                           L[..., rows, cols]], axis=-1)
+    return _eta(L.real.astype(float, copy=False))
+
+
+def _eta(L, out=None):
+    """eta of a real factor or stack, into out when it is given: one take of
+    the coordinates' entries, then an in-place log of the diagonal block."""
+    n = L.shape[-1]
+    v = np.take(L.reshape(L.shape[:-2] + (n * n,)), _eta_index(n), axis=-1,
+                out=out, mode="clip")
+    np.log(v[..., :n], out=v[..., :n])
+    return v
+
+
+@lru_cache
+def _eta_index(n):
+    """Flat positions, in an n x n factor, of its eta coordinates."""
+    rows, cols = _strict_lower_indices(n)
+    return _read_only(np.concatenate([np.arange(n) * (n + 1), rows * n + cols]))
 
 
 def _dim_from_eta(m):

@@ -8,16 +8,17 @@ three-standard-error allowance.
 """
 
 import math
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .core import LPM, ConePoint, as_pattern, pattern_from_string
 from .cholesky import _factor
-from .geometry import eta
+from .geometry import _eta, eta
 from .errors import GroupMismatch, SpecInvalid
-from .sampling import DistributionSpec, _draw_clone_patterns, cholesky_normal_etas, \
-    wishart_factors
+from .sampling import DistributionSpec, _bartlett_draws, _clone_patterns, _clone_ranks, \
+    _normal_draws, _normal_etas, _normal_affine, _scale_factor, _wishart_factors
 from .biggroup import BigGroupElement, _check_p, _combine
 
 __all__ = ["Report", "WalkStats", "simulate_walk", "verify_from_stats",
@@ -60,22 +61,110 @@ class WalkStats:
     d_inc: np.ndarray
 
 
-def _eta_increments(rng, spec, paths):
-    """Coordinate increments (paths, m) for one walk step, and their patterns:
-    one (n,) pattern shared by every path, or (paths, n) for a clone step."""
+def _step_draws(rng, spec, paths, out=None):
+    """The draws of one walk step for every path (see sampling): the step's
+    generator calls, filled into out (paths n(n+1)/2 floats) when it is
+    given. An invalid spec, or one of a kind a walk cannot take, raises
+    SpecInvalid before the first draw."""
     spec.validate()
+    g = rng.generator
     if spec.kind == "inertial_clone":
-        patterns = _draw_clone_patterns(rng, spec, paths)
-        return eta(wishart_factors(rng, spec.base, size=paths)), patterns
+        return _clone_ranks(g, spec, paths), _bartlett_draws(
+            g, spec.base.dim, spec.base.dof, paths, out)
     if spec.kind == "cholesky_normal":
-        v = cholesky_normal_etas(rng, spec, size=paths)
-        pattern = as_pattern(spec.m0.pattern)
-    elif spec.kind == "wishart":
-        v = eta(wishart_factors(rng, spec, size=paths))
-        pattern = as_pattern(spec.pattern)
+        return _normal_draws(g, spec, paths, out)
+    if spec.kind == "wishart":
+        return _bartlett_draws(g, spec.dim, spec.dof, paths, out)
+    raise SpecInvalid(f"walk steps cannot have kind {spec.kind!r}")
+
+
+# Factor entries per block of paths in a step's Wishart arithmetic: the
+# block's (paths, n, n) temporaries stay near 1 MB, whatever the path count.
+# With one block per step, the walk-mc benchmark on a 2-core x86-64 host ran
+# 19 % fewer tasks per second and peaked 15 % higher in resident memory.
+_BLOCK_ENTRIES = 1 << 17
+
+
+def _step_increments(spec, draws, out=None):
+    """The arithmetic of one walk step: its coordinate increments, written
+    into out (paths, m) when it is given, from its draws, and their patterns:
+    one (n,) pattern shared by every path, or (paths, n) for a clone step.
+    Wishart draws are turned into coordinates one block of paths at a time."""
+    if spec.kind == "cholesky_normal":
+        return (_normal_etas(_normal_affine(spec), draws, out),
+                np.array(as_pattern(spec.m0.pattern), dtype=int))
+    if spec.kind == "inertial_clone":
+        ranks, draws = draws
+        base, patterns = spec.base, _clone_patterns(spec, ranks)
     else:
-        raise SpecInvalid(f"walk steps cannot have kind {spec.kind!r}")
-    return v, np.array(pattern, dtype=int)
+        base, patterns = spec, np.array(as_pattern(spec.pattern), dtype=int)
+    L0 = _scale_factor(base.sigma, base.cone)
+    chi, z = draws
+    n, paths = chi.shape
+    if out is None:
+        out = np.empty((paths, n * (n + 1) // 2))
+    block = max(1, _BLOCK_ENTRIES // (n * n))
+    for a in range(0, paths, block):
+        F = _wishart_factors(L0, (chi[:, a:a + block], z[a:a + block]), base.cone)
+        _eta(F, out[a:a + block])
+    return out, patterns
+
+
+# A walk's draws run on a helper thread only when one step draws at least this
+# many numbers (paths n(n+1)/2), a few milliseconds of generator time on a
+# 2-core x86-64 host. Below that, starting and joining the thread and sharing
+# the interpreter lock with it cost about as much as the overlap hides: the
+# 20000-path preset walks at n = 1 and n = 2 ran 6 to 73 % slower with it.
+_BACKGROUND_DRAWS = 1 << 17
+
+
+class _Ahead:
+    """fn(*args), run on a helper thread when background is true and at once
+    otherwise. result() waits for it and returns its value or raises its
+    exception; join() only waits. Run at once, only an Exception waits for
+    result(): an interrupt or exit propagates from the constructor."""
+
+    def __init__(self, background, fn, *args):
+        self._outcome = self._thread = None
+        if background:
+            self._thread = threading.Thread(target=self._run, daemon=True,
+                                            args=(fn, args, BaseException))
+            self._thread.start()
+        else:
+            self._run(fn, args, Exception)
+
+    def _run(self, fn, args, caught):
+        try:
+            self._outcome = (fn(*args), None)
+        except caught as exc:  # raised in the caller by result()
+            self._outcome = (None, exc)
+
+    def join(self):
+        if self._thread is not None:
+            self._thread.join()
+
+    def result(self):
+        self.join()
+        value, exc = self._outcome
+        if exc is not None:
+            raise exc
+        return value
+
+
+def _squared_norms(y, scratch, out):
+    """out[i] = the sum of y[i] * y[i], as np.linalg.norm(y, axis=1) sums it
+    before its square root (add.reduce along the row), with y * y in
+    scratch."""
+    np.multiply(y, y, out=scratch)
+    np.add.reduce(scratch, axis=1, out=out)
+
+
+def _norms(squared):
+    """The C-contiguous (paths, steps) square roots of (steps, paths) squared
+    norms."""
+    out = np.empty(squared.shape[::-1])
+    np.sqrt(squared.T, out=out)
+    return out
 
 
 def _reference(z1, n):
@@ -103,12 +192,24 @@ def simulate_walk(rng, walk, paths, group="star", p=2, z1=None):
     The walk runs one step at a time. A step's increments are drawn for all
     paths at once and added into one (steps, paths, m) float buffer of
     partial sums, m = n(n+1)/2 coordinates; box walks also keep a
-    (steps, paths, n) int8 buffer of pattern products. Memory is therefore
-    those buffers plus the temporaries of one step. The returned arrays are
-    C-contiguous (paths, steps); see WalkStats. Before the first draw, fewer
-    than one path raises SpecInvalid, another group or a box walk's p
-    outside [1, inf] ValueError, and steps or a z1 of mixed dimensions
-    GroupMismatch; a star step outside the walk's one cone raises it later.
+    (steps, paths, n) int8 buffer of pattern products. A step is its draws
+    (its random-stream calls; see sampling) and its arithmetic. When a step
+    draws at least 2^17 numbers (paths m), step k + 1's draws run on a helper
+    thread while the calling thread turns step k's draws into increments,
+    partial sums and distances. The stream is still read by one thread at a
+    time, in step order, so the result is bit for bit that of drawing and
+    summing in turn, on any number of cores. Memory is therefore those
+    buffers and two (paths, m) draw buffers (the draws run one step ahead;
+    a spent one is the scratch of the distances), plus the temporaries of one
+    block of paths. No thread outlives the call. The returned arrays are
+    C-contiguous (paths, steps); see WalkStats.
+
+    Before the first draw, fewer than one path raises SpecInvalid, another
+    group or a box walk's p outside [1, inf] ValueError, and steps or a z1
+    of mixed dimensions GroupMismatch. A star step outside the walk's one
+    cone raises GroupMismatch, and an invalid step SpecInvalid, at that
+    step. When a walk raises at one step, the stream may also have given the
+    draws of the next one.
     """
     walk = list(walk)
     if not walk:
@@ -130,31 +231,47 @@ def simulate_walk(rng, walk, paths, group="star", p=2, z1=None):
     steps = len(walk)
     S = np.empty((steps, paths, m))
     P = np.empty((steps, paths, n), dtype=np.int8) if group == "box" else None
-    d_inc, mis_inc = [], []
-    for k, spec in enumerate(walk):
-        v, pat = _eta_increments(rng, spec, paths)
-        if group == "star":
-            if star_pattern is None:
-                star_pattern = pat.reshape(-1, n)[0]
-            if np.any(pat != star_pattern):
-                raise GroupMismatch("per-cone walks need one pattern shared by "
-                                    "every path, every step and the reference point")
-        d_inc.append(np.linalg.norm(v, axis=1))
-        if k == 0:
-            S[0] = v
-        else:
-            np.add(S[k - 1], v, out=S[k])
-        if P is not None:
-            if k == 0:
-                P[0] = pat
-            else:
-                np.multiply(P[k - 1], pat, out=P[k])
-            mis_inc.append(np.broadcast_to(np.any(pat != 1, axis=-1), paths))
+    # Squared norms, one contiguous row per step; rooted after the walk.
+    sq_z1, sq_end, sq_inc = (np.empty((steps, paths)) for _ in range(3))
+    mis_inc = []
+    # Step k's draws fill buffers[k % 2] while step k - 1 is summed; once
+    # step k's increments are made, its buffer is the scratch of its norms.
+    buffers = (np.empty((paths, m)), np.empty((paths, m)))
+    background = paths * m >= _BACKGROUND_DRAWS
+    ahead = _Ahead(background, _step_draws, rng, walk[0], paths, buffers[0].reshape(-1))
+    try:
+        for k, spec in enumerate(walk):
+            draws = ahead.result()
+            if k + 1 < steps:
+                ahead = _Ahead(background, _step_draws, rng, walk[k + 1], paths,
+                               buffers[(k + 1) % 2].reshape(-1))
+            v, pat = _step_increments(spec, draws, out=S[k])
+            if group == "star":
+                if star_pattern is None:
+                    star_pattern = pat.reshape(-1, n)[0]
+                if np.any(pat != star_pattern):
+                    raise GroupMismatch("per-cone walks need one pattern shared by "
+                                        "every path, every step and the reference point")
+            scratch = buffers[k % 2]
+            _squared_norms(v, scratch, sq_inc[k])
+            if k > 0:
+                np.add(v, S[k - 1], out=S[k])
+            np.subtract(S[k], z_eta, out=scratch)
+            _squared_norms(scratch, scratch, sq_z1[k])
+            if P is not None:
+                if k == 0:
+                    P[0] = pat
+                else:
+                    np.multiply(P[k - 1], pat, out=P[k])
+                mis_inc.append(np.broadcast_to(np.any(pat != 1, axis=-1), paths))
+    finally:
+        ahead.join()
 
-    # Per-step (paths,) columns, stacked into C-contiguous (paths, steps).
-    d_z1 = np.stack([np.linalg.norm(s - z_eta, axis=1) for s in S], axis=1)
-    d_end = np.stack([np.linalg.norm(S[-1] - s, axis=1) for s in S], axis=1)
-    d_inc = np.stack(d_inc, axis=1)
+    scratch = buffers[0]
+    for k in range(steps):
+        np.subtract(S[-1], S[k], out=scratch)
+        _squared_norms(scratch, scratch, sq_end[k])
+    d_z1, d_end, d_inc = _norms(sq_z1), _norms(sq_end), _norms(sq_inc)
     if P is not None:
         mis_z1 = np.stack([np.any(q != z_pat, axis=1) for q in P], axis=1)
         mis_end = np.stack([np.any(q != P[-1], axis=1) for q in P], axis=1)

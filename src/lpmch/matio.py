@@ -9,6 +9,7 @@ import csv
 import io
 import json
 import os
+from functools import lru_cache
 
 import numpy as np
 
@@ -47,13 +48,18 @@ def read_matrix(path):
     return _rows_to_matrix(rows, path)
 
 
+@lru_cache
+def _json_line_template(rows, cols):
+    """The % template of matrix_to_json_line for a rows x cols matrix: one
+    %.17g field (the format of format_float) per entry."""
+    row = "[" + ", ".join(["%.17g"] * cols) + "]"
+    return '{"dim": %d, "rows": [%s]}' % (rows, ", ".join([row] * rows))
+
+
 def matrix_to_json_line(A):
     """One-line JSON rendering with full-precision entries."""
     A = np.asarray(A, dtype=float)
-    rows = "[" + ", ".join(
-        "[" + ", ".join(format_float(x) for x in row) + "]" for row in A
-    ) + "]"
-    return '{"dim": %d, "rows": %s}' % (A.shape[0], rows)
+    return _json_line_template(*A.shape) % tuple(A.ravel().tolist())
 
 
 def write_matrix(A, path=None, stream=None):

@@ -8,7 +8,12 @@ reproducible from an explicit seeded stream.
 Every sampler draws one (m, n, n) stack of lower triangular factors (a
 Bartlett stack, or the chart image of a stack of normal coordinates) and
 turns the whole stack into cone points in one batched congruence at the
-end; the inverse Wishart inverts that stack in one call. Densities read
+end; the inverse Wishart inverts that stack in one call. Each sampler is
+the composition of its draws and its arithmetic: the draws are its
+generator calls, in stream order, into plain arrays (chi-square and normal
+draws of Bartlett factors, the standard normals of the Cholesky-normal law,
+the pattern positions of a clone); the arithmetic reads no stream and turns
+the draws into factors or coordinates. Densities read
 the factor of a point against its canonical basis (cone_factor), which
 the point keeps after the first read.
 
@@ -24,8 +29,8 @@ log det is 2 sum log l_jj, and the trace term is a squared Frobenius norm.
 """
 
 import math
-from dataclasses import dataclass, field, replace
-from functools import cached_property
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -150,40 +155,90 @@ class DistributionSpec:
         return self
 
 
+def _bartlett_draws(g, n, N, m, out=None):
+    """The generator calls of m Bartlett factors of size n and dof N, in
+    stream order: chisquare(N - j) for each diagonal entry j (0-based), one
+    per factor, then standard normals for the strict lower triangles, row by
+    row. Returns (chi, z) of shapes (n, m) and (m, n(n-1)/2), views of out
+    (m n(n+1)/2 floats) when it is given. Only the chi-square draws allocate."""
+    if not (N >= n >= 1):
+        raise SpecInvalid(f"need dof >= n >= 1, got dof={N}, n={n}")
+    r = n * (n - 1) // 2
+    buf = np.empty(m * (n + r)) if out is None else out
+    chi, z = buf[:n * m].reshape(n, m), buf[n * m:].reshape(m, r)
+    for j in range(n):
+        chi[j] = g.chisquare(N - j, size=m)
+    g.standard_normal(out=z)
+    return chi, z
+
+
+@lru_cache
+def _bartlett_index(n):
+    """Flat positions, in a [z | sqrt chi | 0] row of n(n-1)/2 + n + 1
+    entries, of the entries of an n x n Bartlett factor, row-major."""
+    r = n * (n - 1) // 2
+    index = np.full((n, n), r + n)
+    index[_strict_lower_indices(n)] = np.arange(r)
+    index[np.diag_indices(n)] = r + np.arange(n)
+    return _read_only(index.ravel())
+
+
+def _bartlett_factors(draws):
+    """The (m, n, n) Bartlett factors of (chi, z) draws: sqrt chi on the
+    diagonal, z below it row by row, zero above; one take from a contiguous
+    [z | sqrt chi | 0] row per factor."""
+    chi, z = draws
+    n, (m, r) = chi.shape[0], z.shape
+    row = np.empty((m, r + n + 1))
+    row[:, :r] = z
+    for j in range(n):
+        np.sqrt(chi[j], out=row[:, r + j])
+    row[:, r + n] = 0.0
+    return np.take(row, _bartlett_index(n), axis=1).reshape(m, n, n)
+
+
 def bartlett_sample(rng, n, N, size=None):
     """Lower triangular K with chi diagonals and standard normal lower entries.
 
     Diagonal entry j (1-based) is the square root of a chi-square draw with
     N - j + 1 degrees of freedom, so K K^T is Wishart with identity scale.
+    The stream is read as the chi-square draws of every factor, one diagonal
+    entry at a time, then the strict lower entries of every factor, one
+    factor at a time; the factors are assembled from those draws afterwards.
     """
-    if not (N >= n >= 1):
-        raise SpecInvalid(f"need dof >= n >= 1, got dof={N}, n={n}")
-    g = rng.generator
     m = 1 if size is None else int(size)
-    K = np.zeros((m, n, n))
-    for j in range(n):
-        K[:, j, j] = np.sqrt(g.chisquare(N - j, size=m))
-    rows, cols = _strict_lower_indices(n)
-    if rows.size:
-        K[:, rows, cols] = g.standard_normal((m, rows.size))
+    K = _bartlett_factors(_bartlett_draws(rng.generator, n, N, m))
     return K[0] if size is None else K
+
+
+def _scale_factor(sigma, cone):
+    """The Cholesky factor of the self-adjoint part of sigma (the matrix
+    that validate and the densities read) in the leading orientation of the
+    cone: of that part itself (LPM) or of its reversal (TPM)."""
+    sigma = symmetrize(np.asarray(sigma, dtype=float))
+    return np.linalg.cholesky(reverse_matrix(sigma) if cone == TPM else sigma)
+
+
+def _wishart_factors(L0, draws, cone):
+    """Cone factors of Bartlett draws with scale factor L0: L0 K, reversed in
+    the TPM cone."""
+    F = L0 @ _bartlett_factors(draws)
+    return reverse_matrix(F) if cone == TPM else F
 
 
 def wishart_factors(rng, spec, size=None):
     """Cone factors of Wishart draws against the canonical basis of the cone.
 
     A leading-minor draw is L0 K D K^T L0^T with L0 the classical Cholesky
-    factor of sigma, so its factor is L0 K; trailing-minor draws are the
-    reversals of leading-minor draws with the reversed scale.
+    factor of the self-adjoint part of sigma, so its factor is L0 K;
+    trailing-minor draws are the reversals of leading-minor draws with the
+    reversed scale.
     """
     spec.validate()
-    sigma = np.asarray(spec.sigma, dtype=float)
-    if spec.cone == TPM:
-        sigma = symmetrize(reverse_matrix(sigma))
-    n = sigma.shape[0]
-    L0 = np.linalg.cholesky(sigma)
-    F = L0 @ bartlett_sample(rng, n, spec.dof, size=size)
-    return reverse_matrix(F) if spec.cone == TPM else F
+    m = 1 if size is None else int(size)
+    draws = _bartlett_draws(rng.generator, spec.dim, spec.dof, m)
+    F = _wishart_factors(_scale_factor(spec.sigma, spec.cone), draws, spec.cone)
+    return F[0] if size is None else F
 
 
 def wishart_sample(rng, spec, size=None):
@@ -305,14 +360,37 @@ def _psd_sqrt(S):
     return U * np.sqrt(np.clip(w, 0.0, None))
 
 
+def _normal_draws(g, spec, m, out=None):
+    """The generator call of m Cholesky-normal draws: an (m, n(n+1)/2)
+    standard normal array, filled into out when it is given."""
+    n = spec.m0.dim
+    shape = (m, n * (n + 1) // 2)
+    z = np.empty(shape) if out is None else out.reshape(shape)
+    g.standard_normal(out=z)
+    return z
+
+
+def _normal_affine(spec):
+    """(coordinates of the centre, PSD square root A of sigma_tilde): the
+    spec-only part of turning standard normals z into draws mean + z A^T."""
+    return eta(_factor(spec.m0)), _psd_sqrt(spec.sigma_tilde)
+
+
+def _normal_etas(affine, z, out=None):
+    """The draws mean + z A^T of standard normals z, (mean, A) = affine, into
+    out when it is given."""
+    mean, A = affine
+    out = np.matmul(z, A.T, out=out)
+    out += mean
+    return out
+
+
 def cholesky_normal_etas(rng, spec, size=None):
     """Linear-coordinate draws: normal around the coordinates of the centre."""
     spec.validate()
-    mean = eta(_factor(spec.m0))
-    A = _psd_sqrt(spec.sigma_tilde)
+    affine = _normal_affine(spec)
     m = 1 if size is None else int(size)
-    z = rng.generator.standard_normal((m, mean.size))
-    draws = mean[np.newaxis] + z @ A.T
+    draws = _normal_etas(affine, _normal_draws(rng.generator, spec, m))
     return draws[0] if size is None else draws
 
 
@@ -349,16 +427,16 @@ def cholesky_normal_log_density(M, spec, measure="eta"):
 def inverse_wishart_sample(rng, spec, size=None):
     """Draw(s) from the inverse of a transferred Wishart.
 
-    Inverts Wishart draws on the cone with the reversed pattern and kind, so
-    the results land in spec's cone and pattern.
+    Inverts Wishart draws with scale the inverse of the self-adjoint part of
+    sigma, on the cone with the reversed pattern and kind, so the results
+    land in spec's cone and pattern.
     """
     spec.validate()
-    fwd = replace(spec, kind="wishart",
-                  cone=LPM if spec.cone == TPM else TPM,
-                  pattern=reverse_pattern(spec.pattern),
-                  sigma=np.linalg.inv(np.asarray(spec.sigma, dtype=float)))
-    F = wishart_factors(rng, fwd, size=1 if size is None else size)
-    M = _inverse(_cone_matrices(F, fwd.pattern, fwd.cone))
+    cone = LPM if spec.cone == TPM else TPM
+    pattern = reverse_pattern(spec.pattern)
+    L0 = _scale_factor(np.linalg.inv(symmetrize(np.asarray(spec.sigma, dtype=float))), cone)
+    draws = _bartlett_draws(rng.generator, spec.dim, spec.dof, 1 if size is None else int(size))
+    M = _inverse(_cone_matrices(_wishart_factors(L0, draws, cone), pattern, cone))
     return _as_points(M, as_pattern(spec.pattern), spec.cone, size)
 
 
@@ -380,22 +458,28 @@ def inverse_wishart_log_density(X, spec):
                  - 0.5 * (N + n + 1) * _factor_logdet(L) - 0.5 * _squared_norm(Y))
 
 
-def _draw_clone_patterns(rng, spec, size):
-    """size patterns drawn uniformly from those an inertial clone mixes over
-    (all_patterns(n), or cones_with_inertia(n, k)), as a (size, n) int array
-    unranked from one integers(count) call. A count beyond the int64 range
-    raises SpecInvalid."""
+def _clone_ranks(g, spec, m):
+    """The generator call of m inertial-clone patterns: their positions among
+    the patterns the clone mixes over (all_patterns(n), or
+    cones_with_inertia(n, k)), from one integers(count) call. A count beyond
+    the int64 range raises SpecInvalid before any draw."""
     n = spec.base.dim
-    k = None if spec.all_cones else spec.k
-    count = 2**n if k is None else math.comb(n, k)
+    count = 2**n if spec.all_cones else math.comb(n, spec.k)
     if count > np.iinfo(np.int64).max:
         raise SpecInvalid(f"{count} clone patterns at n={n} exceed the int64 range")
-    return _unrank_patterns(rng.generator.integers(count, size=size), n, k)
+    return g.integers(count, size=m)
+
+
+def _clone_patterns(spec, ranks):
+    """The (m, n) int array of the clone patterns at positions ranks."""
+    return _unrank_patterns(ranks, spec.base.dim, None if spec.all_cones else spec.k)
 
 
 def inertial_clone_sample(rng, spec, size=None):
     """PD base draws pushed to a uniformly random cone of fixed inertia."""
     spec.validate()
-    patterns = _draw_clone_patterns(rng, spec, 1 if size is None else size)
-    F = wishart_factors(rng, spec.base, size=len(patterns))
+    g, m = rng.generator, 1 if size is None else int(size)
+    patterns = _clone_patterns(spec, _clone_ranks(g, spec, m))
+    draws = _bartlett_draws(g, spec.base.dim, spec.base.dof, m)
+    F = _wishart_factors(_scale_factor(spec.base.sigma, spec.base.cone), draws, spec.base.cone)
     return _cone_points(F, patterns, spec.cone, size)

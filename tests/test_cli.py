@@ -10,7 +10,7 @@ from conftest import clone_patterns
 from lpmch import classify, factor, canonical_point, lpm_distance, lpm_geodesic
 from lpmch import inequalities, sampling
 from lpmch.cli import main
-from lpmch.matio import read_matrix, write_matrix
+from lpmch.matio import format_float, matrix_to_json_line, read_matrix, write_matrix
 
 
 def write(tmp_path, name, rows):
@@ -222,11 +222,29 @@ def test_verify(tmp_path, capsys):
     assert "lhs:" in out and "rhs:" in out
 
 
-def _enumerated_clone_draw(rng, spec, size):
-    """The clone draw by indexing the enumerated patterns, as it was done
-    before patterns were unranked."""
-    patterns = np.array(clone_patterns(spec), dtype=int)
-    return patterns[rng.generator.integers(len(patterns), size=size)]
+def test_json_line_matches_the_per_entry_rendering():
+    def per_entry(A):
+        rows = ", ".join("[" + ", ".join(format_float(x) for x in row) + "]" for row in A)
+        return '{"dim": %d, "rows": [%s]}' % (len(A), rows)
+
+    special = np.array([[-0.0, 5e-324, 1e300], [np.inf, np.nan, -np.inf], [0.1, -1 / 3, 2.0]])
+    matrices = [special, np.array([[7.0]])]
+    matrices += [np.random.default_rng(n).standard_normal((n, n)) * 10.0 ** n for n in (2, 10)]
+    for A in matrices:
+        assert matrix_to_json_line(A) == per_entry(A)
+    assert matrix_to_json_line(special).startswith('{"dim": 3, "rows": [[-0, 4.9406564584124654e-324')
+
+
+def _enumerated_clone_ranks(g, spec, m):
+    """The clone draw's positions, bounded by the number of enumerated
+    patterns, as it was done before patterns were unranked."""
+    return g.integers(len(clone_patterns(spec)), size=m)
+
+
+def _enumerated_clone_patterns(spec, ranks):
+    """The clone patterns at positions ranks by indexing the enumerated
+    patterns, as it was done before patterns were unranked."""
+    return np.array(clone_patterns(spec), dtype=int)[ranks]
 
 
 def test_clone_streams_match_the_enumerated_draw(tmp_path, capsys, monkeypatch):
@@ -240,8 +258,9 @@ def test_clone_streams_match_the_enumerated_draw(tmp_path, capsys, monkeypatch):
               "--seed", "5", "--config", str(config)]]
     unranked = [run(capsys, *argv) for argv in calls]
     assert all(code == 0 for code, _, _ in unranked)
-    monkeypatch.setattr(sampling, "_draw_clone_patterns", _enumerated_clone_draw)
-    monkeypatch.setattr(inequalities, "_draw_clone_patterns", _enumerated_clone_draw)
+    for module in (sampling, inequalities):
+        monkeypatch.setattr(module, "_clone_ranks", _enumerated_clone_ranks)
+        monkeypatch.setattr(module, "_clone_patterns", _enumerated_clone_patterns)
     assert [run(capsys, *argv) for argv in calls] == unranked
 
 

@@ -1,5 +1,8 @@
 import json
 import math
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -158,12 +161,15 @@ def test_report_fields():
 
 def _stacked_walk(rng, walk, paths, group="star", p=2, z1=None):
     """(d_z1, d_to_end, d_inc) as simulate_walk computed them before it ran
-    step by step: every increment and pattern stacked into (paths, steps, .)
-    arrays, cumsum / cumprod along the step axis, norms over 3-D arrays."""
+    step by step and drew ahead: each step's draws then its arithmetic, in
+    turn on one thread, every increment and pattern stacked into
+    (paths, steps, .) arrays, cumsum / cumprod along the step axis, norms
+    over 3-D arrays."""
     n = walk[0].dim
     etas, pats = [], []
     for spec in walk:
-        v, pat = inequalities._eta_increments(rng, spec, paths)
+        draws = inequalities._step_draws(rng, spec, paths)
+        v, pat = inequalities._step_increments(spec, draws)
         etas.append(v)
         pats.append(np.broadcast_to(pat, (paths, n)))
     etas = np.stack(etas, axis=1)
@@ -227,6 +233,10 @@ def _reference_points(n, eps):
 @pytest.mark.parametrize("walk_kind", ["wishart", "cholesky_normal", "mixed", "clone"])
 @pytest.mark.parametrize("n", [1, 3])
 def test_walks_match_the_stacked_walk(n, walk_kind, z_kind):
+    _assert_walk_kind_matches_stacked(n, walk_kind, z_kind)
+
+
+def _assert_walk_kind_matches_stacked(n, walk_kind, z_kind):
     eps = (1,) if n == 1 else (1, -1, -1)
     walk = _walk_steps(n, eps)[walk_kind]
     z1 = _reference_points(n, eps)[z_kind]
@@ -243,6 +253,153 @@ def test_wishart_walk_at_n10_matches_the_stacked_walk():
                              sigma=np.eye(10) / 10, dof=12)] * 10
     _assert_matches_stacked(7, walk, 500)
     _assert_matches_stacked(7, walk, 500, group="box", p=3)
+
+
+@pytest.fixture
+def drawn_ahead(monkeypatch):
+    """Walks draw each next step on the helper thread, whatever their size."""
+    monkeypatch.setattr(inequalities, "_BACKGROUND_DRAWS", 0)
+
+
+class _CountedThread(threading.Thread):
+    started = 0
+
+    def start(self):
+        type(self).started += 1
+        super().start()
+
+
+@pytest.mark.parametrize("z_kind", ["none", "cone_point", "big_group", "tuple"])
+@pytest.mark.parametrize("walk_kind", ["wishart", "cholesky_normal", "mixed", "clone"])
+@pytest.mark.parametrize("n", [1, 3])
+def test_walks_drawn_ahead_match_the_stacked_walk(drawn_ahead, n, walk_kind, z_kind):
+    _assert_walk_kind_matches_stacked(n, walk_kind, z_kind)
+
+
+def test_a_large_walk_draws_ahead_and_matches_the_stacked_walk(monkeypatch):
+    rng = np.random.default_rng(10)
+    eps = tuple(int(e) for e in rng.choice((1, -1), 10))
+    lpm, tpm = (DistributionSpec(kind="wishart", pattern=eps, cone=cone, sigma=np.eye(10) / 10,
+                                 dof=12) for cone in ("lpm", "tpm"))
+    paths = 2400
+    assert paths * 55 >= inequalities._BACKGROUND_DRAWS
+    monkeypatch.setattr(_CountedThread, "started", 0)
+    monkeypatch.setattr(threading, "Thread", _CountedThread)
+    _assert_matches_stacked(11, [lpm] * 2, paths)
+    _assert_matches_stacked(11, [tpm] * 3, paths, group="box", p=2)
+    assert _CountedThread.started == 2 + 3
+
+
+def _error_walks():
+    eps = (1, -1, -1)
+    good = DistributionSpec(kind="wishart", pattern=eps, cone="lpm", sigma=np.eye(3), dof=5)
+    other = DistributionSpec(kind="wishart", pattern=(1, 1, 1), cone="lpm",
+                             sigma=np.eye(3), dof=5)
+    bad = DistributionSpec(kind="wishart", pattern=eps, cone="lpm", sigma=np.eye(3), dof=2)
+    return good, other, bad
+
+
+def _state_after_draws(seed, steps, paths):
+    rng = RngStream(seed)
+    for spec in steps:
+        inequalities._step_draws(rng, spec, paths)
+    return rng.generator.bit_generator.state
+
+
+def test_drawn_ahead_errors_are_raised_at_their_step(drawn_ahead):
+    good, other, bad = _error_walks()
+    # Step 1 leaves the walk's cone while the helper meets step 2's invalid
+    # spec: the step-1 GroupMismatch is raised.
+    with pytest.raises(GroupMismatch):
+        simulate_walk(RngStream(0), [good, other, bad], 100)
+    # The helper's SpecInvalid is raised at step 2, after steps 0 and 1 were
+    # summed; the invalid step draws nothing.
+    rng = RngStream(0)
+    with pytest.raises(SpecInvalid, match="dof 2 below dimension 3"):
+        simulate_walk(rng, [good, good, bad, good], 100)
+    assert rng.generator.bit_generator.state == _state_after_draws(0, [good, good], 100)
+    # A step that raises in its arithmetic leaves the stream after the draws
+    # of the next step, which ran ahead.
+    rng = RngStream(0)
+    with pytest.raises(GroupMismatch):
+        simulate_walk(rng, [good, other, good, good], 100)
+    assert rng.generator.bit_generator.state == _state_after_draws(0, [good, other, good], 100)
+
+
+def test_walks_leave_no_thread_behind(drawn_ahead, monkeypatch):
+    good, other, bad = _error_walks()
+    step_draws = inequalities._step_draws
+
+    def slow_draws(*args):  # a helper still drawing when its walk raises
+        time.sleep(0.05)
+        return step_draws(*args)
+
+    monkeypatch.setattr(inequalities, "_step_draws", slow_draws)
+    before = threading.active_count()
+    simulate_walk(RngStream(0), [good] * 4, 100)
+    assert threading.active_count() == before
+    for walk, error in (([good, other, good], GroupMismatch), ([good, good, bad], SpecInvalid),
+                        ([good, other, bad], GroupMismatch)):
+        with pytest.raises(error):
+            simulate_walk(RngStream(0), walk, 100)
+        assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("background", [False, True])
+def test_an_interrupt_while_drawing_ahead_leaves_the_walk(background, monkeypatch):
+    # Drawn inline, an interrupt in step 1's draws propagates before step 0
+    # is summed; drawn on the helper, it is raised at step 1 and the helper
+    # is joined.
+    good, _, _ = _error_walks()
+    calls = {"draws": 0, "sums": 0}
+    step_draws, step_increments = inequalities._step_draws, inequalities._step_increments
+
+    def draws(*args):
+        calls["draws"] += 1
+        if calls["draws"] == 2:
+            raise KeyboardInterrupt
+        return step_draws(*args)
+
+    def increments(*args, **kw):
+        calls["sums"] += 1
+        return step_increments(*args, **kw)
+
+    monkeypatch.setattr(inequalities, "_BACKGROUND_DRAWS", 0 if background else 1 << 60)
+    monkeypatch.setattr(inequalities, "_step_draws", draws)
+    monkeypatch.setattr(inequalities, "_step_increments", increments)
+    before = threading.active_count()
+    with pytest.raises(KeyboardInterrupt):
+        simulate_walk(RngStream(0), [good] * 3, 100)
+    assert calls == {"draws": 2, "sums": 1 if background else 0}
+    assert threading.active_count() == before
+
+
+def test_concurrent_walks_drawn_ahead_under_fast_switching(drawn_ahead):
+    # Four walks on four threads, each with its own helper: eight threads,
+    # more than a small host has cores, switching every microsecond; each
+    # walk still equals its stacked walk.
+    walk = _walk_steps(3, (1, -1, -1))["mixed"]
+    results = {}
+
+    def run(seed):
+        results[seed] = simulate_walk(RngStream(seed), walk, 300, group="box")
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(seed,)) for seed in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for seed in range(4):
+        expected = _stacked_walk(RngStream(seed), walk, 300, group="box")
+        stats = results[seed]
+        for got, want in zip((stats.d_z1, stats.d_to_end, stats.d_inc), expected):
+            assert np.array_equal(got, want)
 
 
 def test_walk_memory_is_one_partial_sum_buffer():

@@ -84,6 +84,23 @@ def test_wishart_pd_mean():
     assert np.all(np.abs(mean - 6 * sigma) < 3 * se)
 
 
+@pytest.mark.parametrize("cone", ["lpm", "tpm"])
+def test_wishart_draws_follow_the_self_adjoint_part_of_sigma(cone):
+    # validate and the densities read (sigma + sigma^T) / 2; so do the draws.
+    sigma = np.array([[2.0, 0.0], [1.0, 2.0]])
+    F = wishart_factors(RngStream(19), wishart_spec((1, 1), sigma, 6, cone=cone), size=20_000)
+    Ms = F @ np.swapaxes(F, -1, -2) if cone == "lpm" else np.swapaxes(F, -1, -2) @ F
+    se = Ms.std(axis=0) / np.sqrt(Ms.shape[0])
+    assert np.all(np.abs(Ms.mean(axis=0) - 6 * symmetrize(sigma)) < 4 * se)
+    inv_spec = DistributionSpec(kind="inverse_wishart", pattern=(1, 1), cone=cone,
+                                sigma=sigma, dof=8)
+    Xs = np.array([X.matrix for X in inverse_wishart_sample(RngStream(20), inv_spec,
+                                                            size=20_000)])
+    se = Xs.std(axis=0) / np.sqrt(Xs.shape[0])
+    # E[X] = sigma / (N - n - 1) for the inverse Wishart.
+    assert np.all(np.abs(Xs.mean(axis=0) - symmetrize(sigma) / 5) < 4 * se)
+
+
 def test_wishart_pattern_correctness():
     rng = RngStream(3)
     spec = wishart_spec((1, -1, 1), np.eye(3), 5)
