@@ -157,6 +157,14 @@ def _check_finite(A):
         raise NonFiniteInput(f"entry {where} is {A[where]}; every entry must be finite")
 
 
+def _check_matrix(A):
+    """NonFiniteInput at a NaN or infinite entry of the array A, then
+    ValueError unless A is one square matrix of size at least 1."""
+    _check_finite(A)
+    if A.ndim != 2 or A.shape[0] != A.shape[1] or not A.size:
+        raise ValueError(f"expected a square matrix of size at least 1, got shape {A.shape}")
+
+
 def _log_minor_cutoffs(A, tol):
     """log(tol * max(1, scale(A))**k) for k = 1..n, without overflow: the log
     of the modulus that a k-th minor of A must exceed."""
@@ -210,6 +218,17 @@ def ldl(A):
     Hermitian input gives real pivots; a leading minor with a
     non-negligible imaginary part raises ValueError.
 
+    A real A whose diagonal has one strict sign s is first given to
+    LAPACK's Cholesky factorization (np.linalg.cholesky) as s A, which is
+    backward stable on definite input (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., ch. 10): with C its factor and c = diag C,
+    L = C diag(c)^{-1} and d = s c^2. That path reads only the lower
+    triangle of A. When s A is not numerically definite (LAPACK meets a
+    pivot that is not positive, an exact zero among them) or L or d has a
+    non-finite entry, the blocked elimination below runs as if the path did
+    not exist; complex input and diagonals with mixed signs, a zero or a
+    NaN take it directly.
+
     The elimination is blocked and right-looking (Golub & Van Loan,
     Matrix Computations, 4th ed., 4.1-4.2), in panels of 32 columns. The
     plain rank-1 loop runs only inside each 32 x 32 diagonal block, giving
@@ -220,6 +239,41 @@ def ldl(A):
     only the plain loop runs.
     """
     A = np.asarray(A)
+    if not np.iscomplexobj(A) and A.shape[0]:
+        definite = _definite_ldl(A)
+        if definite is not None:
+            return definite
+    return _blocked_ldl(A)
+
+
+def _definite_ldl(A):
+    """ldl of a real A from the Cholesky factor of s A, when the diagonal of A
+    has one strict sign s and that factor exists and gives finite L and d;
+    None otherwise."""
+    # A Python scan of the diagonal stops at the first entry of the wrong
+    # sign, so a diagonal with mixed signs costs about a microsecond at
+    # n = 10.
+    diag = A.diagonal().tolist()
+    s = 1.0 if diag[0] > 0 else -1.0
+    if not all(s * a > 0 for a in diag):
+        return None
+    try:
+        C = np.linalg.cholesky(np.multiply(A, s, dtype=float))
+    except np.linalg.LinAlgError:
+        return None
+    c = np.diagonal(C)
+    # An infinite diagonal entry, or an L beyond the float range, warns only
+    # in the blocked elimination, as it did before this path existed.
+    with np.errstate(over="ignore", invalid="ignore"):
+        L = C / c
+        d = s * (c * c)
+    if not (np.isfinite(L).all() and np.isfinite(d).all()):
+        return None
+    return L, d
+
+
+def _blocked_ldl(A):
+    """ldl by blocked elimination alone (see ldl)."""
     n = A.shape[0]
     U = np.array(A, dtype=complex if np.iscomplexobj(A) else float, order="C")
     L = np.eye(n, dtype=U.dtype)
@@ -275,8 +329,11 @@ def leading_minors(A):
     """All n leading principal minors of a Hermitian (or real symmetric) A:
     the running products of the ldl pivots.
 
-    The elimination reads only the lower triangle of A outside its 32 x 32
-    diagonal blocks, so A must be Hermitian: ValueError when the largest
+    A is checked as classify checks it: NonFiniteInput when an entry is NaN
+    or infinite, and ValueError unless A is one square matrix of size at
+    least 1. The elimination reads only the lower triangle of A outside its
+    32 x 32 diagonal blocks, and its Cholesky path (see ldl) only the lower
+    triangle at all, so A must be Hermitian: ValueError when the largest
     entry of |A - A*| exceeds 1e-8 times the largest |A|. After an exact
     zero pivot the remaining minors are reported as NaN; callers apply
     their own tolerance per minor. A minor beyond the float range comes
@@ -284,6 +341,7 @@ def leading_minors(A):
     classify tests the minors in logs instead.
     """
     A = np.asarray(A)
+    _check_matrix(A)
     if scale(A - A.conj().T) > _HERMITIAN_TOL * scale(A):
         raise ValueError("input is not Hermitian")
     with np.errstate(over="ignore"):
@@ -335,7 +393,7 @@ def reverse_pattern(eps):
 
 def _classify_with_minors(A, cone=LPM, tol=DEFAULT_TOL):
     """classify, plus its minors (of the reversal for TPM), inf past the float range."""
-    _check_finite(np.asarray(A))
+    _check_matrix(np.asarray(A))
     A = symmetrize(A)
     cutoffs = _log_minor_cutoffs(A, tol)
     d = ldl(reverse_matrix(A) if cone == TPM else A)[1]
@@ -356,7 +414,8 @@ def classify(A, cone=LPM, tol=DEFAULT_TOL):
     Raises MinorNearZero(k) when the k-th minor fails the scale-aware
     tolerance |minor| > tol * max(1, scale(A))**k, tested in logs so that
     neither side overflows, NonFiniteInput when an entry is NaN or infinite,
-    and ValueError when tol is not finite and >= 0.
+    and ValueError when A is not one square matrix of size at least 1 or
+    tol is not finite and >= 0.
     """
     return _classify_with_minors(A, cone, tol)[0]
 

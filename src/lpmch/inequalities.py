@@ -167,6 +167,32 @@ def _norms(squared):
     return out
 
 
+def _row_width(n):
+    """Entries per padded pattern row: the least of 1, 2, 4 and 8 that is at
+    least n, else n rounded up to a multiple of 8."""
+    return next((w for w in (1, 2, 4, 8) if w >= n), -(-n // 8) * 8)
+
+
+def _padded_rows(pat, width):
+    """The +-1 pattern row (n,) or rows (paths, n) pat as int8 rows of the
+    given width, padded with +1."""
+    out = np.ones(pat.shape[:-1] + (width,), dtype=np.int8)
+    out[..., :pat.shape[-1]] = pat
+    return out
+
+
+def _mismatch(rows, ref):
+    """Whether each padded pattern row of rows differs from ref, broadcast
+    against rows, comparing 8 entries at a time as one integer; np.any along
+    a short row axis would run one inner loop per row."""
+    wide = np.dtype(f"i{min(rows.shape[-1], 8)}")
+    a, b = rows.view(wide), ref.view(wide)
+    out = a[..., 0] != b[..., 0]
+    for j in range(1, a.shape[-1]):
+        out |= a[..., j] != b[..., j]
+    return out
+
+
 def _reference(z1, n):
     if z1 is None:
         m = n * (n + 1) // 2
@@ -192,7 +218,9 @@ def simulate_walk(rng, walk, paths, group="star", p=2, z1=None):
     The walk runs one step at a time. A step's increments are drawn for all
     paths at once and added into one (steps, paths, m) float buffer of
     partial sums, m = n(n+1)/2 coordinates; box walks also keep a
-    (steps, paths, n) int8 buffer of pattern products. A step is its draws
+    (steps, paths, w) int8 buffer of pattern products, each row padded with
+    +1 to a width w of 1, 2, 4 or a multiple of 8 entries, so that a row is
+    compared with another as one integer per 8 entries. A step is its draws
     (its random-stream calls; see sampling) and its arithmetic. When a step
     draws at least 2^17 numbers (paths m), step k + 1's draws run on a helper
     thread while the calling thread turns step k's draws into increments,
@@ -230,7 +258,8 @@ def simulate_walk(rng, walk, paths, group="star", p=2, z1=None):
     star_pattern = z_pat if group == "star" and z1 is not None else None
     steps = len(walk)
     S = np.empty((steps, paths, m))
-    P = np.empty((steps, paths, n), dtype=np.int8) if group == "box" else None
+    width = _row_width(n)
+    P = np.empty((steps, paths, width), dtype=np.int8) if group == "box" else None
     # Squared norms, one contiguous row per step; rooted after the walk.
     sq_z1, sq_end, sq_inc = (np.empty((steps, paths)) for _ in range(3))
     mis_inc = []
@@ -259,11 +288,12 @@ def simulate_walk(rng, walk, paths, group="star", p=2, z1=None):
             np.subtract(S[k], z_eta, out=scratch)
             _squared_norms(scratch, scratch, sq_z1[k])
             if P is not None:
+                row = _padded_rows(pat, width)
                 if k == 0:
-                    P[0] = pat
+                    P[0] = row
                 else:
-                    np.multiply(P[k - 1], pat, out=P[k])
-                mis_inc.append(np.broadcast_to(np.any(pat != 1, axis=-1), paths))
+                    np.multiply(P[k - 1], row, out=P[k])
+                mis_inc.append(np.broadcast_to(_mismatch(row, np.ones(width, np.int8)), paths))
     finally:
         ahead.join()
 
@@ -273,8 +303,8 @@ def simulate_walk(rng, walk, paths, group="star", p=2, z1=None):
         _squared_norms(scratch, scratch, sq_end[k])
     d_z1, d_end, d_inc = _norms(sq_z1), _norms(sq_end), _norms(sq_inc)
     if P is not None:
-        mis_z1 = np.stack([np.any(q != z_pat, axis=1) for q in P], axis=1)
-        mis_end = np.stack([np.any(q != P[-1], axis=1) for q in P], axis=1)
+        mis_z1 = np.ascontiguousarray(_mismatch(P, _padded_rows(z_pat, width)).T)
+        mis_end = np.ascontiguousarray(_mismatch(P, P[-1]).T)
         d_z1 = _combine(d_z1, mis_z1, p)
         d_end = _combine(d_end, mis_end, p)
         d_inc = _combine(d_inc, np.stack(mis_inc, axis=1), p)

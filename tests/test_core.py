@@ -111,6 +111,22 @@ def test_classify_refuses_non_finite_input_by_name(A, cone):
             classify(A, cone)
 
 
+@pytest.mark.parametrize("A", NON_FINITE, ids=("nan", "inf"))
+def test_leading_minors_refuses_non_finite_input_by_name(A):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteInput, match="every entry must be finite"):
+            leading_minors(A)
+
+
+@pytest.mark.parametrize("shape", ((2, 3), (3,), (2, 2, 2), (0, 0)))
+def test_minors_need_one_square_matrix_of_size_at_least_one(shape):
+    A = np.ones(shape)
+    for minors in (leading_minors, classify):
+        with pytest.raises(ValueError, match="expected a square matrix"):
+            minors(A)
+
+
 def test_leading_minors_beyond_the_float_range_are_signed_infinities():
     X = np.random.default_rng(0).standard_normal((256, 256))
     A = 1280 * np.eye(256) + (X + X.T) / 2

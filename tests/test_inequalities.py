@@ -255,6 +255,22 @@ def test_wishart_walk_at_n10_matches_the_stacked_walk():
     _assert_matches_stacked(7, walk, 500, group="box", p=3)
 
 
+@pytest.mark.parametrize("n", [2, 5, 8, 9, 17])
+def test_box_walk_pattern_rows_of_any_width_match_the_stacked_walk(n):
+    """Pattern rows are padded to 2, 8, 8, 16 and 24 entries and compared 8
+    at a time; every step, reference point and end mismatch is that of
+    np.any over the unpadded rows."""
+    rng = np.random.default_rng(n)
+    pd = DistributionSpec(kind="wishart", pattern=(1,) * n, cone="lpm",
+                          sigma=np.eye(n) / n, dof=n + 2)
+    walk = [DistributionSpec(kind="inertial_clone", base=pd, all_cones=True), pd,
+            DistributionSpec(kind="inertial_clone", base=pd, k=n // 2)] * 2
+    eps = tuple(int(e) for e in rng.choice((1, -1), n))
+    z1 = (rng.standard_normal(n * (n + 1) // 2), eps)
+    for p in (1, math.inf):
+        _assert_matches_stacked(8, walk, 300, group="box", p=p, z1=z1)
+
+
 @pytest.fixture
 def drawn_ahead(monkeypatch):
     """Walks draw each next step on the helper thread, whatever their size."""

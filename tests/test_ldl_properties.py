@@ -1,6 +1,8 @@
 """Property tests for the LDL* kernel and the maps built on it, up to n = 64,
 and tests of the blocked kernel across its panel boundaries."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,7 +21,7 @@ from lpmch import (
     resign,
     reverse_matrix,
 )
-from lpmch.core import _unit_lower_inverse, ldl
+from lpmch.core import _blocked_ldl, _unit_lower_inverse, ldl
 
 PROPERTY = settings(max_examples=40, deadline=None)
 
@@ -76,6 +78,149 @@ def test_resign_round_trip(pair, seed):
     eps, delta = pair
     A = compose(random_factor(np.random.default_rng(seed), len(eps)), canonical_point(eps))
     assert relative_error(resign(resign(A, delta), eps).matrix, A.matrix) < 1e-13
+
+
+@pytest.fixture
+def cholesky_calls(monkeypatch):
+    """The outcome of every np.linalg.cholesky call, in order: "factored" or
+    "raised"."""
+    calls = []
+    cholesky = np.linalg.cholesky
+
+    def counted(*args, **kwargs):
+        try:
+            C = cholesky(*args, **kwargs)
+        except np.linalg.LinAlgError:
+            calls.append("raised")
+            raise
+        calls.append("factored")
+        return C
+
+    monkeypatch.setattr(np.linalg, "cholesky", counted)
+    return calls
+
+
+# How far the Cholesky path of ldl may move L (entrywise, L is unit lower) and
+# d (entrywise, relative) from the elimination on definite input: both are
+# backward stable there (Higham, Accuracy and Stability of Numerical
+# Algorithms, 2nd ed., chs. 9-10), and on 4000 seeded points of
+# test_ldl_takes_cholesky_on_definite_input's kind the largest moves were
+# 3.2e-15 and 3.6e-15. The backward residual there exceeded the
+# elimination's by at most 1.95 units of rounding.
+L_MOVE = 1e-14
+D_MOVE = 1e-14
+
+
+def assert_near_elimination(L, d, L0, d0):
+    assert np.array_equal(L, np.tril(L)) and np.array_equal(np.diagonal(L), np.ones(len(d)))
+    assert np.max(np.abs(L - L0)) <= L_MOVE
+    assert np.max(np.abs(d - d0) / np.abs(d0)) <= D_MOVE
+
+
+def definite_pattern(n, sign):
+    """The pattern whose canonical signs are all sign: every minor positive,
+    or minors alternating from negative."""
+    return tuple(1 if sign > 0 else (-1) ** (k + 1) for k in range(n))
+
+
+@PROPERTY
+@given(sizes, st.sampled_from((1, -1)), st.sampled_from(("lpm", "tpm")),
+       st.floats(-8, 8), seeds)
+def test_ldl_takes_cholesky_on_definite_input(n, sign, cone, log_scale, seed):
+    """On positive and negative definite points at scales 1e-8..1e8, ldl is
+    the blocked elimination within L_MOVE and D_MOVE, and its backward
+    residual is no worse than the elimination's, up to four units of
+    rounding."""
+    rng = np.random.default_rng(seed)
+    A = cone_compose(random_factor(rng, n), definite_pattern(n, sign), cone).matrix
+    work = 10.0 ** log_scale * (A if cone == "lpm" else reverse_matrix(A))
+    L, d = ldl(work)
+    L0, d0 = _blocked_ldl(work)
+    assert np.all(sign * d > 0)
+    assert_near_elimination(L, d, L0, d0)
+    u = np.finfo(float).eps / 2
+    assert relative_error((L * d) @ L.T, work) <= relative_error((L0 * d0) @ L0.T, work) + 4 * u
+
+
+@pytest.mark.parametrize("sign", (1, -1))
+@pytest.mark.parametrize("n", (2, 10, 64))
+def test_cholesky_runs_for_definite_input_only(n, sign, cholesky_calls):
+    rng = np.random.default_rng(n)
+    A = cone_compose(random_factor(rng, n), definite_pattern(n, sign)).matrix
+    ldl(A)
+    assert cholesky_calls == ["factored"]
+    # Canonical signs (1, -1, ..., -1) and (-1, 1, ..., 1).
+    for eps in ((1, -1) * (n // 2), (-1,) * n):
+        for B in (canonical_point(eps).matrix,
+                  cone_compose(random_factor(rng, n), eps).matrix):
+            assert np.any(np.diagonal(B) > 0) and np.any(np.diagonal(B) < 0)
+            ldl(B)
+    assert cholesky_calls == ["factored"]
+
+
+@pytest.mark.parametrize("n", (10, 64))
+def test_ldl_falls_back_when_cholesky_fails_late(n, cholesky_calls):
+    """Only the last canonical sign is negative, and the last row of the
+    factor makes every diagonal entry positive: LAPACK fails at the last
+    pivot, and ldl is the elimination bit for bit."""
+    L = random_factor(np.random.default_rng(n), n)
+    L[-1, :-1] = 1.0
+    L[-1, -1] = 0.5
+    A = compose(L, canonical_point((1,) * (n - 1) + (-1,))).matrix
+    assert np.all(np.diagonal(A) > 0)
+    L1, d1 = ldl(A)
+    assert cholesky_calls == ["raised"]
+    L0, d0 = _blocked_ldl(A)
+    assert np.array_equal(L1, L0) and np.array_equal(d1, d0)
+    assert np.array_equal(np.sign(d1), np.r_[np.ones(n - 1), -1.0])
+
+
+@pytest.mark.parametrize("n, k", ((3, 1), (70, 40)))
+def test_ldl_falls_back_at_an_exact_zero_pivot(n, k, cholesky_calls):
+    """A positive diagonal whose (k+1)-th pivot is exactly zero: the
+    elimination stops there with NaN after it, as without the Cholesky path."""
+    A = np.eye(n)
+    A[k, k - 1] = A[k - 1, k] = 1.0
+    L, d = ldl(A)
+    assert cholesky_calls == ["raised"]
+    assert np.array_equal(d[:k + 1], np.r_[np.ones(k), 0.0])
+    assert np.all(np.isnan(d[k + 1:]))
+    L0, d0 = _blocked_ldl(A)
+    assert np.array_equal(L, L0) and np.array_equal(d, d0, equal_nan=True)
+
+
+@pytest.mark.parametrize("A", ([[5e-324, 1e-8], [1e-8, 1e308]], [[np.inf, 1.0], [1.0, 1.0]]),
+                         ids=("overflow", "inf"))
+def test_ldl_falls_back_on_a_non_finite_factor(A, cholesky_calls):
+    """LAPACK factors both matrices, but L21 is 1e-8 / 5e-324, beyond the
+    float range, in the first, and inf / inf in the second: ldl is the
+    elimination's, with the elimination's warnings and no others."""
+    A = np.array(A)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        L, d = ldl(A)
+    with warnings.catch_warnings(record=True) as expected:
+        warnings.simplefilter("always")
+        L0, d0 = _blocked_ldl(A)
+    assert [str(w.message) for w in caught] == [str(w.message) for w in expected]
+    assert cholesky_calls == ["factored"]
+    assert np.array_equal(L, L0) and np.array_equal(d, d0)
+
+
+@pytest.mark.parametrize("n", (2, 10, 70))
+def test_complex_input_takes_the_elimination(n, cholesky_calls):
+    rng = np.random.default_rng(n)
+    K = random_factor(rng, n) + 1j * np.tril(rng.standard_normal((n, n)), -1) / np.sqrt(n)
+    H = K @ K.conj().T
+    L, d = ldl(H)
+    L0, d0 = _blocked_ldl(H)
+    assert np.array_equal(L, L0) and np.array_equal(d, d0)
+    assert np.all(d > 0)
+    # Complex symmetric, not Hermitian, with a positive diagonal.
+    S = (K @ K.T).real + 0.5j * (np.ones((n, n)) - np.eye(n))
+    with pytest.raises(ValueError, match="not Hermitian"):
+        ldl(S)
+    assert cholesky_calls == []
 
 
 def unblocked_ldl(A):
@@ -165,11 +310,18 @@ def test_leading_minors_rejects_non_hermitian_input(n):
 
 @pytest.mark.parametrize("cone", ("lpm", "tpm"))
 @pytest.mark.parametrize("n", (1, 2, 3, 10, 17, 31, 32))
-def test_ldl_within_one_panel_is_the_plain_loop(n, cone):
+def test_ldl_within_one_panel_is_the_plain_loop(n, cone, cholesky_calls):
+    """Bit for bit, unless the input is definite and takes the Cholesky path;
+    then within the bounds of the Cholesky path (assert_near_elimination)."""
     _, _, work = seeded_cone_matrix(n, cone)
     L, d = ldl(work)
     L0, d0 = unblocked_ldl(work)
-    assert np.array_equal(L, L0) and np.array_equal(d, d0)
+    definite = np.all(d0 > 0) or np.all(d0 < 0)
+    assert cholesky_calls.count("factored") == int(definite)
+    if definite:
+        assert_near_elimination(L, d, L0, d0)
+    else:
+        assert np.array_equal(L, L0) and np.array_equal(d, d0)
 
 
 def test_ldl_stops_at_exact_zero_pivot_in_a_later_panel():
