@@ -22,6 +22,7 @@ from .core import (
     _cache_factor,
     _cached_factor,
     _check_tol,
+    _strict_lower_indices,
     _unit_lower_inverse,
     as_pattern,
     canonical_diagonal,
@@ -43,15 +44,31 @@ __all__ = [
 ]
 
 
+# The largest size whose triangularity check gathers the strict upper
+# triangle through indices cached per n. Above it np.triu costs less per entry
+# than the gather (at n = 256, 0.12 ms against 0.17 ms), and the 8 n^2 bytes
+# of indices would be kept for good.
+_GATHER_MAX = 32
+
+
 def is_lower_triangular(L, tol=0.0):
     """True when L (or every matrix of a stack L) is square lower triangular
     with strictly positive diagonal."""
     L = np.asarray(L)
     if L.ndim < 2 or L.shape[-1] != L.shape[-2]:
         return False
-    upper_ok = np.all(np.abs(np.triu(L, 1)) <= tol)
+    n = L.shape[-1]
+    if n <= _GATHER_MAX:
+        rows, cols = _strict_lower_indices(n)
+        upper = L[..., cols, rows]
+    else:
+        upper = np.triu(L, 1)
+    # np.triu(L, 1) also holds zeros, so a tol below 0 (or NaN) admits no
+    # nonempty L; the gathered entries alone would.
+    if not ((np.abs(upper) <= tol).all() and (tol >= 0 or not L.size)):
+        return False
     diag = np.diagonal(L, axis1=-2, axis2=-1)
-    return bool(upper_ok and np.all(diag.real > 0) and np.all(diag.imag == 0))
+    return bool((diag.real > 0).all() and (diag.imag == 0).all())
 
 
 def _check_lower(L, ndim=2):
@@ -212,7 +229,10 @@ def _cone_matrices(F, patterns, cone):
     """compose against canonical_point, batched: F_i D_i F_i* (LPM) or
     F_i* D_i F_i (TPM) for a factor stack F, with D_i the canonical basis of
     patterns[i] (patterns is one pattern or an (m, n) array of them), each
-    D_i given to the congruence as its vector of signs."""
+    D_i given to the congruence as its vector of signs. PatternMismatch when
+    a pattern's length is not the factors' size."""
     F = _check_lower(F, ndim=3)
-    signs = np.broadcast_to(canonical_signs(patterns), F.shape[:-1])
-    return _congruence(F, signs if cone == LPM else signs[:, ::-1], cone)
+    signs = canonical_signs(patterns)
+    if signs.shape[-1] != F.shape[-1]:
+        raise PatternMismatch(f"pattern length {signs.shape[-1]} != dimension {F.shape[-1]}")
+    return _congruence(F, signs if cone == LPM else signs[..., ::-1], cone)

@@ -8,7 +8,8 @@ trailing principal minors.
 
 import math
 from dataclasses import dataclass, field
-from itertools import product
+from functools import lru_cache
+from itertools import product, repeat
 
 import numpy as np
 
@@ -91,6 +92,39 @@ class ConePoint:
     @property
     def dim(self):
         return self.matrix.shape[0]
+
+
+def _points(M, cone, patterns):
+    """The ConePoints of the matrix stack M in the given cone, with one
+    pattern for every matrix or an (m, n) array of them: the points that
+    ConePoint(matrix=M[i], cone=cone, pattern=...) would make, each pattern a
+    tuple of ints, with the default tolerance and no factor cached.
+
+    Each point is made by object.__new__ and one object.__setattr__ for each
+    field that the dataclass's __init__ sets, in the same order, so the
+    points keep the class's own instance layout; _factor_cache is left to
+    its class default, as __init__ leaves it. With one pattern every point
+    shares the one tuple.
+    """
+    rows = np.asarray(patterns, dtype=int)
+    each = repeat(tuple(rows.tolist())) if rows.ndim == 1 else map(tuple, rows.tolist())
+    new, put = object.__new__, object.__setattr__
+    points = []
+    for Mi, pattern in zip(M, each):
+        point = new(ConePoint)
+        put(point, "matrix", Mi)
+        put(point, "cone", cone)
+        put(point, "pattern", pattern)
+        put(point, "tolerance_used", DEFAULT_TOL)
+        points.append(point)
+    return points
+
+
+@lru_cache
+def _strict_lower_indices(n):
+    """(rows, cols) of the strict lower triangle of an n x n matrix, row-major,
+    as read-only arrays: np.tril_indices(n, -1), computed once per n."""
+    return tuple(_read_only(i) for i in np.tril_indices(n, -1))
 
 
 def _read_only(a):
@@ -352,7 +386,9 @@ def canonical_signs(eps):
     """(e0*e1, e1*e2, ..., e_{n-1}*e_n) with e0 = 1, as floats; eps may also
     be an unvalidated array of patterns along its last axis."""
     e = np.asarray(eps if np.ndim(eps) > 1 else as_pattern(eps), dtype=float)
-    return e * np.concatenate((np.ones_like(e[..., :1]), e[..., :-1]), axis=-1)
+    signs = e.copy()
+    signs[..., 1:] *= e[..., :-1]
+    return signs
 
 
 def canonical_diagonal(eps):

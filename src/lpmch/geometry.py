@@ -12,8 +12,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import LPM, ConePoint, _cache_factor, _read_only, as_pattern, \
-    canonical_diagonal, reverse_matrix, symmetrize
+from .core import LPM, _cache_factor, _points, _read_only, _strict_lower_indices, \
+    as_pattern, canonical_diagonal, reverse_matrix, symmetrize
 from .cholesky import _check_same_cone, _cone_matrices, _factor
 from .errors import ComplexFactor
 
@@ -26,23 +26,31 @@ __all__ = [
 ]
 
 
+# The one-point helpers below compute what np.tril(L, -1), a copy of
+# np.diagonal(L) and strict + np.diag(diag) compute, bit for bit and in the
+# same memory order, with less overhead per call: _strict's mask is cached
+# per shape, and _assemble writes the diagonal itself.
+
 def _strict(L):
-    return np.tril(L, -1)
+    L = np.asanyarray(L)
+    return np.where(_strict_lower_mask(*L.shape[-2:]), L, np.zeros(1, L.dtype))
 
 
 def _diag(L):
-    return np.diagonal(L).copy()
+    return np.asanyarray(L).diagonal().copy()
 
 
 def _assemble(strict, diag):
-    return strict + np.diag(diag)
+    n = diag.shape[0]
+    D = np.zeros((n, n), diag.dtype)
+    D.reshape(-1)[::n + 1] = diag
+    return strict + D
 
 
 @lru_cache
-def _strict_lower_indices(n):
-    """(rows, cols) of the strict lower triangle of an n x n matrix, row-major,
-    as read-only arrays: np.tril_indices(n, -1), computed once per n."""
-    return tuple(_read_only(i) for i in np.tril_indices(n, -1))
+def _strict_lower_mask(rows, cols=None):
+    """np.tri(rows, cols, -1, dtype=bool), read-only, computed once per shape."""
+    return _read_only(np.tri(rows, cols, -1, dtype=bool))
 
 
 def group_op(L, K):
@@ -143,7 +151,7 @@ def differential(L, X, eps):
 
 
 def _half_lower(A):
-    return np.tril(A, -1) + np.diag(_diag(A) / 2)
+    return _assemble(_strict(A), _diag(A) / 2)
 
 
 def differential_inv(L, W, eps):
@@ -167,11 +175,9 @@ def cone_factor(A):
 
 
 def _as_points(M, patterns, cone, size):
-    """ConePoints of a matrix stack with one or per-matrix patterns; the list,
-    or its only point when size is None."""
-    rows = np.broadcast_to(np.asarray(patterns, dtype=int), M.shape[:-1]).tolist()
-    points = [ConePoint(matrix=Mi, cone=cone, pattern=tuple(p))
-              for Mi, p in zip(M, rows)]
+    """ConePoints of a matrix stack with one or per-matrix patterns (see
+    core._points); the list, or its only point when size is None."""
+    points = _points(M, cone, patterns)
     return points[0] if size is None else points
 
 

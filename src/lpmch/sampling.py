@@ -41,6 +41,7 @@ from .core import (
     _inverse,
     _read_only,
     _same_entries,
+    _strict_lower_indices,
     _unrank_patterns,
     as_pattern,
     reverse_matrix,
@@ -48,7 +49,7 @@ from .core import (
     symmetrize,
 )
 from .cholesky import _cone_matrices, _factor
-from .geometry import _as_points, _cone_points, _strict_lower_indices, eta, eta_inv
+from .geometry import _as_points, _cone_points, eta, eta_inv
 from .errors import PatternMismatch, SpecInvalid
 
 __all__ = [
@@ -94,7 +95,8 @@ class DistributionSpec:
     Specs compare by identity, as cone points do. A spec keeps its prepared
     law (see the module docstring) after its first density call; it is used
     only while sigma, sigma_tilde and m0.matrix hold exactly the entries it
-    was prepared from.
+    was prepared from, and the pattern (m0.pattern for cholesky_normal) the
+    signs it was prepared from.
     """
 
     kind: str
@@ -260,14 +262,22 @@ def _density_arrays(spec):
     return (spec.sigma,)
 
 
+def _given_pattern(spec):
+    """A copy of the pattern, as given, that points must carry under spec."""
+    return tuple(spec.m0.pattern if spec.kind == "cholesky_normal" else spec.pattern)
+
+
 class _Law:
     """The spec-only part of the log-densities of one validated spec, from
-    read-only copies of its array entries. Each term is computed when a
-    density first asks for it, after that density's point checks, and then
-    kept; a term that raises is not kept, so it raises on every call."""
+    read-only copies of its array entries and of its pattern (given, and
+    normalized once, here). Each other term is computed when a density first
+    asks for it, after that density's point checks, and then kept; a term
+    that raises is not kept, so it raises on every call."""
 
     def __init__(self, spec, entries):
         self.dof, self.m0, self.entries = spec.dof, spec.m0, entries
+        self.given_pattern = _given_pattern(spec)
+        self.pattern = as_pattern(self.given_pattern)
 
     @cached_property
     def scale(self):
@@ -295,12 +305,13 @@ class _Law:
 
 def _prepared_law(spec):
     """spec's prepared law: the kept one while spec's array entries are bit
-    for bit those it was prepared from, else a new one, made after
-    spec.validate() and kept on spec (a spec that fails validation keeps
-    nothing)."""
+    for bit, and its pattern entry by entry, those it was prepared from, else
+    a new one, made after spec.validate() and kept on spec (a spec that fails
+    validation keeps nothing)."""
     if spec._law_cache is not None:
         entries, law = spec._law_cache
-        if all(map(_same_entries, _density_arrays(spec), entries)):
+        if all(map(_same_entries, _density_arrays(spec), entries)) \
+                and _given_pattern(spec) == law.given_pattern:
             return law
     spec.validate()
     entries = tuple(_read_only(np.array(a)) for a in _density_arrays(spec))
@@ -309,8 +320,7 @@ def _prepared_law(spec):
     return law
 
 
-def _check_point_matches(M, spec, pattern=None):
-    pattern = as_pattern(spec.pattern if pattern is None else pattern)
+def _check_point_matches(M, spec, pattern):
     if M.cone != spec.cone or M.pattern != pattern:
         raise PatternMismatch(
             f"point is {M.cone}{M.pattern}, spec wants {spec.cone}{pattern}")
@@ -318,7 +328,7 @@ def _check_point_matches(M, spec, pattern=None):
 
 def _factor_logdet(L):
     """log det of L L* (or L* L): 2 sum log l_jj."""
-    return 2.0 * float(np.sum(np.log(np.diagonal(L).real)))
+    return 2.0 * float(np.log(L.diagonal().real).sum())
 
 
 def _squared_norm(Y):
@@ -335,7 +345,7 @@ def wishart_log_density(M, spec):
     ||C^-1 L^T||^2 (TPM).
     """
     law = _prepared_law(spec)
-    _check_point_matches(M, spec)
+    _check_point_matches(M, spec, law.pattern)
     L = _factor(M)
     _, C_inv, sigma_logdet, gamma = law.scale
     n, N = L.shape[0], spec.dof
@@ -409,7 +419,7 @@ def cholesky_normal_log_density(M, spec, measure="eta"):
     of coordinates -> matrix.
     """
     law = _prepared_law(spec)
-    _check_point_matches(M, spec, spec.m0.pattern)
+    _check_point_matches(M, spec, law.pattern)
     L = _factor(M)
     v = eta(L)
     mean, St_inv, const = law.normal
@@ -449,7 +459,7 @@ def inverse_wishart_log_density(X, spec):
     ||L^-1 C||^2 (LPM) or ||L^-T C||^2 (TPM).
     """
     law = _prepared_law(spec)
-    _check_point_matches(X, spec)
+    _check_point_matches(X, spec, law.pattern)
     L = _factor(X)
     C, _, sigma_logdet, gamma = law.scale
     n, N = L.shape[0], spec.dof

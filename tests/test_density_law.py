@@ -118,6 +118,26 @@ def test_an_in_place_edit_prepares_the_law_again(kind, entry, cone):
     assert after == density(M, rebuilt(spec))
 
 
+@pytest.mark.parametrize("kind", ("wishart", "cholesky_normal"))
+def test_an_in_place_edit_of_a_list_pattern_prepares_the_law_again(kind):
+    rng = np.random.default_rng(6)
+    eps = signed_pattern(rng, 3)
+    spec = {s.kind: s for s in specs(rng, 3, "lpm", eps)}[kind]
+    if kind == "cholesky_normal":
+        m0 = spec.m0
+        spec = DistributionSpec(kind=kind, m0=ConePoint(m0.matrix, m0.cone, list(eps)),
+                                sigma_tilde=spec.sigma_tilde)
+        given = spec.m0.pattern
+    else:
+        spec = DistributionSpec(kind=kind, pattern=list(eps), sigma=spec.sigma, dof=spec.dof)
+        given = spec.pattern
+    M = cone_compose(random_factor(rng, 3), eps)
+    density(M, spec)
+    given[0] = -given[0]
+    with pytest.raises(PatternMismatch):
+        density(M, spec)
+
+
 def test_validation_runs_once_per_spec_content(monkeypatch):
     calls = []
     validate = DistributionSpec.validate
