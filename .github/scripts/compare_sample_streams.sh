@@ -1,30 +1,38 @@
 #!/usr/bin/env bash
-# Seeded `lpmch sample` streams must be byte-identical across commits.
+# Seeded `lpmch sample` streams, `lpmch density` values and seeded
+# `lpmch verify` reports must be byte-identical across commits.
 #
 # usage: .github/scripts/compare_sample_streams.sh BASE
 #
-# Checks BASE out with `git worktree` next to the current checkout, runs
-# `lpmch sample` from each tree's src/ (so whatever lpmch is installed does
-# not matter) for all four laws, at n = 3 and n = 10, in both cones, with
-# fixed seeds, and compares each pair of streams with cmp. Needs Python with
-# NumPy; exits non-zero at the first pair that differs.
+# Unpacks BASE with `git archive` into a temporary directory, runs lpmch
+# from each tree's src/ (so whatever lpmch is installed does not matter) and
+# compares each pair of outputs with cmp:
+#   - `lpmch sample` of all four laws, at n = 3 and n = 10, in both cones,
+#     with fixed seeds (16 streams);
+#   - `lpmch density` of the three laws with a density, at the centre point
+#     of each cone and n, from the same inputs (12 values, printed with
+#     %.17g, so equal text is equal bits);
+#   - `lpmch verify` of every inequality on the three preset walks at a
+#     fixed seed (15 reports). A report prints path frequencies, so it
+#     catches a moved stream or walk, not a last-bit change of the walk's
+#     distances: scaling the Wishart steps' increments by 1 + 1e-6 left all
+#     15 reports unchanged, by 1.01 changed them.
+# Needs Python with NumPy; exits non-zero at the first pair that differs.
 #
-# A change that moves streams on purpose records each moved stream as a line
-# "DIST CONE N" (e.g. "inv-wishart tpm 10"; lines from # on are ignored) in
-# .github/stream_moves of its own tree. Those pairs are compared and
-# reported but do not fail the check. The next change, whose base then
-# carries the moved streams, empties the file again.
+# A change that moves outputs on purpose records each moved one as a line
+# in .github/stream_moves of its own tree: "DIST CONE N" for a stream (e.g.
+# "inv-wishart tpm 10"), "density DIST CONE N" for a density value and
+# "verify PRESET INEQUALITY" for a report; lines from # on are ignored.
+# Those pairs are compared and reported but do not fail the check. The next
+# change, whose base then carries the moved outputs, empties the file again.
 set -euo pipefail
 
 base=$1
 head=$(git rev-parse --show-toplevel)
 work=$(mktemp -d)
-cleanup() {
-  git -C "$head" worktree remove --force "$work/base" >/dev/null 2>&1 || true
-  rm -rf "$work"
-}
-trap cleanup EXIT
-git -C "$head" worktree add --detach "$work/base" "$base" >/dev/null
+trap 'rm -rf "$work"' EXIT
+mkdir "$work/base"
+git -C "$head" archive "$base" | tar -x -C "$work/base"
 
 # Inputs: a PD scale matrix, an LPM centre point and its reversal (a TPM
 # point with the same pattern), and a coordinate covariance, per n.
@@ -65,6 +73,29 @@ moved() {
 
 compared=0
 skipped=0
+# compare KEY ARGS...: runs `lpmch ARGS...` from both trees and compares
+# the outputs, unless KEY is listed as moved.
+compare() {
+  local key=$1 out=$work/$(echo "$1" | tr ' ' '.') tree
+  shift
+  for side in base head; do
+    tree=$head
+    [ "$side" = base ] && tree=$work/base
+    PYTHONPATH="$tree/src" python -m lpmch.cli "$@" > "$out.$side"
+  done
+  if moved "$key"; then
+    if cmp -s "$out.base" "$out.head"; then
+      echo "$key: listed as moved, but byte-identical"
+    else
+      echo "$key: moved, as listed in .github/stream_moves"
+    fi
+    skipped=$((skipped + 1))
+    return
+  fi
+  cmp "$out.base" "$out.head"
+  compared=$((compared + 1))
+}
+
 for n in 3 10; do
   pattern=$(cat "$work/pattern$n")
   for cone in lpm tpm; do
@@ -77,24 +108,21 @@ for n in 3 10; do
         *)
           flags=(--sigma "$work/sigma$n.json" --dof $((n + 2)) "--epsilon=$pattern") ;;
       esac
-      for side in base head; do
-        tree=$head
-        [ "$side" = base ] && tree=$work/base
-        PYTHONPATH="$tree/src" python -m lpmch.cli sample --dist "$dist" --cone "$cone" \
-          --seed 20251 --count 200 "${flags[@]}" > "$work/$side.$dist.$cone.$n.jsonl"
-      done
-      if moved "$dist $cone $n"; then
-        if cmp -s "$work/base.$dist.$cone.$n.jsonl" "$work/head.$dist.$cone.$n.jsonl"; then
-          echo "$dist $cone n=$n: listed as moved, but byte-identical"
-        else
-          echo "$dist $cone n=$n: moved, as listed in .github/stream_moves"
-        fi
-        skipped=$((skipped + 1))
-        continue
-      fi
-      cmp "$work/base.$dist.$cone.$n.jsonl" "$work/head.$dist.$cone.$n.jsonl"
-      compared=$((compared + 1))
+      compare "$dist $cone $n" sample --dist "$dist" --cone "$cone" \
+        --seed 20251 --count 200 "${flags[@]}"
+      [ "$dist" = clone ] && continue
+      compare "density $dist $cone $n" density "$work/m0_$cone$n.json" \
+        --dist "$dist" --cone "$cone" "${flags[@]}"
     done
   done
 done
-echo "$compared seeded sample streams byte-identical to $base ($skipped listed as moved)"
+
+for preset in pd_walk mixed_box_walk deterministic_walk; do
+  echo "{\"preset\": \"$preset\"}" > "$work/$preset.json"
+  for inequality in mogulskii_min mogulskii_max ottaviani_skorohod levy_ottaviani \
+      hoffmann_jorgensen; do
+    compare "verify $preset $inequality" verify --inequality "$inequality" \
+      --config "$work/$preset.json" --seed 20251 --trials 2000
+  done
+done
+echo "$compared seeded outputs byte-identical to $base ($skipped listed as moved)"

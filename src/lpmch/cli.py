@@ -94,68 +94,48 @@ def _cmd_mean(args):
 def _spec_from_args(args):
     kind = {"wishart": "wishart", "inv-wishart": "inverse_wishart",
             "cholesky-normal": "cholesky_normal", "clone": "inertial_clone"}[args.dist]
-    cone = args.cone
-    if kind == "cholesky_normal":
+    if args.dist == "cholesky-normal":
         if not (args.m0 and args.sigma_tilde):
             raise SpecInvalid("cholesky-normal needs --m0 and --sigma-tilde")
-        m0 = classify(read_matrix(args.m0), cone=cone, tol=args.tol)
-        return sampling.DistributionSpec(kind=kind, cone=cone, m0=m0,
+        m0 = classify(read_matrix(args.m0), cone=args.cone, tol=args.tol)
+        return sampling.DistributionSpec(kind=kind, cone=args.cone, m0=m0,
                                          sigma_tilde=read_matrix(args.sigma_tilde))
     if args.sigma is None or args.dof is None:
         raise SpecInvalid(f"{args.dist} needs --sigma and --dof")
     sigma = read_matrix(args.sigma)
-    n = sigma.shape[0]
-    if kind == "inertial_clone":
+    if args.dist == "clone":
         base = sampling.DistributionSpec(kind="wishart", cone=LPM,
-                                         pattern=tuple([1] * n), sigma=sigma,
+                                         pattern=tuple([1] * len(sigma)), sigma=sigma,
                                          dof=args.dof)
-        return sampling.DistributionSpec(kind=kind, cone=cone, base=base,
+        return sampling.DistributionSpec(kind=kind, cone=args.cone, base=base,
                                          k=args.k, all_cones=args.all_cones)
     if not args.epsilon:
         raise SpecInvalid(f"{args.dist} needs --epsilon")
-    return sampling.DistributionSpec(kind=kind, cone=cone,
+    return sampling.DistributionSpec(kind=kind, cone=args.cone,
                                      pattern=pattern_from_string(args.epsilon),
                                      sigma=sigma, dof=args.dof)
-
-
-_SAMPLERS = {
-    "wishart": sampling.wishart_sample,
-    "inverse_wishart": sampling.inverse_wishart_sample,
-    "cholesky_normal": sampling.cholesky_normal_sample,
-    "inertial_clone": sampling.inertial_clone_sample,
-}
 
 
 def _cmd_sample(args):
     if args.count < 0:
         raise SpecInvalid(f"--count must be >= 0, got {args.count}")
-    spec = _spec_from_args(args).validate()
+    law = sampling._law(_spec_from_args(args))
     seed = _seed(args)
-    rng = sampling.RngStream(seed)
-    header = {"spec": {"dist": args.dist, "cone": spec.cone,
-                       "dim": spec.dim, "dof": spec.dof,
-                       "epsilon": args.epsilon, "k": spec.k,
-                       "all_cones": spec.all_cones},
+    header = {"spec": {"dist": args.dist, "cone": law.spec.cone,
+                       "dim": law.n, "dof": law.spec.dof,
+                       "epsilon": args.epsilon, "k": law.spec.k,
+                       "all_cones": law.spec.all_cones},
               "seed": seed, "count": args.count}
     print(json.dumps(header, sort_keys=True))
-    draws = _SAMPLERS[spec.kind](rng, spec, size=args.count)
-    for point in draws:
+    for point in law.sample(sampling.RngStream(seed), args.count):
         print(matrix_to_json_line(point.matrix))
     return 0
 
 
 def _cmd_density(args):
-    spec = _spec_from_args(args).validate()
+    law = sampling._law(_spec_from_args(args))
     M = _classified(args.matrix, args.cone, args.tol)
-    if spec.kind == "wishart":
-        value = sampling.wishart_log_density(M, spec)
-    elif spec.kind == "inverse_wishart":
-        value = sampling.inverse_wishart_log_density(M, spec)
-    elif spec.kind == "cholesky_normal":
-        value = sampling.cholesky_normal_log_density(M, spec, measure=args.measure)
-    else:
-        raise SpecInvalid("no density for inertial clones; use the base law")
-    print(format_float(value))
+    print(format_float(law.log_density(M, args.measure)))
     return 0
 
 

@@ -15,10 +15,9 @@ import numpy as np
 
 from .core import LPM, ConePoint, as_pattern, pattern_from_string
 from .cholesky import _factor
-from .geometry import _eta, eta
+from .geometry import eta
 from .errors import GroupMismatch, SpecInvalid
-from .sampling import DistributionSpec, _bartlett_draws, _clone_patterns, _clone_ranks, \
-    _normal_draws, _normal_etas, _normal_affine, _scale_factor, _wishart_factors
+from .sampling import DistributionSpec, _law
 from .biggroup import BigGroupElement, _check_p, _combine
 
 __all__ = ["Report", "WalkStats", "simulate_walk", "verify_from_stats",
@@ -62,52 +61,22 @@ class WalkStats:
 
 
 def _step_draws(rng, spec, paths, out=None):
-    """The draws of one walk step for every path (see sampling): the step's
-    generator calls, filled into out (paths n(n+1)/2 floats) when it is
+    """The draws of one walk step for every path: the draws of the step's
+    law (see sampling), filled into out (paths n(n+1)/2 floats) when it is
     given. An invalid spec, or one of a kind a walk cannot take, raises
     SpecInvalid before the first draw."""
-    spec.validate()
-    g = rng.generator
-    if spec.kind == "inertial_clone":
-        return _clone_ranks(g, spec, paths), _bartlett_draws(
-            g, spec.base.dim, spec.base.dof, paths, out)
-    if spec.kind == "cholesky_normal":
-        return _normal_draws(g, spec, paths, out)
-    if spec.kind == "wishart":
-        return _bartlett_draws(g, spec.dim, spec.dof, paths, out)
-    raise SpecInvalid(f"walk steps cannot have kind {spec.kind!r}")
-
-
-# Factor entries per block of paths in a step's Wishart arithmetic: the
-# block's (paths, n, n) temporaries stay near 1 MB, whatever the path count.
-# With one block per step, the walk-mc benchmark on a 2-core x86-64 host ran
-# 19 % fewer tasks per second and peaked 15 % higher in resident memory.
-_BLOCK_ENTRIES = 1 << 17
+    law = _law(spec)
+    if law.increments is None:
+        raise SpecInvalid(f"walk steps cannot have kind {spec.kind!r}")
+    return law.draws(rng.generator, paths, out)
 
 
 def _step_increments(spec, draws, out=None):
-    """The arithmetic of one walk step: its coordinate increments, written
-    into out (paths, m) when it is given, from its draws, and their patterns:
-    one (n,) pattern shared by every path, or (paths, n) for a clone step.
-    Wishart draws are turned into coordinates one block of paths at a time."""
-    if spec.kind == "cholesky_normal":
-        return (_normal_etas(_normal_affine(spec), draws, out),
-                np.array(as_pattern(spec.m0.pattern), dtype=int))
-    if spec.kind == "inertial_clone":
-        ranks, draws = draws
-        base, patterns = spec.base, _clone_patterns(spec, ranks)
-    else:
-        base, patterns = spec, np.array(as_pattern(spec.pattern), dtype=int)
-    L0 = _scale_factor(base.sigma, base.cone)
-    chi, z = draws
-    n, paths = chi.shape
-    if out is None:
-        out = np.empty((paths, n * (n + 1) // 2))
-    block = max(1, _BLOCK_ENTRIES // (n * n))
-    for a in range(0, paths, block):
-        F = _wishart_factors(L0, (chi[:, a:a + block], z[a:a + block]), base.cone)
-        _eta(F, out[a:a + block])
-    return out, patterns
+    """The arithmetic of one walk step, by the step's law: its coordinate
+    increments, written into out (paths, m) when it is given, from its
+    draws, and their patterns: one (n,) pattern shared by every path, or
+    (paths, n) for a clone step."""
+    return _law(spec).increments(draws, out)
 
 
 # A walk's draws run on a helper thread only when one step draws at least this

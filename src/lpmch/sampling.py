@@ -5,27 +5,38 @@ Bartlett construction), the Cholesky-normal law, the inverse Wishart, and
 inertial cloning. All densities are computed in log space; all draws are
 reproducible from an explicit seeded stream.
 
-Every sampler draws one (m, n, n) stack of lower triangular factors (a
-Bartlett stack, or the chart image of a stack of normal coordinates) and
-turns the whole stack into cone points in one batched congruence at the
-end; the inverse Wishart inverts that stack in one call. Each sampler is
-the composition of its draws and its arithmetic: the draws are its
-generator calls, in stream order, into plain arrays (chi-square and normal
-draws of Bartlett factors, the standard normals of the Cholesky-normal law,
-the pattern positions of a clone); the arithmetic reads no stream and turns
-the draws into factors or coordinates. Densities read
-the factor of a point against its canonical basis (cone_factor), which
-the point keeps after the first read.
+Each kind of DistributionSpec has one law class, found through the table
+_LAWS from kind to class: _Wishart, _InverseWishart, _CholeskyNormal and
+_Clone. The class owns the kind's validation (DistributionSpec.validate and
+dim dispatch to it), and its instance, the law of one validated spec, owns
+what the samplers, densities and walk steps compute from that spec:
 
-A density splits into a spec-only part and a per-point part. The spec-only
-part, the spec's prepared law, is made by the first density call on a spec:
-the spec is validated, and the Cholesky factor of sigma, the normalising
-constant and, for the Cholesky-normal law, the coordinates of the centre and
-the inverse of sigma_tilde are computed once and kept on the spec. The law
-is kept against copies of the entries of sigma, sigma_tilde and m0.matrix;
-after an in-place edit of any of them the next density call validates and
-prepares the spec again. The per-point part reads the point's factor L:
-log det is 2 sum log l_jj, and the trace term is a squared Frobenius norm.
+- draws(g, m, out): the law's generator calls, in stream order, into plain
+  arrays (the chi-square and normal draws of Bartlett factors, the standard
+  normals of the Cholesky-normal law, the pattern positions of a clone),
+  filled into out when it is given;
+- the arithmetic, which reads no stream: from draws to an (m, n, n) stack
+  of factors (factors, of the Wishart laws) or to coordinates (etas, of the
+  Cholesky-normal law); to a walk step's coordinate increments and patterns
+  (increments; the Wishart law makes them one block of paths at a time);
+  and to cone points (points), in one batched congruence of the whole
+  stack, which the inverse Wishart inverts in one call;
+- log_density(M): the per-point part of a density. It reads the factor L
+  of M against its canonical basis (cone_factor), which the point keeps
+  after the first read: log det is 2 sum log l_jj, and the trace term is a
+  squared Frobenius norm.
+
+A spec's law is made by the first call that needs it (_law): the spec is
+validated, and the law is kept on the spec against read-only copies of the
+entries of sigma (the base's, for a clone), sigma_tilde and m0.matrix, and
+of the pattern as given (m0.pattern for the Cholesky-normal law, the
+base's for a clone). Its spec-only terms (the scale factors, the inverse
+and normalising constant of a density, the coordinates of the centre and
+the PSD square root of sigma_tilde) are computed when first asked for and
+then kept. After an in-place edit of any of those arrays or of the
+pattern, the next call validates the spec and makes its law again; a spec
+that fails validation keeps nothing. A function named after a kind raises
+SpecInvalid for a spec of another kind before any draw or arithmetic.
 """
 
 import math
@@ -38,6 +49,7 @@ from .core import (
     LPM,
     TPM,
     ConePoint,
+    _check_finite,
     _inverse,
     _read_only,
     _same_entries,
@@ -49,7 +61,7 @@ from .core import (
     symmetrize,
 )
 from .cholesky import _cone_matrices, _factor
-from .geometry import _as_points, _cone_points, eta, eta_inv
+from .geometry import _as_points, _cone_points, _eta, eta, eta_inv
 from .errors import PatternMismatch, SpecInvalid
 
 __all__ = [
@@ -92,11 +104,16 @@ class DistributionSpec:
     base / k / all_cones: PD-supported base spec and target inertia for
     inertial cloning (all_cones spreads the mass over every pattern instead).
 
-    Specs compare by identity, as cone points do. A spec keeps its prepared
-    law (see the module docstring) after its first density call; it is used
-    only while sigma, sigma_tilde and m0.matrix hold exactly the entries it
-    was prepared from, and the pattern (m0.pattern for cholesky_normal) the
-    signs it was prepared from.
+    Each kind has one law class (see the module docstring). validate and
+    dim dispatch to it: an unknown kind, a missing field, a NaN or infinite
+    entry of sigma or sigma_tilde (NonFiniteInput) or a parameter out of its
+    range raises there. The samplers, densities and walk steps use the
+    spec's law, which the spec keeps after its first use. It is used only
+    while sigma (the base's, for a clone), sigma_tilde and m0.matrix hold
+    exactly the entries it was made from, and the pattern (m0.pattern for
+    cholesky_normal, the base's for a clone) the signs it was made from.
+
+    Specs compare by identity, as cone points do.
     """
 
     kind: str
@@ -109,51 +126,17 @@ class DistributionSpec:
     base: "DistributionSpec" = None
     k: int = None
     all_cones: bool = False
-    # (entries, law): read-only copies of the array entries the law was
-    # prepared from (_density_arrays) and the _Law; None until a density call.
-    _law_cache: tuple = field(default=None, init=False, repr=False, compare=False)
+    # The law, which holds read-only copies of the arrays it was made from
+    # (its class's parts); None until the law is first used.
+    _law_cache: "_SpecLaw" = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def dim(self):
-        if self.kind == "cholesky_normal":
-            return self.m0.dim
-        if self.kind == "inertial_clone":
-            return self.base.dim
-        return np.asarray(self.sigma).shape[0]
+        """The matrix size n; SpecInvalid when a field the law needs is missing."""
+        return np.asarray(_law_class(self).parts(self)[0][0]).shape[0]
 
     def validate(self):
-        if self.kind in ("wishart", "inverse_wishart"):
-            if self.sigma is None or self.dof is None or self.pattern is None:
-                raise SpecInvalid(f"{self.kind} needs sigma, dof, and pattern")
-            sigma = np.asarray(self.sigma, dtype=float)
-            n = sigma.shape[0]
-            if len(as_pattern(self.pattern)) != n:
-                raise SpecInvalid("pattern length does not match sigma")
-            if self.dof < n:
-                raise SpecInvalid(f"dof {self.dof} below dimension {n}")
-            if np.any(np.linalg.eigvalsh(symmetrize(sigma)) <= 0):
-                raise SpecInvalid("sigma must be positive definite")
-        elif self.kind == "cholesky_normal":
-            if self.m0 is None or self.sigma_tilde is None:
-                raise SpecInvalid("cholesky_normal needs m0 and sigma_tilde")
-            n = self.m0.dim
-            m = n * (n + 1) // 2
-            st = np.asarray(self.sigma_tilde, dtype=float)
-            if st.shape != (m, m):
-                raise SpecInvalid(f"sigma_tilde must be {m}x{m}, got {st.shape}")
-            if np.any(np.linalg.eigvalsh(symmetrize(st)) < -1e-12):
-                raise SpecInvalid("sigma_tilde must be positive semidefinite")
-        elif self.kind == "inertial_clone":
-            if self.base is None or self.base.kind != "wishart":
-                raise SpecInvalid("inertial_clone needs a wishart base spec")
-            self.base.validate()
-            if any(s != 1 for s in as_pattern(self.base.pattern)):
-                raise SpecInvalid("inertial_clone base must be PD-supported")
-            if not self.all_cones:
-                if self.k is None or not 0 <= self.k <= self.base.dim:
-                    raise SpecInvalid(f"need 0 <= k <= n, got k={self.k}")
-        else:
-            raise SpecInvalid(f"unknown distribution kind {self.kind!r}")
+        _law_class(self).validate(self)
         return self
 
 
@@ -221,63 +204,84 @@ def _scale_factor(sigma, cone):
     return np.linalg.cholesky(reverse_matrix(sigma) if cone == TPM else sigma)
 
 
-def _wishart_factors(L0, draws, cone):
-    """Cone factors of Bartlett draws with scale factor L0: L0 K, reversed in
-    the TPM cone."""
-    F = L0 @ _bartlett_factors(draws)
-    return reverse_matrix(F) if cone == TPM else F
-
-
-def wishart_factors(rng, spec, size=None):
-    """Cone factors of Wishart draws against the canonical basis of the cone.
-
-    A leading-minor draw is L0 K D K^T L0^T with L0 the classical Cholesky
-    factor of the self-adjoint part of sigma, so its factor is L0 K;
-    trailing-minor draws are the reversals of leading-minor draws with the
-    reversed scale.
-    """
-    spec.validate()
-    m = 1 if size is None else int(size)
-    draws = _bartlett_draws(rng.generator, spec.dim, spec.dof, m)
-    F = _wishart_factors(_scale_factor(spec.sigma, spec.cone), draws, spec.cone)
-    return F[0] if size is None else F
-
-
-def wishart_sample(rng, spec, size=None):
-    """Signed-Bartlett Wishart draw(s) as cone points."""
-    F = wishart_factors(rng, spec, size=1 if size is None else size)
-    return _cone_points(F, as_pattern(spec.pattern), spec.cone, size)
-
-
 def _multigammaln(a, d):
     """log Gamma_d(a), the multivariate gamma function, for a > (d - 1) / 2."""
     return (d * (d - 1) / 4.0 * math.log(math.pi)
             + sum(math.lgamma(a - j / 2.0) for j in range(d)))
 
 
-def _density_arrays(spec):
-    """The array entries a validated spec's densities depend on."""
-    if spec.kind == "cholesky_normal":
-        return (spec.sigma_tilde, spec.m0.matrix)
-    return (spec.sigma,)
+def _factor_logdet(L):
+    """log det of L L* (or L* L): 2 sum log l_jj."""
+    return 2.0 * float(np.log(L.diagonal().real).sum())
 
 
-def _given_pattern(spec):
-    """A copy of the pattern, as given, that points must carry under spec."""
-    return tuple(spec.m0.pattern if spec.kind == "cholesky_normal" else spec.pattern)
+def _squared_norm(Y):
+    """The squared Frobenius norm of Y."""
+    return float(np.vdot(Y, Y).real)
 
 
-class _Law:
-    """The spec-only part of the log-densities of one validated spec, from
-    read-only copies of its array entries and of its pattern (given, and
-    normalized once, here). Each other term is computed when a density first
-    asks for it, after that density's point checks, and then kept; a term
-    that raises is not kept, so it raises on every call."""
+# Factor entries per block of paths in a walk step's Wishart arithmetic: the
+# block's (paths, n, n) temporaries stay near 1 MB, whatever the path count.
+# With one block per step, the walk-mc benchmark on a 2-core x86-64 host ran
+# 19 % fewer tasks per second and peaked 15 % higher in resident memory.
+_BLOCK_ENTRIES = 1 << 17
 
-    def __init__(self, spec, entries):
-        self.dof, self.m0, self.entries = spec.dof, spec.m0, entries
-        self.given_pattern = _given_pattern(spec)
-        self.pattern = as_pattern(self.given_pattern)
+
+class _SpecLaw:
+    """The law of one validated spec, from read-only copies of the arrays
+    its class's parts names (entries) and of its pattern as given. Each
+    spec-only term is a cached_property: computed when first asked for (by a
+    density, after its point checks) and then kept; a term that raises is
+    not kept, so it raises on every call."""
+
+    def __init__(self, spec, entries, given_pattern):
+        self.spec, self.entries, self.given_pattern = spec, entries, given_pattern
+        self.cone, self.n, self.dof = spec.cone, spec.dim, spec.dof
+        self.pattern = as_pattern(given_pattern)
+
+    def sample(self, rng, size):
+        """Cone point(s) of size draws; one point when size is None."""
+        return self.points(self.draws(rng.generator, 1 if size is None else int(size)), size)
+
+    def factor_of(self, M):
+        """The factor of M (see cone_factor); PatternMismatch unless M is in
+        the law's cone and pattern."""
+        if M.cone != self.cone or M.pattern != self.pattern:
+            raise PatternMismatch(
+                f"point is {M.cone}{M.pattern}, spec wants {self.cone}{self.pattern}")
+        return _factor(M)
+
+
+class _Wishart(_SpecLaw):
+    """The transferred Wishart law: Bartlett draws K, cone factors L0 K
+    (reversed in the TPM cone), L0 the scale factor."""
+
+    kind = "wishart"
+
+    @staticmethod
+    def parts(spec):
+        """(the arrays the law reads, the first n x n; its pattern as given),
+        or SpecInvalid when a field the law needs is missing."""
+        if spec.sigma is None or spec.dof is None or spec.pattern is None:
+            raise SpecInvalid(f"{spec.kind} needs sigma, dof, and pattern")
+        return (spec.sigma,), spec.pattern
+
+    @staticmethod
+    def validate(spec):
+        n = spec.dim
+        sigma = np.asarray(spec.sigma, dtype=float)
+        if len(as_pattern(spec.pattern)) != n:
+            raise SpecInvalid("pattern length does not match sigma")
+        if spec.dof < n:
+            raise SpecInvalid(f"dof {spec.dof} below dimension {n}")
+        _check_finite(sigma)
+        if np.any(np.linalg.eigvalsh(symmetrize(sigma)) <= 0):
+            raise SpecInvalid("sigma must be positive definite")
+
+    @cached_property
+    def scale_factor(self):
+        """(the cone of the law's factors, L0: the factor of sigma in it)."""
+        return self.cone, _scale_factor(self.entries[0], self.cone)
 
     @cached_property
     def scale(self):
@@ -291,49 +295,224 @@ class _Law:
         return (C, np.tril(np.linalg.inv(C)), 2.0 * float(np.sum(np.log(np.diagonal(C)))),
                 _multigammaln(N / 2.0, n) + 0.5 * n * N * math.log(2.0))
 
+    def draws(self, g, m, out=None):
+        return _bartlett_draws(g, self.n, self.dof, m, out)
+
+    def factors(self, draws):
+        """The cone factors L0 K of Bartlett draws K, reversed in the TPM cone."""
+        cone, L0 = self.scale_factor
+        F = L0 @ _bartlett_factors(draws)
+        return reverse_matrix(F) if cone == TPM else F
+
+    def points(self, draws, size):
+        return _cone_points(self.factors(draws), self.pattern, self.cone, size)
+
+    def increments(self, draws, out=None):
+        chi, z = draws
+        n, paths = chi.shape
+        out = np.empty((paths, n * (n + 1) // 2)) if out is None else out
+        block = max(1, _BLOCK_ENTRIES // (n * n))
+        for a in range(0, paths, block):
+            _eta(self.factors((chi[:, a:a + block], z[a:a + block])), out[a:a + block])
+        return out, np.array(self.pattern, dtype=int)
+
+    def log_density(self, M, measure=None):
+        """See wishart_log_density; measure is the Cholesky-normal law's."""
+        L = self.factor_of(M)
+        _, C_inv, sigma_logdet, gamma = self.scale
+        n, N = L.shape[0], self.dof
+        Y = C_inv @ (L if M.cone == LPM else L.T)
+        return float(0.5 * (N - n - 1) * _factor_logdet(L) - 0.5 * _squared_norm(Y)
+                     - gamma - 0.5 * N * sigma_logdet)
+
+
+class _InverseWishart(_Wishart):
+    """The transferred inverse Wishart: the inverses of Wishart draws of the
+    reversed cone and pattern. A walk cannot take it."""
+
+    kind = "inverse_wishart"
+    increments = None  # no walk step
+
+    @cached_property
+    def scale_factor(self):
+        """(the reversed cone, the factor of the inverse of sigma in it)."""
+        cone = LPM if self.cone == TPM else TPM
+        return cone, _scale_factor(np.linalg.inv(symmetrize(self.entries[0].astype(float))), cone)
+
+    def points(self, draws, size):
+        cone, _ = self.scale_factor
+        M = _inverse(_cone_matrices(self.factors(draws), reverse_pattern(self.pattern), cone))
+        return _as_points(M, self.pattern, self.cone, size)
+
+    def log_density(self, X, measure=None):
+        """See inverse_wishart_log_density; measure is the Cholesky-normal law's."""
+        L = self.factor_of(X)
+        C, _, sigma_logdet, gamma = self.scale
+        n, N = L.shape[0], self.dof
+        Y = np.linalg.solve(L if X.cone == LPM else L.T, C)
+        return float(0.5 * N * sigma_logdet - gamma
+                     - 0.5 * (N + n + 1) * _factor_logdet(L) - 0.5 * _squared_norm(Y))
+
+
+class _CholeskyNormal(_SpecLaw):
+    """The Cholesky-normal law: standard normals z, coordinates mean + z A^T
+    with mean the coordinates of the centre and A the PSD square root of
+    sigma_tilde."""
+
+    kind = "cholesky_normal"
+
+    @staticmethod
+    def parts(spec):
+        if spec.m0 is None or spec.sigma_tilde is None:
+            raise SpecInvalid("cholesky_normal needs m0 and sigma_tilde")
+        return (spec.m0.matrix, spec.sigma_tilde), spec.m0.pattern
+
+    @staticmethod
+    def validate(spec):
+        n = spec.dim
+        m = n * (n + 1) // 2
+        st = np.asarray(spec.sigma_tilde, dtype=float)
+        if st.shape != (m, m):
+            raise SpecInvalid(f"sigma_tilde must be {m}x{m}, got {st.shape}")
+        _check_finite(st)
+        if np.any(np.linalg.eigvalsh(symmetrize(st)) < -1e-12):
+            raise SpecInvalid("sigma_tilde must be positive semidefinite")
+
+    @cached_property
+    def mean(self):
+        return eta(_factor(self.spec.m0))
+
+    @cached_property
+    def root(self):
+        w, U = np.linalg.eigh(symmetrize(np.asarray(self.entries[1], dtype=float)))
+        return U * np.sqrt(np.clip(w, 0.0, None))
+
     @cached_property
     def normal(self):
-        """(coordinates of the centre, sigma_tilde^-1, normalising constant)
-        of the Cholesky-normal density."""
-        mean = eta(_factor(self.m0))
-        St = symmetrize(self.entries[0].astype(float))
+        """(sigma_tilde^-1, normalising constant) of the density."""
+        St = symmetrize(self.entries[1].astype(float))
         sign, logdet = np.linalg.slogdet(St)
         if sign <= 0:
             raise SpecInvalid("density needs a positive definite sigma_tilde")
-        return mean, np.linalg.inv(St), -0.5 * (logdet + mean.size * math.log(2.0 * math.pi))
+        return np.linalg.inv(St), -0.5 * (logdet + len(St) * math.log(2.0 * math.pi))
+
+    def draws(self, g, m, out=None):
+        shape = (m, self.n * (self.n + 1) // 2)
+        return g.standard_normal(out=np.empty(shape) if out is None else out.reshape(shape))
+
+    def etas(self, z, out=None):
+        """The coordinates mean + z A^T of standard normals z, into out when
+        it is given."""
+        out = np.matmul(z, self.root.T, out=out)
+        return np.add(out, self.mean, out=out)
+
+    def points(self, z, size):
+        return _cone_points(eta_inv(self.etas(z)), self.pattern, self.cone, size)
+
+    def increments(self, z, out=None):
+        return self.etas(z, out), np.array(self.pattern, dtype=int)
+
+    def log_density(self, M, measure="eta"):
+        """See cholesky_normal_log_density."""
+        L = self.factor_of(M)
+        diff = eta(L) - self.mean
+        St_inv, const = self.normal
+        out = -0.5 * float(diff @ St_inv @ diff) + const
+        if measure == "lebesgue":
+            # d(matrix)/d(coords) = dPhi/dL times dL/d(coords); the latter only
+            # rescales the diagonal rows by l_jj.
+            out -= jacobian_logdet(L) + float(np.sum(np.log(np.diagonal(L))))
+        elif measure != "eta":
+            raise ValueError(f"measure must be 'eta' or 'lebesgue', got {measure!r}")
+        return float(out)
 
 
-def _prepared_law(spec):
-    """spec's prepared law: the kept one while spec's array entries are bit
-    for bit, and its pattern entry by entry, those it was prepared from, else
-    a new one, made after spec.validate() and kept on spec (a spec that fails
-    validation keeps nothing)."""
-    if spec._law_cache is not None:
-        entries, law = spec._law_cache
-        if all(map(_same_entries, _density_arrays(spec), entries)) \
-                and _given_pattern(spec) == law.given_pattern:
-            return law
-    spec.validate()
-    entries = tuple(_read_only(np.array(a)) for a in _density_arrays(spec))
-    law = _Law(spec, entries)
-    object.__setattr__(spec, "_law_cache", (entries, law))
+class _Clone(_SpecLaw):
+    """Inertial cloning: draws of the PD-supported Wishart base law pushed
+    to uniformly drawn patterns of the target inertia (or of any inertia).
+    Its draws are the pattern positions, then the base law's draws."""
+
+    kind = "inertial_clone"
+
+    @staticmethod
+    def parts(spec):
+        if spec.base is None or spec.base.kind != "wishart":
+            raise SpecInvalid("inertial_clone needs a wishart base spec")
+        return _Wishart.parts(spec.base)
+
+    @staticmethod
+    def validate(spec):
+        n = spec.dim
+        spec.base.validate()
+        if any(s != 1 for s in as_pattern(spec.base.pattern)):
+            raise SpecInvalid("inertial_clone base must be PD-supported")
+        if not spec.all_cones and (spec.k is None or not 0 <= spec.k <= n):
+            raise SpecInvalid(f"need 0 <= k <= n, got k={spec.k}")
+
+    def __init__(self, spec, entries, given_pattern):
+        super().__init__(spec, entries, given_pattern)
+        self.base = _Wishart(spec.base, entries, given_pattern)
+
+    def draws(self, g, m, out=None):
+        return _clone_ranks(g, self.spec, m), self.base.draws(g, m, out)
+
+    def points(self, draws, size):
+        F = self.base.factors(draws[1])
+        return _cone_points(F, _clone_patterns(self.spec, draws[0]), self.cone, size)
+
+    def increments(self, draws, out=None):
+        return self.base.increments(draws[1], out)[0], _clone_patterns(self.spec, draws[0])
+
+    def log_density(self, M, measure=None):
+        raise SpecInvalid("no density for inertial clones; use the base law")
+
+
+_LAWS = {law.kind: law for law in (_Wishart, _InverseWishart, _CholeskyNormal, _Clone)}
+
+
+def _law_class(spec):
+    """The law class of spec's kind."""
+    law = _LAWS.get(spec.kind)
+    if law is None:
+        raise SpecInvalid(f"unknown distribution kind {spec.kind!r}")
     return law
 
 
-def _check_point_matches(M, spec, pattern):
-    if M.cone != spec.cone or M.pattern != pattern:
-        raise PatternMismatch(
-            f"point is {M.cone}{M.pattern}, spec wants {spec.cone}{pattern}")
+def _law(spec, cls=None):
+    """spec's law: the kept one while spec's arrays are bit for bit, and its
+    pattern entry by entry, those it was made from, else a new one, made
+    after spec.validate() and kept on spec (a spec that fails validation
+    keeps nothing). With cls, a spec of another kind raises SpecInvalid
+    first."""
+    kind = _law_class(spec)
+    if cls is not None and kind is not cls:
+        raise SpecInvalid(f"need a {cls.kind} spec, got kind {spec.kind!r}")
+    arrays, given = kind.parts(spec)
+    law = spec._law_cache
+    if law is None or tuple(given) != law.given_pattern \
+            or not all(map(_same_entries, arrays, law.entries)):
+        spec.validate()
+        law = kind(spec, tuple(_read_only(np.array(a)) for a in arrays), tuple(given))
+        object.__setattr__(spec, "_law_cache", law)
+    return law
 
 
-def _factor_logdet(L):
-    """log det of L L* (or L* L): 2 sum log l_jj."""
-    return 2.0 * float(np.log(L.diagonal().real).sum())
+def wishart_factors(rng, spec, size=None):
+    """Cone factors of Wishart draws against the canonical basis of the cone.
+
+    A leading-minor draw is L0 K D K^T L0^T with L0 the classical Cholesky
+    factor of the self-adjoint part of sigma, so its factor is L0 K;
+    trailing-minor draws are the reversals of leading-minor draws with the
+    reversed scale.
+    """
+    law = _law(spec, _Wishart)
+    F = law.factors(law.draws(rng.generator, 1 if size is None else int(size)))
+    return F[0] if size is None else F
 
 
-def _squared_norm(Y):
-    """The squared Frobenius norm of Y."""
-    return float(np.vdot(Y, Y).real)
+def wishart_sample(rng, spec, size=None):
+    """Signed-Bartlett Wishart draw(s) as cone points."""
+    return _law(spec, _Wishart).sample(rng, size)
 
 
 def wishart_log_density(M, spec):
@@ -344,14 +523,7 @@ def wishart_log_density(M, spec):
     the Cholesky factor of sigma, tr(sigma^-1 W) is ||C^-1 L||^2 (LPM) or
     ||C^-1 L^T||^2 (TPM).
     """
-    law = _prepared_law(spec)
-    _check_point_matches(M, spec, law.pattern)
-    L = _factor(M)
-    _, C_inv, sigma_logdet, gamma = law.scale
-    n, N = L.shape[0], spec.dof
-    Y = C_inv @ (L if M.cone == LPM else L.T)
-    return float(0.5 * (N - n - 1) * _factor_logdet(L) - 0.5 * _squared_norm(Y)
-                 - gamma - 0.5 * N * sigma_logdet)
+    return _law(spec, _Wishart).log_density(M)
 
 
 def jacobian_logdet(L, eps=None):
@@ -365,49 +537,16 @@ def jacobian_logdet(L, eps=None):
     return float(n * np.log(2.0) + np.sum(weights * np.log(d)))
 
 
-def _psd_sqrt(S):
-    w, U = np.linalg.eigh(symmetrize(np.asarray(S, dtype=float)))
-    return U * np.sqrt(np.clip(w, 0.0, None))
-
-
-def _normal_draws(g, spec, m, out=None):
-    """The generator call of m Cholesky-normal draws: an (m, n(n+1)/2)
-    standard normal array, filled into out when it is given."""
-    n = spec.m0.dim
-    shape = (m, n * (n + 1) // 2)
-    z = np.empty(shape) if out is None else out.reshape(shape)
-    g.standard_normal(out=z)
-    return z
-
-
-def _normal_affine(spec):
-    """(coordinates of the centre, PSD square root A of sigma_tilde): the
-    spec-only part of turning standard normals z into draws mean + z A^T."""
-    return eta(_factor(spec.m0)), _psd_sqrt(spec.sigma_tilde)
-
-
-def _normal_etas(affine, z, out=None):
-    """The draws mean + z A^T of standard normals z, (mean, A) = affine, into
-    out when it is given."""
-    mean, A = affine
-    out = np.matmul(z, A.T, out=out)
-    out += mean
-    return out
-
-
 def cholesky_normal_etas(rng, spec, size=None):
     """Linear-coordinate draws: normal around the coordinates of the centre."""
-    spec.validate()
-    affine = _normal_affine(spec)
-    m = 1 if size is None else int(size)
-    draws = _normal_etas(affine, _normal_draws(rng.generator, spec, m))
-    return draws[0] if size is None else draws
+    law = _law(spec, _CholeskyNormal)
+    v = law.etas(law.draws(rng.generator, 1 if size is None else int(size)))
+    return v[0] if size is None else v
 
 
 def cholesky_normal_sample(rng, spec, size=None):
     """Cone point(s) whose factor coordinates are multivariate normal."""
-    v = cholesky_normal_etas(rng, spec, size=1 if size is None else size)
-    return _cone_points(eta_inv(v), spec.m0.pattern, spec.cone, size)
+    return _law(spec, _CholeskyNormal).sample(rng, size)
 
 
 def cholesky_normal_log_density(M, spec, measure="eta"):
@@ -418,20 +557,7 @@ def cholesky_normal_log_density(M, spec, measure="eta"):
     flat measure on symmetric matrices by subtracting the full log-Jacobian
     of coordinates -> matrix.
     """
-    law = _prepared_law(spec)
-    _check_point_matches(M, spec, law.pattern)
-    L = _factor(M)
-    v = eta(L)
-    mean, St_inv, const = law.normal
-    diff = v - mean
-    out = -0.5 * float(diff @ St_inv @ diff) + const
-    if measure == "lebesgue":
-        # d(matrix)/d(coords) = dPhi/dL times dL/d(coords); the latter only
-        # rescales the diagonal rows by l_jj.
-        out -= jacobian_logdet(L) + float(np.sum(np.log(np.diagonal(L))))
-    elif measure != "eta":
-        raise ValueError(f"measure must be 'eta' or 'lebesgue', got {measure!r}")
-    return float(out)
+    return _law(spec, _CholeskyNormal).log_density(M, measure)
 
 
 def inverse_wishart_sample(rng, spec, size=None):
@@ -441,13 +567,7 @@ def inverse_wishart_sample(rng, spec, size=None):
     sigma, on the cone with the reversed pattern and kind, so the results
     land in spec's cone and pattern.
     """
-    spec.validate()
-    cone = LPM if spec.cone == TPM else TPM
-    pattern = reverse_pattern(spec.pattern)
-    L0 = _scale_factor(np.linalg.inv(symmetrize(np.asarray(spec.sigma, dtype=float))), cone)
-    draws = _bartlett_draws(rng.generator, spec.dim, spec.dof, 1 if size is None else int(size))
-    M = _inverse(_cone_matrices(_wishart_factors(L0, draws, cone), pattern, cone))
-    return _as_points(M, as_pattern(spec.pattern), spec.cone, size)
+    return _law(spec, _InverseWishart).sample(rng, size)
 
 
 def inverse_wishart_log_density(X, spec):
@@ -458,14 +578,7 @@ def inverse_wishart_log_density(X, spec):
     cone), with C the Cholesky factor of sigma, tr(sigma W^-1) is
     ||L^-1 C||^2 (LPM) or ||L^-T C||^2 (TPM).
     """
-    law = _prepared_law(spec)
-    _check_point_matches(X, spec, law.pattern)
-    L = _factor(X)
-    C, _, sigma_logdet, gamma = law.scale
-    n, N = L.shape[0], spec.dof
-    Y = np.linalg.solve(L if X.cone == LPM else L.T, C)
-    return float(0.5 * N * sigma_logdet - gamma
-                 - 0.5 * (N + n + 1) * _factor_logdet(L) - 0.5 * _squared_norm(Y))
+    return _law(spec, _InverseWishart).log_density(X)
 
 
 def _clone_ranks(g, spec, m):
@@ -487,9 +600,4 @@ def _clone_patterns(spec, ranks):
 
 def inertial_clone_sample(rng, spec, size=None):
     """PD base draws pushed to a uniformly random cone of fixed inertia."""
-    spec.validate()
-    g, m = rng.generator, 1 if size is None else int(size)
-    patterns = _clone_patterns(spec, _clone_ranks(g, spec, m))
-    draws = _bartlett_draws(g, spec.base.dim, spec.base.dof, m)
-    F = _wishart_factors(_scale_factor(spec.base.sigma, spec.base.cone), draws, spec.base.cone)
-    return _cone_points(F, patterns, spec.cone, size)
+    return _law(spec, _Clone).sample(rng, size)

@@ -8,7 +8,7 @@ import pytest
 
 from conftest import clone_patterns
 from lpmch import classify, factor, canonical_point, lpm_distance, lpm_geodesic
-from lpmch import inequalities, sampling
+from lpmch import sampling
 from lpmch.cli import main
 from lpmch.matio import format_float, matrix_to_json_line, read_matrix, write_matrix
 
@@ -200,6 +200,10 @@ def test_density_measures(tmp_path, capsys):
     code, out, _ = run(capsys, "density", x, "--dist", "wishart", "--sigma", m0,
                        "--dof", "5", "--epsilon", "++")
     assert code == 0 and float(out) < 0
+    code, out, err = run(capsys, "density", x, "--dist", "clone", "--sigma", m0,
+                         "--dof", "5", "--k", "1")
+    assert code == 1 and out == ""
+    assert err == "SpecInvalid: no density for inertial clones; use the base law\n"
 
 
 def test_resign(tmp_path, capsys):
@@ -258,9 +262,8 @@ def test_clone_streams_match_the_enumerated_draw(tmp_path, capsys, monkeypatch):
               "--seed", "5", "--config", str(config)]]
     unranked = [run(capsys, *argv) for argv in calls]
     assert all(code == 0 for code, _, _ in unranked)
-    for module in (sampling, inequalities):
-        monkeypatch.setattr(module, "_clone_ranks", _enumerated_clone_ranks)
-        monkeypatch.setattr(module, "_clone_patterns", _enumerated_clone_patterns)
+    monkeypatch.setattr(sampling, "_clone_ranks", _enumerated_clone_ranks)
+    monkeypatch.setattr(sampling, "_clone_patterns", _enumerated_clone_patterns)
     assert [run(capsys, *argv) for argv in calls] == unranked
 
 

@@ -330,10 +330,15 @@ def test_drawn_ahead_errors_are_raised_at_their_step(drawn_ahead):
         simulate_walk(RngStream(0), [good, other, bad], 100)
     # The helper's SpecInvalid is raised at step 2, after steps 0 and 1 were
     # summed; the invalid step draws nothing.
-    rng = RngStream(0)
-    with pytest.raises(SpecInvalid, match="dof 2 below dimension 3"):
-        simulate_walk(rng, [good, good, bad, good], 100)
-    assert rng.generator.bit_generator.state == _state_after_draws(0, [good, good], 100)
+    # A step of a kind a walk cannot take raises the same way.
+    inverse = DistributionSpec(kind="inverse_wishart", pattern=good.pattern, cone="lpm",
+                               sigma=np.eye(3), dof=5)
+    for step, message in ((bad, "dof 2 below dimension 3"),
+                          (inverse, "walk steps cannot have kind 'inverse_wishart'")):
+        rng = RngStream(0)
+        with pytest.raises(SpecInvalid, match=message):
+            simulate_walk(rng, [good, good, step, good], 100)
+        assert rng.generator.bit_generator.state == _state_after_draws(0, [good, good], 100)
     # A step that raises in its arithmetic leaves the stream after the draws
     # of the next step, which ran ahead.
     rng = RngStream(0)
@@ -560,6 +565,15 @@ def test_walk_checks_run_before_the_first_draw():
     with pytest.raises(GroupMismatch, match="mixed dimensions"):
         simulate_walk(rng, [walk[0], pd2], 10)
     assert rng.generator.bit_generator.state == state
+    # A step without the fields that fix its dimension.
+    incomplete = [DistributionSpec(kind="cholesky_normal", sigma_tilde=np.eye(1)),
+                  DistributionSpec(kind="inertial_clone", all_cones=True),
+                  DistributionSpec(kind="wishart", pattern=(1,), dof=3)]
+    for step in incomplete:
+        for steps in ([walk[0], step], [step, walk[0]]):
+            with pytest.raises(SpecInvalid, match="needs"):
+                simulate_walk(rng, steps, 10)
+            assert rng.generator.bit_generator.state == state
 
 
 @pytest.mark.parametrize("p", [0, 0.5, math.nan])

@@ -29,8 +29,8 @@ from lpmch import (
     wishart_log_density,
     wishart_sample,
 )
-from lpmch.errors import PatternMismatch, SpecInvalid
-from lpmch.geometry import cone_factor
+from lpmch.errors import NonFiniteInput, PatternMismatch, SpecInvalid
+from lpmch.geometry import cone_factor, cone_compose
 from lpmch.core import _unrank_patterns
 from lpmch.sampling import cholesky_normal_etas, wishart_factors
 
@@ -369,6 +369,63 @@ def test_spec_validation():
     for other in (normal, inverse):
         with pytest.raises(SpecInvalid):
             DistributionSpec(kind="inertial_clone", base=other, k=1).validate()
+
+
+def kind_specs():
+    """A valid 2 x 2 spec of each kind."""
+    wishart = wishart_spec((1, 1), np.eye(2), 4)
+    return {"wishart": wishart,
+            "inverse_wishart": DistributionSpec(kind="inverse_wishart", pattern=(1, 1),
+                                                sigma=np.eye(2), dof=4),
+            "cholesky_normal": DistributionSpec(kind="cholesky_normal", m0=classify(np.eye(2)),
+                                                sigma_tilde=np.eye(3)),
+            "inertial_clone": DistributionSpec(kind="inertial_clone", base=wishart, k=1)}
+
+
+POINT = cone_compose(np.eye(2), (1, 1))
+KIND_FUNCTIONS = {
+    "wishart": [lambda rng, spec: wishart_factors(rng, spec, 3),
+                lambda rng, spec: wishart_sample(rng, spec, 3),
+                lambda rng, spec: wishart_log_density(POINT, spec)],
+    "inverse_wishart": [lambda rng, spec: inverse_wishart_sample(rng, spec, 3),
+                        lambda rng, spec: inverse_wishart_log_density(POINT, spec)],
+    "cholesky_normal": [lambda rng, spec: cholesky_normal_etas(rng, spec, 3),
+                        lambda rng, spec: cholesky_normal_sample(rng, spec, 3),
+                        lambda rng, spec: cholesky_normal_log_density(POINT, spec)],
+    "inertial_clone": [lambda rng, spec: inertial_clone_sample(rng, spec, 3)],
+}
+MISMATCHES = [(kind, i, other) for kind, fns in KIND_FUNCTIONS.items()
+              for i in range(len(fns)) for other in KIND_FUNCTIONS if other != kind]
+
+
+@pytest.mark.parametrize("kind, index, other", MISMATCHES)
+def test_a_function_named_after_a_kind_refuses_every_other_kind(kind, index, other):
+    rng = RngStream(0)
+    state = rng.generator.bit_generator.state
+    with pytest.raises(SpecInvalid, match=f"need a {kind} spec, got kind '{other}'"):
+        KIND_FUNCTIONS[kind][index](rng, kind_specs()[other])
+    assert rng.generator.bit_generator.state == state
+    KIND_FUNCTIONS[kind][index](rng, kind_specs()[kind])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("kind", ["wishart", "inverse_wishart", "inertial_clone",
+                                  "cholesky_normal"])
+def test_non_finite_law_parameters_are_named_errors(kind, bad):
+    spec = kind_specs()[kind]
+    if kind == "inertial_clone":
+        spec.base.sigma[1, 0] = bad
+    elif kind == "cholesky_normal":
+        spec.sigma_tilde[1, 0] = bad
+    else:
+        spec.sigma[1, 0] = bad
+    with pytest.raises(NonFiniteInput):
+        spec.validate()
+    rng = RngStream(0)
+    state = rng.generator.bit_generator.state
+    with pytest.raises(NonFiniteInput):
+        KIND_FUNCTIONS[kind][0](rng, spec)
+    assert rng.generator.bit_generator.state == state
 
 
 def test_pd_densities_match_scipy_n3():
