@@ -257,7 +257,9 @@ def build_parser():
     p = sub.add_parser("density", help="log-density of a matrix under a law")
     p.add_argument("matrix")
     _add_dist_flags(p)
-    p.add_argument("--measure", choices=["eta", "lebesgue"], default="eta")
+    p.add_argument("--measure", choices=["eta", "lebesgue"],
+                   help="reference measure of the density: eta (cholesky-normal "
+                        "only, its default) or lebesgue")
     _add_common(p)
     p.set_defaults(run=_cmd_density)
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from .core import LPM, _cache_factor, _points, _read_only, _strict_lower_indices, \
     as_pattern, canonical_diagonal, reverse_matrix, symmetrize
-from .cholesky import _check_same_cone, _cone_matrices, _factor
+from .cholesky import _check_lower, _check_same_cone, _cone_matrices, _factor
 from .errors import ComplexFactor
 
 __all__ = [
@@ -72,13 +72,20 @@ def eta(L):
     """Linear coordinates (log-diagonal block; strict-lower block, row-major).
 
     A stack of factors gives one row per factor. The chart is real: a factor
-    with a nonzero imaginary part raises ComplexFactor.
+    with a nonzero imaginary part raises ComplexFactor, and one that is not
+    lower triangular with a positive diagonal ValueError.
     """
+    L = _real(L)
+    return _eta(_check_lower(L, L.ndim))
+
+
+def _real(L):
+    """L as a float array; ComplexFactor when it has a nonzero imaginary part."""
     L = np.asarray(L)
     if np.iscomplexobj(L) and np.any(L.imag != 0):
         raise ComplexFactor("eta needs a real factor; complex scalars are "
                             "not supported by the log-Cholesky chart")
-    return _eta(L.real.astype(float, copy=False))
+    return L.real.astype(float, copy=False)
 
 
 def _eta(L, out=None):

@@ -8,7 +8,6 @@ three-standard-error allowance.
 """
 
 import math
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -77,47 +76,6 @@ def _step_increments(spec, draws, out=None):
     draws, and their patterns: one (n,) pattern shared by every path, or
     (paths, n) for a clone step."""
     return _law(spec).increments(draws, out)
-
-
-# A walk's draws run on a helper thread only when one step draws at least this
-# many numbers (paths n(n+1)/2), a few milliseconds of generator time on a
-# 2-core x86-64 host. Below that, starting and joining the thread and sharing
-# the interpreter lock with it cost about as much as the overlap hides: the
-# 20000-path preset walks at n = 1 and n = 2 ran 6 to 73 % slower with it.
-_BACKGROUND_DRAWS = 1 << 17
-
-
-class _Ahead:
-    """fn(*args), run on a helper thread when background is true and at once
-    otherwise. result() waits for it and returns its value or raises its
-    exception; join() only waits. Run at once, only an Exception waits for
-    result(): an interrupt or exit propagates from the constructor."""
-
-    def __init__(self, background, fn, *args):
-        self._outcome = self._thread = None
-        if background:
-            self._thread = threading.Thread(target=self._run, daemon=True,
-                                            args=(fn, args, BaseException))
-            self._thread.start()
-        else:
-            self._run(fn, args, Exception)
-
-    def _run(self, fn, args, caught):
-        try:
-            self._outcome = (fn(*args), None)
-        except caught as exc:  # raised in the caller by result()
-            self._outcome = (None, exc)
-
-    def join(self):
-        if self._thread is not None:
-            self._thread.join()
-
-    def result(self):
-        self.join()
-        value, exc = self._outcome
-        if exc is not None:
-            raise exc
-        return value
 
 
 def _squared_norms(y, scratch, out):
@@ -190,23 +148,23 @@ def simulate_walk(rng, walk, paths, group="star", p=2, z1=None):
     (steps, paths, w) int8 buffer of pattern products, each row padded with
     +1 to a width w of 1, 2, 4 or a multiple of 8 entries, so that a row is
     compared with another as one integer per 8 entries. A step is its draws
-    (its random-stream calls; see sampling) and its arithmetic. When a step
-    draws at least 2^17 numbers (paths m), step k + 1's draws run on a helper
-    thread while the calling thread turns step k's draws into increments,
-    partial sums and distances. The stream is still read by one thread at a
-    time, in step order, so the result is bit for bit that of drawing and
-    summing in turn, on any number of cores. Memory is therefore those
-    buffers and two (paths, m) draw buffers (the draws run one step ahead;
-    a spent one is the scratch of the distances), plus the temporaries of one
-    block of paths. No thread outlives the call. The returned arrays are
-    C-contiguous (paths, steps); see WalkStats.
+    (its random-stream calls; see sampling) and its arithmetic. Step k + 1's
+    draws run on the walk's one worker thread while the calling thread turns
+    step k's draws into increments, partial sums and distances. The stream
+    is still read by one thread at a time, in step order, so the result is
+    bit for bit that of drawing and summing in turn, on any number of cores.
+    Memory is therefore those buffers and two (paths, m) draw buffers (the
+    draws run one step ahead; a spent one is the scratch of the distances),
+    plus the temporaries of one block of paths. No thread outlives the call.
+    The returned arrays are C-contiguous (paths, steps); see WalkStats.
 
     Before the first draw, fewer than one path raises SpecInvalid, another
     group or a box walk's p outside [1, inf] ValueError, and steps or a z1
     of mixed dimensions GroupMismatch. A star step outside the walk's one
     cone raises GroupMismatch, and an invalid step SpecInvalid, at that
-    step. When a walk raises at one step, the stream may also have given the
-    draws of the next one.
+    step; so does any exception of a step's draws, an interrupt included.
+    When a walk raises at one step, the stream may also have given the draws
+    of the next one.
     """
     walk = list(walk)
     if not walk:
@@ -235,14 +193,15 @@ def simulate_walk(rng, walk, paths, group="star", p=2, z1=None):
     # Step k's draws fill buffers[k % 2] while step k - 1 is summed; once
     # step k's increments are made, its buffer is the scratch of its norms.
     buffers = (np.empty((paths, m)), np.empty((paths, m)))
-    background = paths * m >= _BACKGROUND_DRAWS
-    ahead = _Ahead(background, _step_draws, rng, walk[0], paths, buffers[0].reshape(-1))
-    try:
+    # Imported here: the CLI loads this module for every command.
+    from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        ahead = worker.submit(_step_draws, rng, walk[0], paths, buffers[0].reshape(-1))
         for k, spec in enumerate(walk):
             draws = ahead.result()
             if k + 1 < steps:
-                ahead = _Ahead(background, _step_draws, rng, walk[k + 1], paths,
-                               buffers[(k + 1) % 2].reshape(-1))
+                ahead = worker.submit(_step_draws, rng, walk[k + 1], paths,
+                                      buffers[(k + 1) % 2].reshape(-1))
             v, pat = _step_increments(spec, draws, out=S[k])
             if group == "star":
                 if star_pattern is None:
@@ -263,8 +222,6 @@ def simulate_walk(rng, walk, paths, group="star", p=2, z1=None):
                 else:
                     np.multiply(P[k - 1], row, out=P[k])
                 mis_inc.append(np.broadcast_to(_mismatch(row, np.ones(width, np.int8)), paths))
-    finally:
-        ahead.join()
 
     scratch = buffers[0]
     for k in range(steps):
@@ -297,13 +254,22 @@ def _product(terms):
     return value, math.sqrt(var)
 
 
+def _column_counts(indicators):
+    """The true entries of each column of a (paths, k) boolean array, as one
+    matrix-vector product; sums of 0s and 1s are exact in any order. (An
+    axis-0 mean runs one short inner loop per row: 4 times slower at 20000
+    x 10.)"""
+    return np.ones(indicators.shape[0]) @ indicators
+
+
 def _min_prob(indicators):
-    """min_k P(event_k): value and the SE of the minimizing estimate."""
-    return min(map(_prob, indicators), key=lambda t: t[0])
+    """min_k P(event_k) over the columns k of a (paths, k) indicator array:
+    value and the SE of the minimizing estimate (the first, on a tie)."""
+    return _prob(indicators[:, np.argmin(_column_counts(indicators))])
 
 
 def _max_prob(indicators):
-    return max(map(_prob, indicators), key=lambda t: t[0])
+    return _prob(indicators[:, np.argmax(_column_counts(indicators))])
 
 
 def verify_from_stats(stats, which, params):
@@ -324,12 +290,12 @@ def verify_from_stats(stats, which, params):
         else:
             first = _prob(np.max(d_z1[:, window], axis=1) >= a)
             rhs = _prob(d_z1[:, -1] >= a - b)
-        second = _min_prob([d_end[:, k] <= b for k in range(m - 1, n)])
+        second = _min_prob(d_end[:, window] <= b)
         lhs = _product([first, second])
     elif which == "ottaviani_skorohod":
         alpha, beta = float(params["alpha"]), float(params["beta"])
         first = _prob(np.max(d_z1, axis=1) >= alpha + beta)
-        second = _min_prob([d_end[:, k] <= beta for k in range(n)])
+        second = _min_prob(d_end <= beta)
         lhs = _product([first, second])
         rhs = _prob(d_z1[:, -1] >= alpha)
     elif which == "levy_ottaviani":
@@ -339,12 +305,8 @@ def verify_from_stats(stats, which, params):
             raise SpecInvalid("levy_ottaviani needs at least two thresholds")
         U = np.max(d_z1, axis=1)
         lhs = _prob(U > sum(a_list))
-        terms = [_max_prob([d_z1[:, k] > a_list[i] for k in range(n)])
-                 for i in range(1, l)]
-        if l % 2 == 1:
-            terms.append(_max_prob([d_z1[:, k] > a_list[0] for k in range(n)]))
-        else:
-            terms.append(_max_prob([d_end[:, k] > a_list[0] for k in range(n)]))
+        terms = [_max_prob(d_z1 > a) for a in a_list[1:]]
+        terms.append(_max_prob((d_z1 if l % 2 == 1 else d_end) > a_list[0]))
         rhs = (sum(v for v, _ in terms),
                math.sqrt(sum(se**2 for _, se in terms)))
     elif which == "hoffmann_jorgensen":

@@ -61,7 +61,7 @@ from .core import (
     symmetrize,
 )
 from .cholesky import _cone_matrices, _factor
-from .geometry import _as_points, _cone_points, _eta, eta, eta_inv
+from .geometry import _as_points, _cone_points, _eta, _real, eta, eta_inv
 from .errors import PatternMismatch, SpecInvalid
 
 __all__ = [
@@ -107,11 +107,12 @@ class DistributionSpec:
     Each kind has one law class (see the module docstring). validate and
     dim dispatch to it: an unknown kind, a missing field, a NaN or infinite
     entry of sigma or sigma_tilde (NonFiniteInput) or a parameter out of its
-    range raises there. The samplers, densities and walk steps use the
-    spec's law, which the spec keeps after its first use. It is used only
-    while sigma (the base's, for a clone), sigma_tilde and m0.matrix hold
-    exactly the entries it was made from, and the pattern (m0.pattern for
-    cholesky_normal, the base's for a clone) the signs it was made from.
+    range (a NaN or infinite dof included) raises there. The samplers,
+    densities and walk steps use the spec's law, which the spec keeps after
+    its first use. It is used only while sigma (the base's, for a clone),
+    sigma_tilde and m0.matrix hold exactly the entries it was made from, and
+    the pattern (m0.pattern for cholesky_normal, the base's for a clone) the
+    signs it was made from.
 
     Specs compare by identity, as cone points do.
     """
@@ -272,6 +273,8 @@ class _Wishart(_SpecLaw):
         sigma = np.asarray(spec.sigma, dtype=float)
         if len(as_pattern(spec.pattern)) != n:
             raise SpecInvalid("pattern length does not match sigma")
+        if not math.isfinite(spec.dof):
+            raise SpecInvalid(f"dof must be finite, got {spec.dof}")
         if spec.dof < n:
             raise SpecInvalid(f"dof {spec.dof} below dimension {n}")
         _check_finite(sigma)
@@ -316,8 +319,17 @@ class _Wishart(_SpecLaw):
             _eta(self.factors((chi[:, a:a + block], z[a:a + block])), out[a:a + block])
         return out, np.array(self.pattern, dtype=int)
 
+    @staticmethod
+    def check_measure(measure):
+        """The Wishart densities are against the Lebesgue measure: measure
+        None or 'lebesgue'; any other raises ValueError."""
+        if measure not in (None, "lebesgue"):
+            raise ValueError(f"the Wishart densities are against the Lebesgue measure; "
+                             f"got measure {measure!r}")
+
     def log_density(self, M, measure=None):
-        """See wishart_log_density; measure is the Cholesky-normal law's."""
+        """See wishart_log_density and check_measure."""
+        self.check_measure(measure)
         L = self.factor_of(M)
         _, C_inv, sigma_logdet, gamma = self.scale
         n, N = L.shape[0], self.dof
@@ -345,7 +357,8 @@ class _InverseWishart(_Wishart):
         return _as_points(M, self.pattern, self.cone, size)
 
     def log_density(self, X, measure=None):
-        """See inverse_wishart_log_density; measure is the Cholesky-normal law's."""
+        """See inverse_wishart_log_density and check_measure."""
+        self.check_measure(measure)
         L = self.factor_of(X)
         C, _, sigma_logdet, gamma = self.scale
         n, N = L.shape[0], self.dof
@@ -412,17 +425,17 @@ class _CholeskyNormal(_SpecLaw):
     def increments(self, z, out=None):
         return self.etas(z, out), np.array(self.pattern, dtype=int)
 
-    def log_density(self, M, measure="eta"):
-        """See cholesky_normal_log_density."""
+    def log_density(self, M, measure=None):
+        """See cholesky_normal_log_density; measure None is 'eta'."""
         L = self.factor_of(M)
-        diff = eta(L) - self.mean
+        diff = _eta(_real(L)) - self.mean  # L is a factor the library made
         St_inv, const = self.normal
         out = -0.5 * float(diff @ St_inv @ diff) + const
         if measure == "lebesgue":
             # d(matrix)/d(coords) = dPhi/dL times dL/d(coords); the latter only
             # rescales the diagonal rows by l_jj.
             out -= jacobian_logdet(L) + float(np.sum(np.log(np.diagonal(L))))
-        elif measure != "eta":
+        elif measure not in (None, "eta"):
             raise ValueError(f"measure must be 'eta' or 'lebesgue', got {measure!r}")
         return float(out)
 

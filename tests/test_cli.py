@@ -192,6 +192,8 @@ def test_density_measures(tmp_path, capsys):
     code, out_eta, _ = run(capsys, "density", x, "--dist", "cholesky-normal",
                            "--m0", m0, "--sigma-tilde", st)
     assert code == 0
+    assert run(capsys, "density", x, "--dist", "cholesky-normal", "--m0", m0,
+               "--sigma-tilde", st, "--measure", "eta") == (0, out_eta, "")
     code, out_leb, _ = run(capsys, "density", x, "--dist", "cholesky-normal",
                            "--m0", m0, "--sigma-tilde", st,
                            "--measure", "lebesgue")
@@ -204,6 +206,21 @@ def test_density_measures(tmp_path, capsys):
                          "--dof", "5", "--k", "1")
     assert code == 1 and out == ""
     assert err == "SpecInvalid: no density for inertial clones; use the base law\n"
+
+
+def test_density_measure_of_the_wishart_laws(tmp_path, capsys):
+    # Their densities are against the Lebesgue measure: --measure lebesgue
+    # prints the default's bytes and --measure eta is a usage error.
+    sigma = write(tmp_path, "s.json", [[1.0, 0.0], [0.0, 1.0]])
+    x = write(tmp_path, "x.json", [[2.0, 0.3], [0.3, 1.0]])
+    for dist in ("wishart", "inv-wishart"):
+        law = ("density", x, "--dist", dist, "--sigma", sigma, "--dof", "5", "--epsilon", "++")
+        code, default, _ = run(capsys, *law)
+        assert code == 0
+        assert run(capsys, *law, "--measure", "lebesgue") == (0, default, "")
+        code, out, err = run(capsys, *law, "--measure", "eta")
+        assert code == 2 and out == ""
+        assert "Lebesgue measure" in err
 
 
 def test_resign(tmp_path, capsys):

@@ -262,3 +262,19 @@ def test_eta_rejects_complex_factors():
     A = np.array([[2.0, 1 + 1j], [1 - 1j, 3.0]])
     with pytest.raises(ComplexFactor):
         lpm_distance(classify(A), classify(A.conj()))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [[[-1.0, 0.0], [0.5, 1.0]], [[0.0, 0.0], [0.5, 1.0]],
+                                 [[np.nan, 0.0], [0.5, 1.0]], [[1.0, 0.2], [0.5, 1.0]]])
+def test_eta_refuses_what_is_not_a_factor(bad):
+    # A diagonal entry that is not positive gave a nan (or -inf) coordinate
+    # and only a RuntimeWarning; an upper entry was silently dropped.
+    message = "expected lower triangular with positive diagonal"
+    bad = np.array(bad)
+    with pytest.raises(ValueError, match=message):
+        eta(bad)
+    with pytest.raises(ValueError, match=message):
+        eta(np.stack([L_WITNESS, bad]))
+    with pytest.raises(ValueError, match=message):
+        distance(L_WITNESS, bad)

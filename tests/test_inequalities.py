@@ -272,9 +272,13 @@ def test_box_walk_pattern_rows_of_any_width_match_the_stacked_walk(n):
 
 
 @pytest.fixture
-def drawn_ahead(monkeypatch):
-    """Walks draw each next step on the helper thread, whatever their size."""
-    monkeypatch.setattr(inequalities, "_BACKGROUND_DRAWS", 0)
+def fast_switching():
+    """The interpreter switches threads every microsecond, so that a walk's
+    worker and its calling thread interleave as finely as they can."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    yield
+    sys.setswitchinterval(interval)
 
 
 class _CountedThread(threading.Thread):
@@ -288,7 +292,7 @@ class _CountedThread(threading.Thread):
 @pytest.mark.parametrize("z_kind", ["none", "cone_point", "big_group", "tuple"])
 @pytest.mark.parametrize("walk_kind", ["wishart", "cholesky_normal", "mixed", "clone"])
 @pytest.mark.parametrize("n", [1, 3])
-def test_walks_drawn_ahead_match_the_stacked_walk(drawn_ahead, n, walk_kind, z_kind):
+def test_walks_drawn_ahead_match_the_stacked_walk(fast_switching, n, walk_kind, z_kind):
     _assert_walk_kind_matches_stacked(n, walk_kind, z_kind)
 
 
@@ -298,12 +302,11 @@ def test_a_large_walk_draws_ahead_and_matches_the_stacked_walk(monkeypatch):
     lpm, tpm = (DistributionSpec(kind="wishart", pattern=eps, cone=cone, sigma=np.eye(10) / 10,
                                  dof=12) for cone in ("lpm", "tpm"))
     paths = 2400
-    assert paths * 55 >= inequalities._BACKGROUND_DRAWS
     monkeypatch.setattr(_CountedThread, "started", 0)
     monkeypatch.setattr(threading, "Thread", _CountedThread)
     _assert_matches_stacked(11, [lpm] * 2, paths)
     _assert_matches_stacked(11, [tpm] * 3, paths, group="box", p=2)
-    assert _CountedThread.started == 2 + 3
+    assert _CountedThread.started == 1 + 1  # one worker per walk
 
 
 def _error_walks():
@@ -322,13 +325,13 @@ def _state_after_draws(seed, steps, paths):
     return rng.generator.bit_generator.state
 
 
-def test_drawn_ahead_errors_are_raised_at_their_step(drawn_ahead):
+def test_drawn_ahead_errors_are_raised_at_their_step():
     good, other, bad = _error_walks()
-    # Step 1 leaves the walk's cone while the helper meets step 2's invalid
+    # Step 1 leaves the walk's cone while the worker meets step 2's invalid
     # spec: the step-1 GroupMismatch is raised.
     with pytest.raises(GroupMismatch):
         simulate_walk(RngStream(0), [good, other, bad], 100)
-    # The helper's SpecInvalid is raised at step 2, after steps 0 and 1 were
+    # The worker's SpecInvalid is raised at step 2, after steps 0 and 1 were
     # summed; the invalid step draws nothing.
     # A step of a kind a walk cannot take raises the same way.
     inverse = DistributionSpec(kind="inverse_wishart", pattern=good.pattern, cone="lpm",
@@ -347,11 +350,11 @@ def test_drawn_ahead_errors_are_raised_at_their_step(drawn_ahead):
     assert rng.generator.bit_generator.state == _state_after_draws(0, [good, other, good], 100)
 
 
-def test_walks_leave_no_thread_behind(drawn_ahead, monkeypatch):
+def test_walks_leave_no_thread_behind(monkeypatch):
     good, other, bad = _error_walks()
     step_draws = inequalities._step_draws
 
-    def slow_draws(*args):  # a helper still drawing when its walk raises
+    def slow_draws(*args):  # a worker still drawing when its walk raises
         time.sleep(0.05)
         return step_draws(*args)
 
@@ -366,11 +369,9 @@ def test_walks_leave_no_thread_behind(drawn_ahead, monkeypatch):
         assert threading.active_count() == before
 
 
-@pytest.mark.parametrize("background", [False, True])
-def test_an_interrupt_while_drawing_ahead_leaves_the_walk(background, monkeypatch):
-    # Drawn inline, an interrupt in step 1's draws propagates before step 0
-    # is summed; drawn on the helper, it is raised at step 1 and the helper
-    # is joined.
+def test_an_interrupt_while_drawing_ahead_leaves_the_walk(monkeypatch):
+    # An interrupt in step 1's draws, made on the worker while step 0 is
+    # summed, is raised at step 1, and the worker is joined.
     good, _, _ = _error_walks()
     calls = {"draws": 0, "sums": 0}
     step_draws, step_increments = inequalities._step_draws, inequalities._step_increments
@@ -385,18 +386,17 @@ def test_an_interrupt_while_drawing_ahead_leaves_the_walk(background, monkeypatc
         calls["sums"] += 1
         return step_increments(*args, **kw)
 
-    monkeypatch.setattr(inequalities, "_BACKGROUND_DRAWS", 0 if background else 1 << 60)
     monkeypatch.setattr(inequalities, "_step_draws", draws)
     monkeypatch.setattr(inequalities, "_step_increments", increments)
     before = threading.active_count()
     with pytest.raises(KeyboardInterrupt):
         simulate_walk(RngStream(0), [good] * 3, 100)
-    assert calls == {"draws": 2, "sums": 1 if background else 0}
+    assert calls == {"draws": 2, "sums": 1}
     assert threading.active_count() == before
 
 
-def test_concurrent_walks_drawn_ahead_under_fast_switching(drawn_ahead):
-    # Four walks on four threads, each with its own helper: eight threads,
+def test_concurrent_walks_drawn_ahead_under_fast_switching(fast_switching):
+    # Four walks on four threads, each with its own worker: eight threads,
     # more than a small host has cores, switching every microsecond; each
     # walk still equals its stacked walk.
     walk = _walk_steps(3, (1, -1, -1))["mixed"]
@@ -405,22 +405,29 @@ def test_concurrent_walks_drawn_ahead_under_fast_switching(drawn_ahead):
     def run(seed):
         results[seed] = simulate_walk(RngStream(seed), walk, 300, group="box")
 
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=run, args=(seed,)) for seed in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
+    threads = [threading.Thread(target=run, args=(seed,)) for seed in range(4)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
     assert not any(t.is_alive() for t in threads)
     for seed in range(4):
         expected = _stacked_walk(RngStream(seed), walk, 300, group="box")
         stats = results[seed]
         for got, want in zip((stats.d_z1, stats.d_to_end, stats.d_inc), expected):
             assert np.array_equal(got, want)
+
+
+def test_extreme_probabilities_reduce_indicator_columns_as_the_list_form():
+    rng = np.random.default_rng(12)
+    for paths, cols in ((1, 1), (7, 3), (500, 10)):
+        indicators = rng.random((paths, cols)) < rng.random(cols)
+        columns = [indicators[:, k] for k in range(cols)]
+        value = lambda t: t[0]
+        assert inequalities._min_prob(indicators) == min(map(inequalities._prob, columns),
+                                                         key=value)
+        assert inequalities._max_prob(indicators) == max(map(inequalities._prob, columns),
+                                                         key=value)
 
 
 def test_walk_memory_is_one_partial_sum_buffer():

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -425,6 +427,24 @@ def test_non_finite_law_parameters_are_named_errors(kind, bad):
     state = rng.generator.bit_generator.state
     with pytest.raises(NonFiniteInput):
         KIND_FUNCTIONS[kind][0](rng, spec)
+    assert rng.generator.bit_generator.state == state
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("kind, index", [(kind, i) for kind in ("wishart", "inverse_wishart",
+                                                                 "inertial_clone")
+                                         for i in range(len(KIND_FUNCTIONS[kind]))])
+def test_a_non_finite_dof_is_refused_before_any_draw(kind, index, bad):
+    # dof < n is false for both, so neither failed validation before.
+    spec = kind_specs()[kind]
+    if kind == "inertial_clone":
+        spec = replace(spec, base=replace(spec.base, dof=bad))
+    else:
+        spec = replace(spec, dof=bad)
+    rng = RngStream(0)
+    state = rng.generator.bit_generator.state
+    with pytest.raises(SpecInvalid, match="dof must be finite"):
+        KIND_FUNCTIONS[kind][index](rng, spec)
     assert rng.generator.bit_generator.state == state
 
 
