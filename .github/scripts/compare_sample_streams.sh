@@ -23,8 +23,10 @@
 # in .github/stream_moves of its own tree: "DIST CONE N" for a stream (e.g.
 # "inv-wishart tpm 10"), "density DIST CONE N" for a density value and
 # "verify PRESET INEQUALITY" for a report; lines from # on are ignored.
-# Those pairs are compared and reported but do not fail the check. The next
-# change, whose base then carries the moved outputs, empties the file again.
+# Those pairs are compared and reported, and must differ: a listed pair
+# that is byte-identical fails the check, so a stale line cannot hide a later
+# move. The next change, whose base then carries the moved outputs, empties
+# the file again.
 set -euo pipefail
 
 base=$1
@@ -85,10 +87,10 @@ compare() {
   done
   if moved "$key"; then
     if cmp -s "$out.base" "$out.head"; then
-      echo "$key: listed as moved, but byte-identical"
-    else
-      echo "$key: moved, as listed in .github/stream_moves"
+      echo "$key: listed as moved in .github/stream_moves, but byte-identical" >&2
+      exit 1
     fi
+    echo "$key: moved, as listed in .github/stream_moves"
     skipped=$((skipped + 1))
     return
   fi

@@ -11,7 +11,6 @@ from .core import (
     canonical_diagonal,
     classify,
     cones_with_inertia,
-    invert_cone_point,
     leading_minors,
     lpm_perturbation,
     negative_inertia,
@@ -27,6 +26,7 @@ from .cholesky import (
     compose_tpm,
     factor,
     factor_tpm,
+    invert_cone_point,
     is_lower_triangular,
     resign,
 )

@@ -12,6 +12,8 @@ are obtained through the reversal map, and ``resign`` moves a matrix
 between cones by swapping the signs of its LDL* pivots.
 """
 
+from functools import lru_cache
+
 import numpy as np
 
 from .core import (
@@ -22,6 +24,8 @@ from .core import (
     _cache_factor,
     _cached_factor,
     _check_tol,
+    _lower_inverse,
+    _read_only,
     _strict_lower_indices,
     _unit_lower_inverse,
     as_pattern,
@@ -29,10 +33,11 @@ from .core import (
     canonical_signs,
     ldl,
     reverse_matrix,
+    reverse_pattern,
     reverse_point,
     symmetrize,
 )
-from .errors import ConeKindMismatch, NegativeRadicand, PatternMismatch
+from .errors import ConeKindMismatch, NegativeRadicand, PatternMismatch, SingularMatrix
 
 __all__ = [
     "is_lower_triangular",
@@ -41,6 +46,7 @@ __all__ = [
     "compose_tpm",
     "factor_tpm",
     "resign",
+    "invert_cone_point",
 ]
 
 
@@ -49,26 +55,52 @@ __all__ = [
 # than the gather (at n = 256, 0.12 ms against 0.17 ms), and the 8 n^2 bytes
 # of indices would be kept for good.
 _GATHER_MAX = 32
+# A zero-dimensional zero: comparing with it costs about half as much as
+# comparing with the Python scalar 0, which NumPy has to convert per call.
+_ZERO = np.zeros(())
 
 
 def is_lower_triangular(L, tol=0.0):
     """True when L (or every matrix of a stack L) is square lower triangular
-    with strictly positive diagonal."""
+    with strictly positive diagonal: every entry above the diagonal has
+    modulus at most tol (exactly zero for the default tol = 0, so NaN fails
+    and -0.0 passes) and every diagonal entry is real and > 0. An empty L
+    (0 x 0, or a stack of none) passes whatever tol is; any other L fails
+    when tol is below 0 or NaN, as np.abs(np.triu(L, 1)) <= tol would."""
     L = np.asarray(L)
-    if L.ndim < 2 or L.shape[-1] != L.shape[-2]:
+    shape = L.shape
+    if len(shape) < 2 or shape[-1] != shape[-2]:
         return False
-    n = L.shape[-1]
-    if n <= _GATHER_MAX:
+    if not L.size:
+        return True
+    if not tol >= 0:
+        return False
+    n = shape[-1]
+    if n > _GATHER_MAX:
+        upper = np.triu(L, 1)
+    elif len(shape) == 2:
+        upper = L.ravel()[_strict_upper_flat_index(n)]
+    else:
         rows, cols = _strict_lower_indices(n)
         upper = L[..., cols, rows]
-    else:
-        upper = np.triu(L, 1)
-    # np.triu(L, 1) also holds zeros, so a tol below 0 (or NaN) admits no
-    # nonempty L; the gathered entries alone would.
-    if not ((np.abs(upper) <= tol).all() and (tol >= 0 or not L.size)):
+    # Counting nonzero entries, or entries within tol, costs a fraction of
+    # the ufunc reductions .any() and .all() on a small matrix.
+    if np.count_nonzero(upper) if tol == 0 else \
+            np.count_nonzero(np.abs(upper) <= tol) < upper.size:
         return False
-    diag = np.diagonal(L, axis1=-2, axis2=-1)
-    return bool((diag.real > 0).all() and (diag.imag == 0).all())
+    diag = L.diagonal(0, -2, -1)
+    if diag.dtype.kind == "c":
+        return bool(np.count_nonzero(diag.real > _ZERO) == diag.size
+                    and not np.count_nonzero(diag.imag))
+    return bool(np.count_nonzero(diag > _ZERO) == diag.size)
+
+
+@lru_cache
+def _strict_upper_flat_index(n):
+    """Flat positions, in an n x n matrix, of its strict upper triangle
+    (the transposes of _strict_lower_indices(n)), read-only."""
+    rows, cols = _strict_lower_indices(n)
+    return _read_only(cols * n + rows)
 
 
 def _check_lower(L, ndim=2):
@@ -236,3 +268,38 @@ def _cone_matrices(F, patterns, cone):
     if signs.shape[-1] != F.shape[-1]:
         raise PatternMismatch(f"pattern length {signs.shape[-1]} != dimension {F.shape[-1]}")
     return _congruence(F, signs if cone == LPM else signs[..., ::-1], cone)
+
+
+def _inverse(M):
+    """Self-adjoint inverse of a matrix or a stack; SingularMatrix if singular."""
+    try:
+        inv = np.linalg.inv(M)
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrix(str(exc)) from exc
+    return symmetrize(inv)
+
+
+def invert_cone_point(point):
+    """Matrix inverse, which swaps LPM <-> TPM and reverses the pattern.
+
+    A point that carries its factor F (cone_compose and the operations built
+    on it, geometry.cone_factor once called) is inverted through F: with
+    M = F D F* in the LPM cone, M^{-1} = F^{-*} D F^{-1} is the TPM point of
+    the reversed pattern with factor F^{-1}, because the canonical signs of
+    the reversed pattern are those of the pattern read backwards (likewise
+    from TPM to LPM). F^{-1} comes from core._lower_inverse and is cached on
+    the result, which is composed as one member of the inverse Wishart
+    sampler's stack would be. Any other point takes a general inverse of its
+    matrix, made self-adjoint; SingularMatrix when it is singular.
+    """
+    cone = TPM if point.cone == LPM else LPM
+    pattern = reverse_pattern(point.pattern)
+    F = _cached_factor(point)
+    if F is None:
+        return ConePoint(matrix=_inverse(point.matrix), cone=cone, pattern=pattern,
+                         tolerance_used=point.tolerance_used)
+    G = _lower_inverse(F[np.newaxis])
+    out = ConePoint(matrix=_cone_matrices(G, pattern, cone)[0], cone=cone, pattern=pattern,
+                    tolerance_used=point.tolerance_used)
+    _cache_factor(out, G[0])
+    return out

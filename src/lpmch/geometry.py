@@ -181,16 +181,12 @@ def cone_factor(A):
     return np.array(_factor(A))
 
 
-def _as_points(M, patterns, cone, size):
-    """ConePoints of a matrix stack with one or per-matrix patterns (see
-    core._points); the list, or its only point when size is None."""
-    points = _points(M, cone, patterns)
-    return points[0] if size is None else points
-
-
 def _cone_points(F, patterns, cone, size):
-    """The API edge of a factor stack: its cone points (see _cone_matrices)."""
-    return _as_points(_cone_matrices(F, patterns, cone), patterns, cone, size)
+    """The API edge of a factor stack: its cone points (see _cone_matrices
+    and core._points), with one or per-factor patterns; the list, or its
+    only point when size is None."""
+    points = _points(_cone_matrices(F, patterns, cone), cone, patterns)
+    return points[0] if size is None else points
 
 
 def cone_compose(L, pattern, cone=LPM):

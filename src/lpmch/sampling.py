@@ -20,7 +20,9 @@ what the samplers, densities and walk steps compute from that spec:
   Cholesky-normal law); to a walk step's coordinate increments and patterns
   (increments; the Wishart law makes them one block of paths at a time);
   and to cone points (points), in one batched congruence of the whole
-  stack, which the inverse Wishart inverts in one call;
+  stack; the inverse Wishart first inverts its stack of triangular factors
+  (core._lower_inverse), since the factors of the inverses of its forward
+  draws are the inverses of their factors;
 - log_density(M): the per-point part of a density. It reads the factor L
   of M against its canonical basis (cone_factor), which the point keeps
   after the first read: log det is 2 sum log l_jj, and the trace term is a
@@ -50,18 +52,17 @@ from .core import (
     TPM,
     ConePoint,
     _check_finite,
-    _inverse,
+    _lower_inverse,
     _read_only,
     _same_entries,
     _strict_lower_indices,
     _unrank_patterns,
     as_pattern,
     reverse_matrix,
-    reverse_pattern,
     symmetrize,
 )
-from .cholesky import _cone_matrices, _factor
-from .geometry import _as_points, _cone_points, _eta, _real, eta, eta_inv
+from .cholesky import _factor
+from .geometry import _cone_points, _eta, _real, eta, eta_inv
 from .errors import PatternMismatch, SpecInvalid
 
 __all__ = [
@@ -352,9 +353,11 @@ class _InverseWishart(_Wishart):
         return cone, _scale_factor(np.linalg.inv(symmetrize(self.entries[0].astype(float))), cone)
 
     def points(self, draws, size):
-        cone, _ = self.scale_factor
-        M = _inverse(_cone_matrices(self.factors(draws), reverse_pattern(self.pattern), cone))
-        return _as_points(M, self.pattern, self.cone, size)
+        """The inverses of the Wishart draws F D F* (F* D F in the TPM cone)
+        of the reversed cone and pattern: F^{-*} D F^{-1} (F^{-1} D F^{-*}),
+        so F^{-1} is their factor in the law's own cone and pattern, whose
+        canonical signs are those of the reversed pattern read backwards."""
+        return _cone_points(_lower_inverse(self.factors(draws)), self.pattern, self.cone, size)
 
     def log_density(self, X, measure=None):
         """See inverse_wishart_log_density and check_measure."""
@@ -578,7 +581,10 @@ def inverse_wishart_sample(rng, spec, size=None):
 
     Inverts Wishart draws with scale the inverse of the self-adjoint part of
     sigma, on the cone with the reversed pattern and kind, so the results
-    land in spec's cone and pattern.
+    land in spec's cone and pattern. The inverse of a draw F D F* (F* D F
+    in the TPM cone) is composed from F^{-1}, its factor in spec's cone, so
+    each draw is invert_cone_point of the forward draw composed from F, bit
+    for bit; no matrix is inverted.
     """
     return _law(spec, _InverseWishart).sample(rng, size)
 

@@ -195,6 +195,70 @@ def test_triangularity_check_needs_square_matrices(A):
     assert is_lower_triangular(A) is False and triu_definition(A) is False
 
 
+def with_entry(n, i, j, value, stack=None):
+    """The n x n identity (complex when value is), or a stack of them, with
+    entry (i, j) of its last matrix set to value."""
+    A = np.eye(n, dtype=complex if isinstance(value, complex) else float)
+    if stack is not None:
+        A = np.array(np.broadcast_to(A, (stack, n, n)))
+    (A if stack is None else A[-1])[i, j] = value
+    return A
+
+
+TRUTH_TABLE = [
+    # (matrix, tol, expected)
+    (np.eye(3), 0.0, True),
+    (with_entry(3, 0, 2, np.nan), 0.0, False),
+    (with_entry(3, 0, 2, np.nan), np.inf, False),
+    (with_entry(3, 0, 2, np.inf), 0.0, False),
+    (with_entry(3, 0, 2, np.inf), np.inf, True),
+    (with_entry(3, 2, 0, np.nan), 0.0, True),  # below the diagonal: not read
+    (with_entry(3, 1, 1, np.nan), 0.0, False),
+    (with_entry(3, 1, 1, np.inf), 0.0, True),
+    (with_entry(3, 1, 1, -np.inf), 0.0, False),
+    (with_entry(3, 1, 1, 0.0), 0.0, False),
+    (with_entry(3, 1, 1, -0.0), 0.0, False),
+    (with_entry(3, 1, 1, 5e-324), 0.0, True),
+    (with_entry(3, 0, 1, -0.0), 0.0, True),
+    (with_entry(3, 0, 1, -0.0), -1.0, False),
+    (with_entry(3, 0, 1, 1e-3), 1e-3, True),
+    (with_entry(3, 0, 1, 2e-3), 1e-3, False),
+    (with_entry(3, 1, 1, 1 + 0j), 0.0, True),
+    (with_entry(3, 1, 1, 1 - 0j), 0.0, True),
+    (with_entry(3, 1, 1, 1 + 1e-300j), 0.0, False),
+    (with_entry(3, 1, 1, complex(1, np.nan)), 0.0, False),
+    (with_entry(3, 0, 2, 1j), 0.0, False),
+    (with_entry(3, 0, 2, 1j), 1.0, True),
+    (np.eye(3), -1.0, False),
+    (np.eye(3), np.nan, False),
+    (np.eye(1), -1.0, False),
+    (np.eye(1), np.nan, False),
+    (np.zeros((0, 0)), 0.0, True),
+    (np.zeros((0, 0)), -1.0, True),
+    (np.zeros((0, 0)), np.nan, True),
+    (np.zeros((0, 3, 3)), np.nan, True),
+    (np.zeros((2, 0, 0)), -1.0, True),
+    (with_entry(3, 0, 1, 0.0, stack=4), 0.0, True),
+    (with_entry(3, 0, 1, np.nan, stack=4), 0.0, False),
+    (with_entry(3, 2, 2, -1.0, stack=4), 0.0, False),
+    (with_entry(3, 0, 1, 1e-3, stack=4), 1e-3, True),
+    (with_entry(3, 0, 1, -0.0, stack=4), np.nan, False),
+    (with_entry(33, 0, 32, -0.0), 0.0, True),
+    (with_entry(33, 0, 32, np.nan), 0.0, False),
+    (with_entry(33, 0, 32, 1e-3, stack=2), 1e-3, True),
+    (with_entry(33, 5, 5, np.nan, stack=2), 0.0, False),
+]
+
+
+@pytest.mark.parametrize("A, tol, expected", TRUTH_TABLE)
+def test_triangularity_truth_table(A, tol, expected):
+    """NaN and infinite entries, -0.0 above the diagonal, complex diagonals,
+    a tol below 0 or NaN, empty matrices and stacks, on both sides of the
+    gather's largest size."""
+    assert is_lower_triangular(A, tol) is expected
+    assert triu_definition(A, tol) is expected
+
+
 # -- one-point helpers ----------------------------------------------------------
 
 def raw(A):
