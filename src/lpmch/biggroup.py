@@ -15,7 +15,7 @@ import numpy as np
 
 from .core import LPM, ConePoint, as_pattern
 from .cholesky import _factor
-from .geometry import cone_compose, distance, group_inv, group_op
+from .geometry import _group_inv, _group_op, cone_compose, distance
 from .errors import ConeKindMismatch, GroupMismatch
 
 __all__ = ["BigGroupElement", "box_op", "box_inv", "dp_distance",
@@ -84,13 +84,13 @@ def _check_pair(A, B):
 def box_op(A, B):
     """Product: factors compose in the Cholesky group, patterns multiply."""
     _check_pair(A, B)
-    return _from_factor(group_op(A.factor, B.factor),
+    return _from_factor(_group_op(A.factor, B.factor),
                         schur_pattern(A.pattern, B.pattern), A.cone)
 
 
 def box_inv(A):
     """Inverse: the group inverse of the factor; the pattern is its own inverse."""
-    return _from_factor(group_inv(A.factor), A.pattern, A.cone)
+    return _from_factor(_group_inv(A.factor), A.pattern, A.cone)
 
 
 def _check_p(p):

@@ -7,9 +7,9 @@ Phi_B and ``factor`` inverts it in closed form from the unpivoted LDL*
 factorizations A = L_A D_A L_A* and B = L_B D_B L_B*:
 L = L_A diag(sqrt(d_A / d_B)) L_B^{-1}, one matrix product with the blocked
 inverse of L_B. A diagonal basis (such as the canonical D_eps) is its own
-LDL*, (I, diag B), and is not eliminated. The trailing-minor (TPM) duals
-are obtained through the reversal map, and ``resign`` moves a matrix
-between cones by swapping the signs of its LDL* pivots.
+LDL*, (I, diag B), and is not eliminated. The trailing-minor (TPM) maps
+run the same code on the reversals (core._orient), and ``resign`` moves a
+matrix between cones by swapping the signs of its LDL* pivots.
 """
 
 from functools import lru_cache
@@ -25,6 +25,7 @@ from .core import (
     _cached_factor,
     _check_tol,
     _lower_inverse,
+    _orient,
     _read_only,
     _strict_lower_indices,
     _unit_lower_inverse,
@@ -32,9 +33,7 @@ from .core import (
     canonical_diagonal,
     canonical_signs,
     ldl,
-    reverse_matrix,
     reverse_pattern,
-    reverse_point,
     symmetrize,
 )
 from .errors import ConeKindMismatch, NegativeRadicand, PatternMismatch, SingularMatrix
@@ -149,33 +148,58 @@ def _radicands(d, divisor, tol):
     return radicand
 
 
-def _derived_factor(A):
-    """A's factor against its canonical basis from A's own LDL* alone (TPM
-    through the reversal)."""
-    if A.cone != LPM:
-        return reverse_matrix(_derived_factor(reverse_point(A)))
-    LA, d = ldl(A.matrix)
-    return LA * np.sqrt(_radicands(d, canonical_signs(A.pattern), DEFAULT_TOL))
+def _factor_against(A, B, tol=DEFAULT_TOL):
+    """factor in the leading orientation of A's cone (core._orient): B is the
+    oriented basis matrix, or the vector of its diagonal."""
+    LA, dA = ldl(_orient(A.matrix, A.cone))
+    LB = None
+    if B.ndim == 1:
+        dB = B
+    # A complex diagonal goes through ldl, which rejects a non-Hermitian one.
+    elif np.tril(B, -1).any() or np.diagonal(B).imag.any():
+        LB, dB = ldl(B)
+    else:
+        dB = np.diagonal(B).real
+    L = LA * np.sqrt(_radicands(dA, dB, tol))
+    return _orient(L if LB is None else L @ _unit_lower_inverse(LB), A.cone)
 
 
 def _factor(A):
     """A's factor against its canonical basis, read-only: the cached one, or
     derived and then cached (geometry.cone_factor returns a copy)."""
     F = _cached_factor(A)
-    return _cache_factor(A, _derived_factor(A)) if F is None else F
+    return _cache_factor(A, _factor_against(A, canonical_signs(A.pattern))) if F is None else F
+
+
+def _compose(L, B, cone):
+    """compose (LPM) and compose_tpm (TPM)."""
+    L = _check_lower(L)
+    if B.cone != cone:
+        raise ConeKindMismatch(f"expected a basis of the {cone} cone, got {B.cone}")
+    if L.shape[0] != B.dim:
+        raise PatternMismatch(f"factor size {L.shape[0]} != basis dimension {B.dim}")
+    return ConePoint(matrix=_congruence(L, B.matrix, cone), cone=cone,
+                     pattern=B.pattern, tolerance_used=B.tolerance_used)
+
+
+def _factor_in(A, B, cone, tol):
+    """factor (LPM) and factor_tpm (TPM)."""
+    _check_same_cone(A, B, cone)
+    Bm = _orient(B.matrix, cone)
+    F = _cached_factor(A) if tol == DEFAULT_TOL else None
+    if F is not None and np.array_equal(Bm, canonical_diagonal(A.pattern)):
+        return np.array(F)
+    return _factor_against(A, Bm, tol)
 
 
 def compose(L, B):
     """Phi_B(L) = L B L*, a point of the same LPM cone as B.
 
     The k-th leading minor of the result is |det L_[k]|^2 times that of B,
-    so the sign pattern is inherited from B.
+    so the sign pattern is inherited from B. PatternMismatch when L is not
+    of B's size.
     """
-    L = _check_lower(L)
-    if B.cone != LPM:
-        raise ConeKindMismatch(f"compose needs an LPM basis, got {B.cone}")
-    return ConePoint(matrix=_congruence(L, B.matrix, LPM), cone=LPM,
-                     pattern=B.pattern, tolerance_used=B.tolerance_used)
+    return _compose(L, B, LPM)
 
 
 def factor(A, B, tol=DEFAULT_TOL):
@@ -193,38 +217,19 @@ def factor(A, B, tol=DEFAULT_TOL):
     pattern, at the default tol, L is cone_factor(A): a copy of the factor
     A carries, if it carries one (see geometry.cone_factor).
     """
-    _check_same_cone(A, B, LPM)
-    F = _cached_factor(A) if tol == DEFAULT_TOL else None
-    if F is not None and np.array_equal(B.matrix, canonical_diagonal(A.pattern)):
-        return np.array(F)
-    LA, dA = ldl(A.matrix)
-    Bm = B.matrix
-    diagonal = np.diagonal(Bm)
-    # A complex diagonal goes through ldl, which rejects a non-Hermitian one.
-    if np.tril(Bm, -1).any() or diagonal.imag.any():
-        LB, dB = ldl(Bm)
-    else:
-        LB, dB = None, diagonal.real
-    scaled = LA * np.sqrt(_radicands(dA, dB, tol))
-    return scaled if LB is None else scaled @ _unit_lower_inverse(LB)
+    return _factor_in(A, B, LPM, tol)
 
 
 def compose_tpm(L, C):
     """The trailing-minor analogue of compose: L* C L in the TPM cone of C."""
-    L = _check_lower(L)
-    if C.cone != TPM:
-        raise ConeKindMismatch(f"compose_tpm needs a TPM basis, got {C.cone}")
-    return ConePoint(matrix=_congruence(L, C.matrix, TPM), cone=TPM,
-                     pattern=C.pattern, tolerance_used=C.tolerance_used)
+    return _compose(L, C, TPM)
 
 
 def factor_tpm(A, C, tol=DEFAULT_TOL):
-    """Invert compose_tpm by reversal: factor the reversed pair, reverse back.
-
-    The reversal of a diagonal basis is diagonal, so it is not eliminated
-    here either."""
-    _check_same_cone(A, C, TPM)
-    return reverse_matrix(factor(reverse_point(A), reverse_point(C), tol=tol))
+    """Invert compose_tpm: the reversal of factor of the reversed pair, bit for
+    bit on self-adjoint input. The reversal of a diagonal basis is diagonal,
+    so it is not eliminated here either."""
+    return _factor_in(A, C, TPM, tol)
 
 
 def resign(A, delta, tol=DEFAULT_TOL):
@@ -252,9 +257,9 @@ def resign(A, delta, tol=DEFAULT_TOL):
 
 
 def canonical_point(eps, cone=LPM):
-    """The canonical diagonal D_eps (LPM) or its reversal counterpart (TPM)."""
-    point = ConePoint(matrix=canonical_diagonal(eps), cone=LPM, pattern=as_pattern(eps))
-    return point if cone == LPM else reverse_point(point)
+    """The canonical diagonal D_eps (LPM) or its reversal (TPM)."""
+    eps = as_pattern(eps)
+    return ConePoint(matrix=_orient(canonical_diagonal(eps), cone), cone=cone, pattern=eps)
 
 
 def _cone_matrices(F, patterns, cone):
@@ -263,6 +268,8 @@ def _cone_matrices(F, patterns, cone):
     patterns[i] (patterns is one pattern or an (m, n) array of them), each
     D_i given to the congruence as its vector of signs. PatternMismatch when
     a pattern's length is not the factors' size."""
+    if cone not in (LPM, TPM):
+        raise ValueError(f"cone must be {LPM!r} or {TPM!r}, got {cone!r}")
     F = _check_lower(F, ndim=3)
     signs = canonical_signs(patterns)
     if signs.shape[-1] != F.shape[-1]:

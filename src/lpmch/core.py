@@ -443,6 +443,15 @@ def reverse_matrix(A):
     return np.swapaxes(A.conj(), -1, -2)[..., ::-1, ::-1]
 
 
+def _orient(X, cone):
+    """X (a matrix, a factor or a stack) as its leading-minor twin: itself for
+    LPM, its reversal for TPM, whose leading minors are X's trailing ones. The
+    reversal is an involution, so the same call takes the twin back."""
+    if cone not in (LPM, TPM):
+        raise ValueError(f"cone must be {LPM!r} or {TPM!r}, got {cone!r}")
+    return X if cone == LPM else reverse_matrix(X)
+
+
 def reverse_point(point):
     """The reversal of a cone point: LPM <-> TPM with the same pattern.
 
@@ -472,7 +481,7 @@ def _classify_with_minors(A, cone=LPM, tol=DEFAULT_TOL):
     _check_matrix(np.asarray(A))
     A = symmetrize(A)
     cutoffs = _log_minor_cutoffs(A, tol)
-    d = ldl(reverse_matrix(A) if cone == TPM else A)[1]
+    d = ldl(_orient(A, cone))[1]
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         minors = np.cumprod(d)
         passed = np.cumsum(np.log(np.abs(d))) > cutoffs
@@ -490,8 +499,8 @@ def classify(A, cone=LPM, tol=DEFAULT_TOL):
     Raises MinorNearZero(k) when the k-th minor fails the scale-aware
     tolerance |minor| > tol * max(1, scale(A))**k, tested in logs so that
     neither side overflows, NonFiniteInput when an entry is NaN or infinite,
-    and ValueError when A is not one square matrix of size at least 1 or
-    tol is not finite and >= 0.
+    and ValueError when A is not one square matrix of size at least 1, tol
+    is not finite and >= 0, or cone is neither 'lpm' nor 'tpm'.
     """
     return _classify_with_minors(A, cone, tol)[0]
 

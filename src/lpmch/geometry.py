@@ -6,6 +6,8 @@ a flat Riemannian manifold and an abelian group under ``group_op``; the
 vector space and the distance into the Euclidean norm. Everything
 transfers to each signed minor cone through the factorization maps, making
 each cone an isometric copy of the Cholesky space. Real scalars only.
+Factor arguments that are not factors raise eta's ValueError; tangents are
+not checked.
 """
 
 from functools import lru_cache
@@ -15,7 +17,7 @@ import numpy as np
 from .core import LPM, _cache_factor, _points, _read_only, _strict_lower_indices, \
     as_pattern, canonical_diagonal, reverse_matrix, symmetrize
 from .cholesky import _check_lower, _check_same_cone, _cone_matrices, _factor
-from .errors import ComplexFactor
+from .errors import ComplexFactor, GroupMismatch
 
 __all__ = [
     "group_op", "group_inv", "scalar_mul", "eta", "eta_inv",
@@ -53,18 +55,31 @@ def _strict_lower_mask(rows, cols=None):
     return _read_only(np.tri(rows, cols, -1, dtype=bool))
 
 
+# The star and box operations and lpm_geodesic pass the factors of cone
+# points to the unchecked bodies: each check costs 3-5 us, a tenth to a
+# fifth of a star_op at n = 10.
+
 def group_op(L, K):
     """L (.) K: add strict-lower parts, multiply diagonals. Abelian, identity Id."""
+    return _group_op(_check_lower(L), _check_lower(K))
+
+
+def _group_op(L, K):
     return _assemble(_strict(L) + _strict(K), _diag(L) * _diag(K))
 
 
 def group_inv(L):
     """Group inverse: negate the strict-lower part, invert the diagonal."""
+    return _group_inv(_check_lower(L))
+
+
+def _group_inv(L):
     return _assemble(-_strict(L), 1.0 / _diag(L))
 
 
 def scalar_mul(alpha, L):
     """alpha . L: scale the strict-lower part, raise the diagonal to alpha."""
+    L = _check_lower(L)
     return _assemble(alpha * _strict(L), _diag(L) ** float(alpha))
 
 
@@ -124,11 +139,15 @@ def eta_inv(v):
 
 def distance(L, K):
     """Geodesic distance: Euclidean norm of the eta-coordinate difference."""
-    return float(np.linalg.norm(eta(L) - eta(K)))
+    v, w = eta(L), eta(K)
+    if v.shape[-1] != w.shape[-1]:
+        raise GroupMismatch(f"dimensions differ: {np.shape(L)[-1]} vs {np.shape(K)[-1]}")
+    return float(np.linalg.norm(v - w))
 
 
 def metric_tensor(L, X, Y):
     """g_L(X, Y) = sum of strict-lower products + diagonal products / l_jj^2."""
+    L = _check_lower(L)
     low = float(np.sum(_strict(X) * _strict(Y)))
     return low + float(np.sum(_diag(X) * _diag(Y) / _diag(L) ** 2))
 
@@ -139,19 +158,28 @@ def geodesic(L, X, t):
     Strict-lower parts move linearly; the diagonal moves exponentially, so
     the result never leaves the space.
     """
+    return _geodesic(_check_lower(L), X, t)
+
+
+def _geodesic(L, X, t):
     dL, dX = _diag(L), _diag(X)
     return _assemble(_strict(L) + t * _strict(X), dL * np.exp(t * dX / dL))
 
 
 def geodesic_between(L, K, t):
     """Unit-time geodesic from L to K, evaluated at t (t=0 -> L, t=1 -> K)."""
+    return _geodesic_between(_check_lower(L), _check_lower(K), t)
+
+
+def _geodesic_between(L, K, t):
     dL, dK = _diag(L), _diag(K)
     X = _assemble(_strict(K) - _strict(L), (np.log(dK) - np.log(dL)) * dL)
-    return geodesic(L, X, t)
+    return _geodesic(L, X, t)
 
 
 def differential(L, X, eps):
     """Pushforward of the tangent X under L -> L D_eps L^T."""
+    L = _check_lower(L)
     D = canonical_diagonal(eps)
     W = L @ D @ X.T + X @ D @ L.T
     return symmetrize(W)
@@ -163,6 +191,7 @@ def _half_lower(A):
 
 def differential_inv(L, W, eps):
     """Pullback of a symmetric perturbation W to a lower triangular tangent."""
+    L = _check_lower(L)
     D = canonical_diagonal(eps)
     Z = np.linalg.solve(L, np.linalg.solve(L, W).T).T
     return L @ _half_lower(Z) @ D
@@ -208,19 +237,19 @@ def lpm_distance(A, B):
 def lpm_geodesic(A, B, t):
     """Geodesic between cone points, transferred through the factorization."""
     _check_same_cone(A, B, A.cone)
-    G = geodesic_between(_factor(A), _factor(B), t)
+    G = _geodesic_between(_factor(A), _factor(B), t)
     return cone_compose(G, A.pattern, A.cone)
 
 
 def star_op(A, B):
     """Per-cone abelian operation; the identity element is the canonical basis."""
     _check_same_cone(A, B, A.cone)
-    L = group_op(_factor(A), _factor(B))
+    L = _group_op(_factor(A), _factor(B))
     return cone_compose(L, A.pattern, A.cone)
 
 
 def star_inv(A):
-    return cone_compose(group_inv(_factor(A)), A.pattern, A.cone)
+    return cone_compose(_group_inv(_factor(A)), A.pattern, A.cone)
 
 
 def log_cholesky_mean(points):

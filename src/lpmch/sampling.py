@@ -26,18 +26,20 @@ what the samplers, densities and walk steps compute from that spec:
 - log_density(M): the per-point part of a density. It reads the factor L
   of M against its canonical basis (cone_factor), which the point keeps
   after the first read: log det is 2 sum log l_jj, and the trace term is a
-  squared Frobenius norm.
+  squared Frobenius norm in the leading orientation of the cone.
 
 A spec's law is made by the first call that needs it (_law): the spec is
 validated, and the law is kept on the spec against read-only copies of the
 entries of sigma (the base's, for a clone), sigma_tilde and m0.matrix, and
 of the pattern as given (m0.pattern for the Cholesky-normal law, the
-base's for a clone). Its spec-only terms (the scale factors, the inverse
-and normalising constant of a density, the coordinates of the centre and
-the PSD square root of sigma_tilde) are computed when first asked for and
-then kept. After an in-place edit of any of those arrays or of the
-pattern, the next call validates the spec and makes its law again; a spec
-that fails validation keeps nothing. A function named after a kind raises
+base's for a clone). Its spec-only terms (the one scale factor of sigma
+that a Wishart law's draws and densities share, the inverse Wishart's
+factor of the inverse of sigma for its draws, the inverse and normalising
+constant of a density, the coordinates of the centre and the PSD square
+root of sigma_tilde) are computed when first asked for and then kept.
+After an in-place edit of any of those arrays or of the pattern, the next
+call validates the spec and makes its law again; a spec that fails
+validation keeps nothing. A function named after a kind raises
 SpecInvalid for a spec of another kind before any draw or arithmetic.
 """
 
@@ -53,12 +55,12 @@ from .core import (
     ConePoint,
     _check_finite,
     _lower_inverse,
+    _orient,
     _read_only,
     _same_entries,
     _strict_lower_indices,
     _unrank_patterns,
     as_pattern,
-    reverse_matrix,
     symmetrize,
 )
 from .cholesky import _factor
@@ -106,9 +108,9 @@ class DistributionSpec:
     inertial cloning (all_cones spreads the mass over every pattern instead).
 
     Each kind has one law class (see the module docstring). validate and
-    dim dispatch to it: an unknown kind, a missing field, a NaN or infinite
-    entry of sigma or sigma_tilde (NonFiniteInput) or a parameter out of its
-    range (a NaN or infinite dof included) raises there. The samplers,
+    dim dispatch to it: an unknown kind or cone, a missing field, a NaN or
+    infinite entry of sigma or sigma_tilde (NonFiniteInput) or a parameter
+    out of its range (a NaN or infinite dof included) raises. The samplers,
     densities and walk steps use the spec's law, which the spec keeps after
     its first use. It is used only while sigma (the base's, for a clone),
     sigma_tilde and m0.matrix hold exactly the entries it was made from, and
@@ -138,6 +140,8 @@ class DistributionSpec:
         return np.asarray(_law_class(self).parts(self)[0][0]).shape[0]
 
     def validate(self):
+        if self.cone not in (LPM, TPM):
+            raise SpecInvalid(f"cone must be {LPM!r} or {TPM!r}, got {self.cone!r}")
         _law_class(self).validate(self)
         return self
 
@@ -196,14 +200,6 @@ def bartlett_sample(rng, n, N, size=None):
     m = 1 if size is None else int(size)
     K = _bartlett_factors(_bartlett_draws(rng.generator, n, N, m))
     return K[0] if size is None else K
-
-
-def _scale_factor(sigma, cone):
-    """The Cholesky factor of the self-adjoint part of sigma (the matrix
-    that validate and the densities read) in the leading orientation of the
-    cone: of that part itself (LPM) or of its reversal (TPM)."""
-    sigma = symmetrize(np.asarray(sigma, dtype=float))
-    return np.linalg.cholesky(reverse_matrix(sigma) if cone == TPM else sigma)
 
 
 def _multigammaln(a, d):
@@ -283,30 +279,29 @@ class _Wishart(_SpecLaw):
             raise SpecInvalid("sigma must be positive definite")
 
     @cached_property
-    def scale_factor(self):
-        """(the cone of the law's factors, L0: the factor of sigma in it)."""
-        return self.cone, _scale_factor(self.entries[0], self.cone)
-
-    @cached_property
     def scale(self):
-        """(C, C^-1, log det sigma, log Gamma_n(N/2) + n N log(2) / 2), C the
-        Cholesky factor of sigma."""
+        """(L0, L0^-1, log det sigma, log Gamma_n(N/2) + n N log(2) / 2), L0 the
+        Cholesky factor of sigma oriented as the law's cone (core._orient)."""
         try:
-            C = np.linalg.cholesky(symmetrize(self.entries[0].astype(float)))
+            L0 = np.linalg.cholesky(_orient(symmetrize(self.entries[0].astype(float)), self.cone))
         except np.linalg.LinAlgError:
             raise SpecInvalid("sigma must be positive definite") from None
-        n, N = C.shape[0], self.dof
-        return (C, np.tril(np.linalg.inv(C)), 2.0 * float(np.sum(np.log(np.diagonal(C)))),
+        n, N = L0.shape[0], self.dof
+        return (L0, np.tril(np.linalg.inv(L0)), _factor_logdet(L0),
                 _multigammaln(N / 2.0, n) + 0.5 * n * N * math.log(2.0))
+
+    @cached_property
+    def forward(self):
+        """(the cone of the Bartlett draws' factors, their scale factor L0)."""
+        return self.cone, self.scale[0]
 
     def draws(self, g, m, out=None):
         return _bartlett_draws(g, self.n, self.dof, m, out)
 
     def factors(self, draws):
         """The cone factors L0 K of Bartlett draws K, reversed in the TPM cone."""
-        cone, L0 = self.scale_factor
-        F = L0 @ _bartlett_factors(draws)
-        return reverse_matrix(F) if cone == TPM else F
+        cone, L0 = self.forward
+        return _orient(L0 @ _bartlett_factors(draws), cone)
 
     def points(self, draws, size):
         return _cone_points(self.factors(draws), self.pattern, self.cone, size)
@@ -332,9 +327,9 @@ class _Wishart(_SpecLaw):
         """See wishart_log_density and check_measure."""
         self.check_measure(measure)
         L = self.factor_of(M)
-        _, C_inv, sigma_logdet, gamma = self.scale
+        _, L0_inv, sigma_logdet, gamma = self.scale
         n, N = L.shape[0], self.dof
-        Y = C_inv @ (L if M.cone == LPM else L.T)
+        Y = L0_inv @ _orient(L, self.cone)
         return float(0.5 * (N - n - 1) * _factor_logdet(L) - 0.5 * _squared_norm(Y)
                      - gamma - 0.5 * N * sigma_logdet)
 
@@ -347,10 +342,11 @@ class _InverseWishart(_Wishart):
     increments = None  # no walk step
 
     @cached_property
-    def scale_factor(self):
+    def forward(self):
         """(the reversed cone, the factor of the inverse of sigma in it)."""
         cone = LPM if self.cone == TPM else TPM
-        return cone, _scale_factor(np.linalg.inv(symmetrize(self.entries[0].astype(float))), cone)
+        inverse = np.linalg.inv(symmetrize(self.entries[0].astype(float)))
+        return cone, np.linalg.cholesky(_orient(symmetrize(inverse), cone))
 
     def points(self, draws, size):
         """The inverses of the Wishart draws F D F* (F* D F in the TPM cone)
@@ -363,9 +359,9 @@ class _InverseWishart(_Wishart):
         """See inverse_wishart_log_density and check_measure."""
         self.check_measure(measure)
         L = self.factor_of(X)
-        C, _, sigma_logdet, gamma = self.scale
+        L0, _, sigma_logdet, gamma = self.scale
         n, N = L.shape[0], self.dof
-        Y = np.linalg.solve(L if X.cone == LPM else L.T, C)
+        Y = np.linalg.solve(_orient(L, self.cone), L0)
         return float(0.5 * N * sigma_logdet - gamma
                      - 0.5 * (N + n + 1) * _factor_logdet(L) - 0.5 * _squared_norm(Y))
 
@@ -535,9 +531,10 @@ def wishart_log_density(M, spec):
     """Log-density of the transferred Wishart at the cone point M.
 
     The transfer rides the factorization: the density at L D L* is the
-    classical Wishart density at W = L L^T (L^T L in the TPM cone). With C
-    the Cholesky factor of sigma, tr(sigma^-1 W) is ||C^-1 L||^2 (LPM) or
-    ||C^-1 L^T||^2 (TPM).
+    classical Wishart density at W = L L^T (L^T L in the TPM cone). With R
+    the identity (LPM) or the reversal (TPM) and L0 the Cholesky factor of
+    R(sigma), tr(sigma^-1 W) is ||L0^-1 R(L)||^2 and det sigma is
+    (det L0)^2.
     """
     return _law(spec, _Wishart).log_density(M)
 
@@ -594,8 +591,8 @@ def inverse_wishart_log_density(X, spec):
 
     sigma plays the role of the inverse-Wishart scale: the law of M^{-1}
     when M is Wishart with scale sigma^{-1}. At W = L L^T (L^T L in the TPM
-    cone), with C the Cholesky factor of sigma, tr(sigma W^-1) is
-    ||L^-1 C||^2 (LPM) or ||L^-T C||^2 (TPM).
+    cone), with R and L0 as in wishart_log_density, tr(sigma W^-1) is
+    ||R(L)^-1 L0||^2.
     """
     return _law(spec, _InverseWishart).log_density(X)
 

@@ -113,6 +113,10 @@ def test_factor_errors():
         factor(wrong, bad)
     with pytest.raises(ConeKindMismatch):
         factor(A, canonical_point((1, -1), cone="tpm"))
+    # A factor of another size than the basis ended in NumPy's matmul error.
+    for comp, cone in ((compose, "lpm"), (compose_tpm, "tpm")):
+        with pytest.raises(PatternMismatch, match="factor size 3 != basis dimension 2"):
+            comp(np.eye(3), canonical_point((1, 1), cone))
 
 
 @pytest.mark.parametrize("tol", (-1.0, float("nan"), float("inf")))

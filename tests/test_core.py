@@ -5,10 +5,16 @@ import pytest
 
 from conftest import random_cone_point
 from lpmch import (
+    ConePoint,
+    DistributionSpec,
+    RngStream,
     all_patterns,
     canonical_diagonal,
     canonical_point,
+    cholesky_normal_sample,
     classify,
+    cone_compose,
+    cone_factor,
     cones_with_inertia,
     invert_cone_point,
     leading_minors,
@@ -18,9 +24,10 @@ from lpmch import (
     pattern_to_string,
     reverse_matrix,
     reverse_pattern,
+    wishart_sample,
 )
 from lpmch.core import _classify_with_minors
-from lpmch.errors import MinorNearZero, NonFiniteInput, SingularMatrix
+from lpmch.errors import MinorNearZero, NonFiniteInput, SingularMatrix, SpecInvalid
 
 NON_FINITE = (np.full((2, 2), np.nan), np.array([[1.0, 0.5], [0.5, np.inf]]))
 
@@ -149,6 +156,28 @@ def test_leading_minors_against_determinants():
         for k in range(1, n + 1):
             assert minors[k - 1] == pytest.approx(
                 np.linalg.det(A[:k, :k]), rel=1e-10, abs=1e-12)
+
+
+# Leading minors 1, -3, -10; trailing minors 3, 2, -10.
+INDEFINITE = np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 1.0], [0.0, 1.0, 3.0]])
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: classify(INDEFINITE, cone="xyz"), ValueError),
+    (lambda: cone_factor(ConePoint(matrix=INDEFINITE, cone="xyz", pattern=(1, -1, -1))),
+     ValueError),
+    (lambda: canonical_point((1, -1), "xyz"), ValueError),
+    (lambda: cone_compose(np.eye(2), (1, -1), cone="xyz"), ValueError),
+    (lambda: wishart_sample(RngStream(0), DistributionSpec(
+        kind="wishart", cone="xyz", pattern=(1, -1), sigma=np.eye(2), dof=3)), SpecInvalid),
+    (lambda: cholesky_normal_sample(RngStream(0), DistributionSpec(
+        kind="cholesky_normal", cone="xyz", m0=canonical_point((1, -1)),
+        sigma_tilde=np.eye(3))), SpecInvalid),
+], ids=["classify", "cone_factor", "canonical_point", "cone_compose", "wishart", "normal"])
+def test_a_cone_other_than_lpm_and_tpm_is_refused(call, error):
+    # Each took an unknown cone for LPM or TPM and labelled its point with it.
+    with pytest.raises(error, match="cone must be 'lpm' or 'tpm', got 'xyz'"):
+        call()
 
 
 def test_reverse_matrix():

@@ -25,7 +25,7 @@ from lpmch import (
     star_inv,
     star_op,
 )
-from lpmch.errors import ComplexFactor, PatternMismatch
+from lpmch.errors import ComplexFactor, GroupMismatch, PatternMismatch
 from lpmch.geometry import KLEIN_MAPS, cone_factor
 
 L_WITNESS = np.array([[1.0, 0.0], [2.0, 2.0]])
@@ -266,15 +266,32 @@ def test_eta_rejects_complex_factors():
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("bad", [[[-1.0, 0.0], [0.5, 1.0]], [[0.0, 0.0], [0.5, 1.0]],
-                                 [[np.nan, 0.0], [0.5, 1.0]], [[1.0, 0.2], [0.5, 1.0]]])
+                                 [[np.nan, 0.0], [0.5, 1.0]], [[1.0, 0.2], [0.5, 1.0]], 0.0])
 def test_eta_refuses_what_is_not_a_factor(bad):
     # A diagonal entry that is not positive gave a nan (or -inf) coordinate
-    # and only a RuntimeWarning; an upper entry was silently dropped.
+    # and only a RuntimeWarning; an upper entry was silently dropped. So did
+    # the functions of the Cholesky space, and 0 as L gave inf in
+    # metric_tensor and NumPy's LinAlgError in differential_inv. Tangents
+    # are not checked.
     message = "expected lower triangular with positive diagonal"
     bad = np.array(bad)
-    with pytest.raises(ValueError, match=message):
-        eta(bad)
-    with pytest.raises(ValueError, match=message):
-        eta(np.stack([L_WITNESS, bad]))
-    with pytest.raises(ValueError, match=message):
-        distance(L_WITNESS, bad)
+    I, X = np.eye(2), np.array([[-1.0, 0.0], [3.0, -2.0]])
+    calls = [lambda: eta(bad), lambda: distance(L_WITNESS, bad),
+             lambda: group_op(bad, I), lambda: group_op(I, bad), lambda: group_inv(bad),
+             lambda: scalar_mul(0.5, bad), lambda: metric_tensor(bad, X, X),
+             lambda: geodesic(bad, X, 0.5), lambda: geodesic_between(I, bad, 0.5),
+             lambda: geodesic_between(bad, I, 0.5), lambda: differential(bad, X, (1, -1)),
+             lambda: differential_inv(bad, X + X.T, (1, -1))]
+    if bad.ndim == 2:
+        calls.append(lambda: eta(np.stack([L_WITNESS, bad])))
+    for call in calls:
+        with pytest.raises(ValueError, match=message):
+            call()
+    assert metric_tensor(I, X, X) == 14.0
+    assert np.array_equal(geodesic(I, X, 0.0), I)
+
+
+def test_distance_between_factors_of_different_sizes():
+    # It ended in NumPy's broadcast error.
+    with pytest.raises(GroupMismatch, match="dimensions differ: 2 vs 3"):
+        distance(np.eye(2), np.eye(3))

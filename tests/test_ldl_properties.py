@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import random_factor
 from lpmch import (
+    DistributionSpec,
     canonical_point,
     compose,
     compose_tpm,
@@ -17,11 +18,16 @@ from lpmch import (
     cone_factor,
     factor,
     factor_tpm,
+    inverse_wishart_log_density,
     leading_minors,
     resign,
     reverse_matrix,
+    symmetrize,
+    wishart_log_density,
 )
-from lpmch.core import _blocked_ldl, _unit_lower_inverse, ldl
+from lpmch.core import _blocked_ldl, _classify_with_minors, _unit_lower_inverse, ldl, \
+    reverse_point
+from lpmch.errors import MinorNearZero
 
 PROPERTY = settings(max_examples=40, deadline=None)
 
@@ -34,6 +40,8 @@ sizes = st.integers(1, 64)
 patterns = sizes.flatmap(patterns_of)
 pattern_pairs = sizes.flatmap(lambda n: st.tuples(patterns_of(n), patterns_of(n)))
 seeds = st.integers(0, 2**32 - 1)
+# Decimal exponents of the scales 1e-4..1e4 that points and sigmas are taken at.
+log_scales = st.floats(-4, 4)
 
 
 def relative_error(X, Y):
@@ -70,6 +78,64 @@ def test_factor_inverts_compose_against_general_basis(eps, seed):
     assert relative_error(factor(compose(L, B), B), L) < 1e-11
     C = cone_compose(random_factor(rng, n), eps, cone="tpm")
     assert relative_error(factor_tpm(compose_tpm(L, C), C), L) < 1e-11
+
+
+@PROPERTY
+@given(patterns, log_scales, seeds)
+def test_tpm_maps_are_the_reversals_of_lpm_maps(eps, log_scale, seed):
+    """With R the reversal, factor_tpm(R(P), R(B)) is R(factor(P, B)) and
+    cone_factor(R(P)) is R(cone_factor(P)) bit for bit, classify of R(A) in
+    the TPM cone has the pattern and minors of classify(A) (or fails at the
+    same minor), and compose_tpm(R(L), R(B)) is R(compose(L, B)) to
+    rounding: within 2 n u |L| |B| |L|*, twice the error bound of either."""
+    rng = np.random.default_rng(seed)
+    n = len(eps)
+    L = np.sqrt(10.0 ** log_scale) * random_factor(rng, n)
+    B = compose(random_factor(rng, n), canonical_point(eps))
+    P = compose(L, B)
+    # Reversed before cone_factor(P) caches a factor that reverse_point
+    # would carry over.
+    RP, RB = reverse_point(P), reverse_point(B)
+    for basis, reversed_basis in ((B, RB), (canonical_point(eps), canonical_point(eps, "tpm"))):
+        assert np.array_equal(factor_tpm(RP, reversed_basis), reverse_matrix(factor(P, basis)))
+    assert np.array_equal(cone_factor(RP), reverse_matrix(cone_factor(P)))
+
+    try:
+        point, minors = _classify_with_minors(P.matrix)
+    except MinorNearZero as exc:
+        with pytest.raises(MinorNearZero) as info:
+            _classify_with_minors(reverse_matrix(P.matrix), "tpm")
+        assert info.value.k == exc.k
+    else:
+        twin, twin_minors = _classify_with_minors(reverse_matrix(P.matrix), "tpm")
+        assert (twin.cone, twin.pattern) == ("tpm", point.pattern)
+        assert np.array_equal(twin_minors, minors)
+
+    u = np.finfo(float).eps / 2
+    bound = 2 * n * u * np.linalg.norm(np.abs(L) @ np.abs(B.matrix) @ np.abs(L).T)
+    twin = compose_tpm(reverse_matrix(L), RB)
+    assert (twin.cone, twin.pattern) == ("tpm", eps)
+    assert np.linalg.norm(twin.matrix - reverse_matrix(P.matrix)) <= bound
+
+
+@PROPERTY
+@given(patterns, log_scales, seeds)
+def test_tpm_densities_are_the_lpm_densities_of_the_reversals(eps, log_scale, seed):
+    """The TPM Wishart and inverse-Wishart log-densities at R(M) under the
+    scale R(sigma) are those of the LPM laws at M under sigma, within
+    1e-13 relative."""
+    rng = np.random.default_rng(seed)
+    n, scale = len(eps), 10.0 ** log_scale
+    X = rng.standard_normal((n, n))
+    sigma = symmetrize(scale * (X @ X.T / n + np.eye(n)))
+    M = compose(np.sqrt(scale) * random_factor(rng, n), canonical_point(eps))
+    RM = reverse_point(M)
+    for kind, density in (("wishart", wishart_log_density),
+                          ("inverse_wishart", inverse_wishart_log_density)):
+        lpm = DistributionSpec(kind=kind, pattern=eps, cone="lpm", sigma=sigma, dof=n + 2)
+        tpm = DistributionSpec(kind=kind, pattern=eps, cone="tpm",
+                               sigma=reverse_matrix(sigma), dof=n + 2)
+        assert density(RM, tpm) == pytest.approx(density(M, lpm), rel=1e-13, abs=0)
 
 
 @PROPERTY
