@@ -13,9 +13,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import LPM, ConePoint, as_pattern
+from .core import LPM, ConePoint, _read_only, as_pattern
 from .cholesky import _factor
-from .geometry import _group_inv, _group_op, cone_compose, distance
+from .geometry import _checked, _eta, _eta_inv, _factor_distance, cone_compose
 from .errors import ConeKindMismatch, GroupMismatch
 
 __all__ = ["BigGroupElement", "box_op", "box_inv", "dp_distance",
@@ -36,7 +36,10 @@ class BigGroupElement:
 
     Unless given, the factor is the point's own cached one (read-only; see
     geometry.cone_factor), read each time it is used, so an in-place edit of
-    the point's matrix is seen.
+    the point's matrix is seen. A given factor is checked once and kept as a
+    read-only copy: one that is not lower triangular with a positive
+    diagonal raises eta's ValueError, one of a size other than the point's
+    GroupMismatch.
     """
 
     point: ConePoint
@@ -44,6 +47,10 @@ class BigGroupElement:
     _given_factor: np.ndarray = field(default=None, repr=False)
 
     def __init__(self, point, factor=None):
+        if factor is not None:
+            factor = _read_only(np.array(_checked(factor)))
+            if len(factor) != point.dim:
+                raise GroupMismatch(f"factor size {len(factor)} != point dimension {point.dim}")
         object.__setattr__(self, "point", point)
         object.__setattr__(self, "_given_factor", factor)
 
@@ -84,13 +91,13 @@ def _check_pair(A, B):
 def box_op(A, B):
     """Product: factors compose in the Cholesky group, patterns multiply."""
     _check_pair(A, B)
-    return _from_factor(_group_op(A.factor, B.factor),
+    return _from_factor(_eta_inv(_eta(A.factor) + _eta(B.factor)),
                         schur_pattern(A.pattern, B.pattern), A.cone)
 
 
 def box_inv(A):
     """Inverse: the group inverse of the factor; the pattern is its own inverse."""
-    return _from_factor(_group_inv(A.factor), A.pattern, A.cone)
+    return _from_factor(_eta_inv(-_eta(A.factor)), A.pattern, A.cone)
 
 
 def _check_p(p):
@@ -117,7 +124,7 @@ def dp_distance(A, B, p=2):
     for p in [1, inf] (or 'inf'); ValueError for any other p."""
     _check_pair(A, B)
     p = _check_p(p)
-    return float(_combine(distance(A.factor, B.factor), A.pattern != B.pattern, p))
+    return float(_combine(_factor_distance(A.factor, B.factor), A.pattern != B.pattern, p))
 
 
 def torsion_order(A, tol=1e-10):

@@ -25,6 +25,7 @@ from .core import (
     _cached_factor,
     _check_tol,
     _lower_inverse,
+    _opposite,
     _orient,
     _read_only,
     _strict_lower_indices,
@@ -299,7 +300,7 @@ def invert_cone_point(point):
     sampler's stack would be. Any other point takes a general inverse of its
     matrix, made self-adjoint; SingularMatrix when it is singular.
     """
-    cone = TPM if point.cone == LPM else LPM
+    cone = _opposite(point.cone)
     pattern = reverse_pattern(point.pattern)
     F = _cached_factor(point)
     if F is None:

@@ -443,13 +443,20 @@ def reverse_matrix(A):
     return np.swapaxes(A.conj(), -1, -2)[..., ::-1, ::-1]
 
 
+def _opposite(cone):
+    """The other cone of the reversal: TPM for LPM, LPM for TPM; ValueError
+    for any other cone."""
+    if cone not in (LPM, TPM):
+        raise ValueError(f"cone must be {LPM!r} or {TPM!r}, got {cone!r}")
+    return TPM if cone == LPM else LPM
+
+
 def _orient(X, cone):
     """X (a matrix, a factor or a stack) as its leading-minor twin: itself for
     LPM, its reversal for TPM, whose leading minors are X's trailing ones. The
-    reversal is an involution, so the same call takes the twin back."""
-    if cone not in (LPM, TPM):
-        raise ValueError(f"cone must be {LPM!r} or {TPM!r}, got {cone!r}")
-    return X if cone == LPM else reverse_matrix(X)
+    reversal is an involution, so the same call takes the twin back.
+    ValueError (_opposite) for any other cone."""
+    return X if _opposite(cone) == TPM else reverse_matrix(X)
 
 
 def reverse_point(point):
@@ -460,7 +467,7 @@ def reverse_point(point):
     reverse_matrix(F).
     """
     out = ConePoint(matrix=symmetrize(reverse_matrix(point.matrix)),
-                    cone=TPM if point.cone == LPM else LPM,
+                    cone=_opposite(point.cone),
                     pattern=point.pattern, tolerance_used=point.tolerance_used)
     F = _cached_factor(point)
     if F is not None:

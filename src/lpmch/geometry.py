@@ -1,13 +1,25 @@
 """Log-Cholesky geometry and abelian group structure.
 
 The Cholesky space of lower triangular matrices with positive diagonal is
-a flat Riemannian manifold and an abelian group under ``group_op``; the
-``eta`` map is a linear-coordinates chart that turns the group into a
-vector space and the distance into the Euclidean norm. Everything
-transfers to each signed minor cone through the factorization maps, making
-each cone an isometric copy of the Cholesky space. Real scalars only.
-Factor arguments that are not factors raise eta's ValueError; tangents are
-not checked.
+a flat Riemannian manifold and an abelian group. Its chart ``eta`` (the
+log-diagonal, then the strict-lower entries row by row) is an isometric
+isomorphism onto Euclidean space, so every operation here is arithmetic on
+eta coordinates, mapped back by the inverse chart: the group operation adds
+coordinates, the inverse negates them, ``scalar_mul`` scales them,
+geodesics are straight lines, the metric is the dot product of tangent
+coordinates and the barycentre is their mean. Everything transfers to each
+signed minor cone through the factorization maps, making each cone an
+isometric copy of the Cholesky space.
+
+The functions of the Cholesky space check their factor arguments: one that
+is not a factor raises eta's ValueError, factors of two sizes and a tangent
+of another shape GroupMismatch, and a pattern of another length
+PatternMismatch; the entries of tangents are not checked. The functions of
+cone points read the points' factors, which the library made, unchecked.
+Coordinates follow the factor's dtype, so the group operations and
+geodesics also run on complex Hermitian points and factors; ``eta``,
+``distance``, ``lpm_distance`` and ``log_cholesky_mean`` are real and raise
+ComplexFactor for a factor with a nonzero imaginary part.
 """
 
 from functools import lru_cache
@@ -17,7 +29,7 @@ import numpy as np
 from .core import LPM, _cache_factor, _points, _read_only, _strict_lower_indices, \
     as_pattern, canonical_diagonal, reverse_matrix, symmetrize
 from .cholesky import _check_lower, _check_same_cone, _cone_matrices, _factor
-from .errors import ComplexFactor, GroupMismatch
+from .errors import ComplexFactor, GroupMismatch, PatternMismatch
 
 __all__ = [
     "group_op", "group_inv", "scalar_mul", "eta", "eta_inv",
@@ -28,59 +40,36 @@ __all__ = [
 ]
 
 
-# The one-point helpers below compute what np.tril(L, -1), a copy of
-# np.diagonal(L) and strict + np.diag(diag) compute, bit for bit and in the
-# same memory order, with less overhead per call: _strict's mask is cached
-# per shape, and _assemble writes the diagonal itself.
-
-def _strict(L):
-    L = np.asanyarray(L)
-    return np.where(_strict_lower_mask(*L.shape[-2:]), L, np.zeros(1, L.dtype))
+def _checked(L):
+    """A factor argument, checked (eta's ValueError), as a float or complex array."""
+    L = _check_lower(L)
+    return L if L.dtype.kind in "fc" else L.astype(float)
 
 
-def _diag(L):
-    return np.asanyarray(L).diagonal().copy()
+def _checked_pair(L, K):
+    """Two factor arguments, checked; GroupMismatch when their sizes differ."""
+    L, K = _checked(L), _checked(K)
+    if L.shape != K.shape:
+        raise GroupMismatch(f"dimensions differ: {L.shape[-1]} vs {K.shape[-1]}")
+    return L, K
 
-
-def _assemble(strict, diag):
-    n = diag.shape[0]
-    D = np.zeros((n, n), diag.dtype)
-    D.reshape(-1)[::n + 1] = diag
-    return strict + D
-
-
-@lru_cache
-def _strict_lower_mask(rows, cols=None):
-    """np.tri(rows, cols, -1, dtype=bool), read-only, computed once per shape."""
-    return _read_only(np.tri(rows, cols, -1, dtype=bool))
-
-
-# The star and box operations and lpm_geodesic pass the factors of cone
-# points to the unchecked bodies: each check costs 3-5 us, a tenth to a
-# fifth of a star_op at n = 10.
 
 def group_op(L, K):
-    """L (.) K: add strict-lower parts, multiply diagonals. Abelian, identity Id."""
-    return _group_op(_check_lower(L), _check_lower(K))
-
-
-def _group_op(L, K):
-    return _assemble(_strict(L) + _strict(K), _diag(L) * _diag(K))
+    """L (.) K = eta_inv(eta(L) + eta(K)): strict-lower parts add, diagonals
+    multiply. Abelian, identity Id."""
+    L, K = _checked_pair(L, K)
+    return _eta_inv(_eta(L) + _eta(K))
 
 
 def group_inv(L):
-    """Group inverse: negate the strict-lower part, invert the diagonal."""
-    return _group_inv(_check_lower(L))
-
-
-def _group_inv(L):
-    return _assemble(-_strict(L), 1.0 / _diag(L))
+    """eta_inv(-eta(L)): the strict-lower part negated, the diagonal inverted."""
+    return _eta_inv(-_eta(_checked(L)))
 
 
 def scalar_mul(alpha, L):
-    """alpha . L: scale the strict-lower part, raise the diagonal to alpha."""
-    L = _check_lower(L)
-    return _assemble(alpha * _strict(L), _diag(L) ** float(alpha))
+    """alpha . L = eta_inv(alpha eta(L)): the strict-lower part scaled, the
+    diagonal raised to alpha."""
+    return _eta_inv(float(alpha) * _eta(_checked(L)))
 
 
 def eta(L):
@@ -104,11 +93,11 @@ def _real(L):
 
 
 def _eta(L, out=None):
-    """eta of a real factor or stack, into out when it is given: one take of
-    the coordinates' entries, then an in-place log of the diagonal block."""
+    """eta of a factor or stack, unchecked and in its dtype (float or
+    complex), into out when it is given: one take of the coordinates'
+    entries, then an in-place log of the diagonal block."""
     n = L.shape[-1]
-    v = np.take(L.reshape(L.shape[:-2] + (n * n,)), _eta_index(n), axis=-1,
-                out=out, mode="clip")
+    v = L.reshape(L.shape[:-2] + (n * n,)).take(_eta_index(n), axis=-1, out=out, mode="clip")
     np.log(v[..., :n], out=v[..., :n])
     return v
 
@@ -120,6 +109,24 @@ def _eta_index(n):
     return _read_only(np.concatenate([np.arange(n) * (n + 1), rows * n + cols]))
 
 
+@lru_cache
+def _factor_index(n):
+    """The position of each entry of an n x n factor in a [diagonal | strict
+    lower | 0] row of n(n+1)/2 + 1 entries, as an n x n array: _eta_index
+    inverted, with the trailing zero above the diagonal."""
+    m = n * (n + 1) // 2
+    index = np.full(n * n, m)
+    index[_eta_index(n)] = np.arange(m)
+    return _read_only(index.reshape(n, n))
+
+
+def _from_rows(rows, n):
+    """The n x n factors of [diagonal | strict lower | 0] rows (the last axis),
+    with one take."""
+    return rows.take(_factor_index(n), axis=-1, mode="clip")
+
+
+@lru_cache
 def _dim_from_eta(m):
     n = int((np.sqrt(8 * m + 1) - 1) / 2)
     if n * (n + 1) != 2 * m:
@@ -128,13 +135,18 @@ def _dim_from_eta(m):
 
 
 def eta_inv(v):
-    v = np.asarray(v, dtype=float)
-    n = _dim_from_eta(v.shape[-1])
-    L = np.zeros(v.shape[:-1] + (n, n))
-    L[..., np.arange(n), np.arange(n)] = np.exp(v[..., :n])
-    rows, cols = _strict_lower_indices(n)
-    L[..., rows, cols] = v[..., n:]
-    return L
+    """The factor of eta coordinates v, or the stack of one factor per row."""
+    return _eta_inv(np.asarray(v, dtype=float))
+
+
+def _eta_inv(v):
+    """eta_inv of a float or complex array, in its dtype."""
+    m = v.shape[-1]
+    n = _dim_from_eta(m)
+    rows = np.zeros(v.shape[:-1] + (m + 1,), v.dtype)
+    np.exp(v[..., :n], out=rows[..., :n])
+    rows[..., n:m] = v[..., n:]
+    return _from_rows(rows, n)
 
 
 def distance(L, K):
@@ -145,56 +157,70 @@ def distance(L, K):
     return float(np.linalg.norm(v - w))
 
 
+def _factor_distance(L, K):
+    """distance of two factors of one size that the library made or checked:
+    unchecked, but ComplexFactor as eta for a complex one."""
+    return float(np.linalg.norm(_eta(_real(L)) - _eta(_real(K))))
+
+
+def _tangent(L, X):
+    """The eta coordinates of a tangent X at the factor L, the image of X
+    under the differential of eta: X's diagonal divided by L's, then X's
+    strict-lower entries. GroupMismatch when X is not of L's shape."""
+    X = np.asarray(X)
+    if X.shape != L.shape:
+        raise GroupMismatch(f"tangent shape {X.shape} != factor shape {L.shape}")
+    d = L.diagonal()
+    x = X.take(_eta_index(len(d)))
+    return np.concatenate((x[:len(d)] / d, x[len(d):]))
+
+
 def metric_tensor(L, X, Y):
-    """g_L(X, Y) = sum of strict-lower products + diagonal products / l_jj^2."""
-    L = _check_lower(L)
-    low = float(np.sum(_strict(X) * _strict(Y)))
-    return low + float(np.sum(_diag(X) * _diag(Y) / _diag(L) ** 2))
+    """g_L(X, Y): the dot product of the tangent coordinates of X and Y at L,
+    sum of strict-lower products + diagonal products / l_jj^2."""
+    L = _checked(L)
+    return float(_tangent(L, X) @ _tangent(L, Y))
 
 
 def geodesic(L, X, t):
-    """Geodesic from L with initial velocity X, at time t.
+    """Geodesic from L with initial velocity X, at time t: the line from eta(L)
+    along the tangent coordinates of X.
 
     Strict-lower parts move linearly; the diagonal moves exponentially, so
     the result never leaves the space.
     """
-    return _geodesic(_check_lower(L), X, t)
-
-
-def _geodesic(L, X, t):
-    dL, dX = _diag(L), _diag(X)
-    return _assemble(_strict(L) + t * _strict(X), dL * np.exp(t * dX / dL))
+    L = _checked(L)
+    return _eta_inv(_eta(L) + t * _tangent(L, X))
 
 
 def geodesic_between(L, K, t):
-    """Unit-time geodesic from L to K, evaluated at t (t=0 -> L, t=1 -> K)."""
-    return _geodesic_between(_check_lower(L), _check_lower(K), t)
+    """Unit-time geodesic from L to K, evaluated at t (t=0 -> L, t=1 -> K):
+    the segment from eta(L) to eta(K)."""
+    v, w = map(_eta, _checked_pair(L, K))
+    return _eta_inv(v + t * (w - v))
 
 
-def _geodesic_between(L, K, t):
-    dL, dK = _diag(L), _diag(K)
-    X = _assemble(_strict(K) - _strict(L), (np.log(dK) - np.log(dL)) * dL)
-    return _geodesic(L, X, t)
+def _checked_basis(L, eps):
+    """(the factor argument L, checked, and canonical_diagonal(eps));
+    PatternMismatch unless eps has L's length."""
+    L, D = _check_lower(L), canonical_diagonal(eps)
+    if len(D) != len(L):
+        raise PatternMismatch(f"pattern length {len(D)} != dimension {len(L)}")
+    return L, D
 
 
 def differential(L, X, eps):
     """Pushforward of the tangent X under L -> L D_eps L^T."""
-    L = _check_lower(L)
-    D = canonical_diagonal(eps)
-    W = L @ D @ X.T + X @ D @ L.T
-    return symmetrize(W)
-
-
-def _half_lower(A):
-    return _assemble(_strict(A), _diag(A) / 2)
+    L, D = _checked_basis(L, eps)
+    return symmetrize(L @ D @ X.T + X @ D @ L.T)
 
 
 def differential_inv(L, W, eps):
     """Pullback of a symmetric perturbation W to a lower triangular tangent."""
-    L = _check_lower(L)
-    D = canonical_diagonal(eps)
-    Z = np.linalg.solve(L, np.linalg.solve(L, W).T).T
-    return L @ _half_lower(Z) @ D
+    L, D = _checked_basis(L, eps)
+    Z = np.tril(np.linalg.solve(L, np.linalg.solve(L, W).T).T)
+    np.fill_diagonal(Z, Z.diagonal() / 2)
+    return L @ Z @ D
 
 
 def cone_factor(A):
@@ -231,25 +257,24 @@ def cone_compose(L, pattern, cone=LPM):
 def lpm_distance(A, B):
     """Distance between two cone points: the factor distance, by isometry."""
     _check_same_cone(A, B, A.cone)
-    return distance(_factor(A), _factor(B))
+    return _factor_distance(_factor(A), _factor(B))
 
 
 def lpm_geodesic(A, B, t):
     """Geodesic between cone points, transferred through the factorization."""
     _check_same_cone(A, B, A.cone)
-    G = _geodesic_between(_factor(A), _factor(B), t)
-    return cone_compose(G, A.pattern, A.cone)
+    v, w = _eta(_factor(A)), _eta(_factor(B))
+    return cone_compose(_eta_inv(v + t * (w - v)), A.pattern, A.cone)
 
 
 def star_op(A, B):
     """Per-cone abelian operation; the identity element is the canonical basis."""
     _check_same_cone(A, B, A.cone)
-    L = _group_op(_factor(A), _factor(B))
-    return cone_compose(L, A.pattern, A.cone)
+    return cone_compose(_eta_inv(_eta(_factor(A)) + _eta(_factor(B))), A.pattern, A.cone)
 
 
 def star_inv(A):
-    return cone_compose(_group_inv(_factor(A)), A.pattern, A.cone)
+    return cone_compose(_eta_inv(-_eta(_factor(A))), A.pattern, A.cone)
 
 
 def log_cholesky_mean(points):
@@ -265,8 +290,8 @@ def log_cholesky_mean(points):
     first = points[0]
     for other in points[1:]:
         _check_same_cone(first, other, first.cone)
-    coords = np.mean(eta(np.stack([_factor(A) for A in points])), axis=0)
-    return cone_compose(eta_inv(coords), first.pattern, first.cone)
+    coords = np.mean(_eta(_real(np.stack([_factor(A) for A in points]))), axis=0)
+    return cone_compose(_eta_inv(coords), first.pattern, first.cone)
 
 
 KLEIN_MAPS = {

@@ -45,7 +45,7 @@ SpecInvalid for a spec of another kind before any draw or arithmetic.
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -55,16 +55,16 @@ from .core import (
     ConePoint,
     _check_finite,
     _lower_inverse,
+    _opposite,
     _orient,
     _read_only,
     _same_entries,
-    _strict_lower_indices,
     _unrank_patterns,
     as_pattern,
     symmetrize,
 )
 from .cholesky import _factor
-from .geometry import _cone_points, _eta, _real, eta, eta_inv
+from .geometry import _cone_points, _eta, _from_rows, _real, eta, eta_inv
 from .errors import PatternMismatch, SpecInvalid
 
 __all__ = [
@@ -163,29 +163,17 @@ def _bartlett_draws(g, n, N, m, out=None):
     return chi, z
 
 
-@lru_cache
-def _bartlett_index(n):
-    """Flat positions, in a [z | sqrt chi | 0] row of n(n-1)/2 + n + 1
-    entries, of the entries of an n x n Bartlett factor, row-major."""
-    r = n * (n - 1) // 2
-    index = np.full((n, n), r + n)
-    index[_strict_lower_indices(n)] = np.arange(r)
-    index[np.diag_indices(n)] = r + np.arange(n)
-    return _read_only(index.ravel())
-
-
 def _bartlett_factors(draws):
     """The (m, n, n) Bartlett factors of (chi, z) draws: sqrt chi on the
-    diagonal, z below it row by row, zero above; one take from a contiguous
-    [z | sqrt chi | 0] row per factor."""
+    diagonal, z below it row by row, zero above; assembled from one
+    [sqrt chi | z | 0] row per factor, as eta_inv assembles its coordinates."""
     chi, z = draws
     n, (m, r) = chi.shape[0], z.shape
-    row = np.empty((m, r + n + 1))
-    row[:, :r] = z
+    row = np.zeros((m, n + r + 1))
     for j in range(n):
-        np.sqrt(chi[j], out=row[:, r + j])
-    row[:, r + n] = 0.0
-    return np.take(row, _bartlett_index(n), axis=1).reshape(m, n, n)
+        np.sqrt(chi[j], out=row[:, j])
+    row[:, n:n + r] = z
+    return _from_rows(row, n)
 
 
 def bartlett_sample(rng, n, N, size=None):
@@ -344,7 +332,7 @@ class _InverseWishart(_Wishart):
     @cached_property
     def forward(self):
         """(the reversed cone, the factor of the inverse of sigma in it)."""
-        cone = LPM if self.cone == TPM else TPM
+        cone = _opposite(self.cone)
         inverse = np.linalg.inv(symmetrize(self.entries[0].astype(float)))
         return cone, np.linalg.cholesky(_orient(symmetrize(inverse), cone))
 

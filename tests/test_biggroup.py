@@ -157,3 +157,23 @@ def test_mismatch_errors():
     C = elem(rng, (1, -1, 1))
     with pytest.raises(GroupMismatch):
         dp_distance(A, C)
+
+
+@pytest.mark.parametrize("bad", (-np.eye(2), np.array([[1.0, 1.0], [0.0, 1.0]]), np.eye(2)[0]))
+def test_a_given_factor_is_checked_when_the_element_is_made(bad):
+    # Two elements given -I as their factor composed to the identity factor.
+    P = canonical_point((1, -1))
+    with pytest.raises(ValueError, match="expected lower triangular with positive diagonal"):
+        BigGroupElement(P, factor=bad)
+    with pytest.raises(GroupMismatch, match="factor size 3 != point dimension 2"):
+        BigGroupElement(P, factor=np.eye(3))
+
+
+def test_a_given_factor_is_kept_as_a_read_only_copy():
+    P = canonical_point((1, -1))
+    F = np.array([[1, 0], [2, 3]])
+    E = BigGroupElement(P, factor=F)
+    F[1, 1] = -1
+    assert np.array_equal(E.factor, [[1.0, 0.0], [2.0, 3.0]])
+    assert E.factor.dtype == float and not E.factor.flags.writeable
+    assert np.allclose(box_op(E, box_inv(E)).factor, np.eye(2), rtol=0, atol=1e-15)

@@ -1,0 +1,138 @@
+"""Result (iv) as properties over size and scale: eta is an isometric
+isomorphism from the Cholesky group onto Euclidean space, so the group law,
+its inverse, scalar powers, geodesics, the distance and the metric are the
+matching vector operations on eta coordinates. The group operations and
+geodesics also hold on complex Hermitian points.
+
+Sizes run from 1 to 64 and factor scales from 1e-4 to 1e4. A coordinate
+identity holds to c n u of the size of the coordinates involved (at least
+1, since the log-diagonal goes through exp and log)."""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import random_factor
+from lpmch import (
+    BigGroupElement,
+    box_op,
+    canonical_diagonal,
+    cone_compose,
+    distance,
+    eta,
+    geodesic,
+    geodesic_between,
+    group_inv,
+    group_op,
+    lpm_geodesic,
+    metric_tensor,
+    reverse_matrix,
+    scalar_mul,
+    schur_pattern,
+    star_inv,
+    star_op,
+)
+
+PROPERTY = settings(max_examples=25, deadline=None)
+U = np.finfo(float).eps / 2
+
+sizes = st.integers(1, 64)
+# Decimal exponents of the factor scales.
+log_scales = st.floats(-4, 4)
+seeds = st.integers(0, 2**32 - 1)
+cones = st.sampled_from(("lpm", "tpm"))
+
+
+def coordinates(L):
+    """eta by its definition: log-diagonal, then the strict-lower entries row by row."""
+    return np.concatenate([np.log(np.diagonal(L)), L[np.tril_indices(len(L), -1)]])
+
+
+def factors(seed, n, *log_scales, complex_scalars=False):
+    """One factor per scale: diagonal in [0.5, 2], strict-lower entries
+    N(0, 1/n) (complex with both parts so when asked), times the scale."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for log_scale in log_scales:
+        L = random_factor(rng, n)
+        if complex_scalars:
+            L = L + 1j * np.tril(rng.standard_normal((n, n)), -1) / np.sqrt(n)
+        out.append(10.0**log_scale * L)
+    return out
+
+
+def pattern(seed, n):
+    return tuple(int(e) for e in np.random.default_rng(seed).choice((1, -1), n))
+
+
+def minor_signs(M, cone):
+    """The signs of the leading (LPM) or trailing (TPM) minors of M, each from
+    its own determinant."""
+    n = len(M)
+    blocks = (M[:k, :k] if cone == "lpm" else M[n - k:, n - k:] for k in range(1, n + 1))
+    return tuple(int(np.sign(np.linalg.slogdet(B)[0].real)) for B in blocks)
+
+
+def assert_close(n, x, y, *sizes_of):
+    """|x - y| <= 4 n u max(1, |entries of sizes_of|), entrywise."""
+    size = max(1.0, *(float(np.max(np.abs(s))) for s in sizes_of))
+    assert np.max(np.abs(x - y)) <= 4 * n * U * size
+
+
+@PROPERTY
+@given(sizes, log_scales, log_scales, st.floats(-3, 3), st.floats(-0.5, 1.5), seeds)
+def test_the_group_operations_are_vector_operations_on_eta(n, a, b, alpha, t, seed):
+    L, K = factors(seed, n, a, b)
+    v, w = coordinates(L), coordinates(K)
+    assert_close(n, eta(group_op(L, K)), v + w, v, w, v + w)
+    assert_close(n, eta(group_inv(L)), -v, v)
+    assert_close(n, eta(scalar_mul(alpha, L)), alpha * v, alpha * v)
+    assert_close(n, eta(geodesic_between(L, K, t)), v + t * (w - v), v, w, v + t * (w - v))
+
+
+@PROPERTY
+@given(sizes, log_scales, log_scales, seeds)
+def test_distance_is_the_euclidean_distance_of_coordinates(n, a, b, seed):
+    L, K = factors(seed, n, a, b)
+    v, w = coordinates(L), coordinates(K)
+    assert_close(n, distance(L, K), np.linalg.norm(v - w), v, w)
+
+
+@PROPERTY
+@given(sizes, log_scales, seeds)
+def test_metric_is_the_squared_speed_of_the_geodesic(n, a, seed):
+    # eta moves along a straight line at constant speed, so the speed is the
+    # coordinate distance covered in unit time.
+    (L,) = factors(seed, n, a)
+    X = 10.0**a * np.tril(np.random.default_rng(seed + 1).standard_normal((n, n)))
+    v, w = coordinates(L), coordinates(geodesic(L, X, 1.0))
+    assert_close(n, np.sqrt(metric_tensor(L, X, X)), np.linalg.norm(w - v), v, w)
+
+
+@PROPERTY
+@given(sizes, log_scales, cones, seeds)
+def test_complex_star_inverse_gives_the_canonical_basis(n, a, cone, seed):
+    (L,) = factors(seed, n, a, complex_scalars=True)
+    P = cone_compose(L, pattern(seed, n), cone)
+    D = canonical_diagonal(P.pattern)
+    D = reverse_matrix(D) if cone == "tpm" else D
+    identity = star_op(P, star_inv(P)).matrix
+    assert np.max(np.abs(identity - D)) <= 4 * n * U
+
+
+@PROPERTY
+@given(sizes, log_scales, cones, st.floats(-0.5, 1.5), seeds)
+def test_complex_box_op_and_geodesic_keep_the_pattern(n, a, cone, t, seed):
+    # Minor signs are certain only on a well-conditioned matrix. Both results
+    # stay so at every scale when the geodesic joins two points of one scale,
+    # and when the second box factor has a unit diagonal under a strict-lower
+    # part of the first's scale: diagonals multiply and strict-lower parts add.
+    L, K = factors(seed, n, a, a, complex_scalars=True)
+    eps, delta = pattern(seed, n), pattern(seed + 1, n)
+    A, B = cone_compose(L, eps, cone), cone_compose(K, eps, cone)
+    C = cone_compose(np.tril(K, -1) + np.diag(np.diagonal(K) / 10.0**a), delta, cone)
+    product = box_op(BigGroupElement(A), BigGroupElement(C)).point
+    assert product.pattern == schur_pattern(eps, delta)
+    assert minor_signs(product.matrix, cone) == product.pattern
+    G = lpm_geodesic(A, B, t)
+    assert G.pattern == eps and minor_signs(G.matrix, cone) == eps

@@ -26,7 +26,8 @@ from lpmch import (
     reverse_pattern,
     wishart_sample,
 )
-from lpmch.core import _classify_with_minors
+from lpmch import sampling
+from lpmch.core import _cache_factor, _classify_with_minors, reverse_point
 from lpmch.errors import MinorNearZero, NonFiniteInput, SingularMatrix, SpecInvalid
 
 NON_FINITE = (np.full((2, 2), np.nan), np.array([[1.0, 0.5], [0.5, np.inf]]))
@@ -178,6 +179,33 @@ def test_a_cone_other_than_lpm_and_tpm_is_refused(call, error):
     # Each took an unknown cone for LPM or TPM and labelled its point with it.
     with pytest.raises(error, match="cone must be 'lpm' or 'tpm', got 'xyz'"):
         call()
+
+
+@pytest.mark.parametrize("carries_factor", (False, True))
+def test_cone_swaps_refuse_a_cone_other_than_lpm_and_tpm(carries_factor):
+    # reverse_point and invert_cone_point took any such cone for TPM and
+    # labelled their result LPM.
+    point = ConePoint(matrix=np.diag([1.0, -1.0]), cone="xyz", pattern=(1, -1))
+    if carries_factor:
+        _cache_factor(point, np.eye(2))
+    for swap in (reverse_point, invert_cone_point):
+        with pytest.raises(ValueError, match="cone must be 'lpm' or 'tpm', got 'xyz'"):
+            swap(point)
+
+
+@pytest.mark.parametrize("cone", ("lpm", "tpm", "xyz"))
+def test_inverse_wishart_draws_in_the_opposite_cone(cone):
+    # The law draws Wishart factors in the opposite cone and inverts them; a
+    # law whose cone is neither (only reachable past spec validation) refuses.
+    spec = DistributionSpec(kind="inverse_wishart", cone="lpm", pattern=(1, -1),
+                            sigma=np.eye(2), dof=3)
+    law = sampling._InverseWishart(spec, (np.eye(2),), (1, -1))
+    law.cone = cone
+    if cone == "xyz":
+        with pytest.raises(ValueError, match="cone must be 'lpm' or 'tpm', got 'xyz'"):
+            law.forward
+    else:
+        assert law.forward[0] == {"lpm": "tpm", "tpm": "lpm"}[cone]
 
 
 def test_reverse_matrix():

@@ -3,13 +3,17 @@ import pytest
 
 from conftest import random_cone_point, random_lower
 from lpmch import (
+    BigGroupElement,
     all_patterns,
+    box_inv,
     canonical_point,
     classify,
     compose,
+    cone_compose,
     differential,
     differential_inv,
     distance,
+    dp_distance,
     eta,
     eta_inv,
     geodesic,
@@ -264,6 +268,18 @@ def test_eta_rejects_complex_factors():
         lpm_distance(classify(A), classify(A.conj()))
 
 
+def test_the_real_only_functions_refuse_complex_factors():
+    # The group operations run on complex points; the chart, the distances
+    # and the mean are real.
+    A = cone_compose(np.array([[1.0, 0.0], [1 + 1j, 2.0]]), (1, -1))
+    EA = BigGroupElement(A)
+    for call in (lambda: eta(cone_factor(A)), lambda: distance(cone_factor(A), np.eye(2)),
+                 lambda: lpm_distance(A, star_inv(A)), lambda: log_cholesky_mean([A, A]),
+                 lambda: dp_distance(EA, box_inv(EA))):
+        with pytest.raises(ComplexFactor):
+            call()
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("bad", [[[-1.0, 0.0], [0.5, 1.0]], [[0.0, 0.0], [0.5, 1.0]],
                                  [[np.nan, 0.0], [0.5, 1.0]], [[1.0, 0.2], [0.5, 1.0]], 0.0])
@@ -292,6 +308,18 @@ def test_eta_refuses_what_is_not_a_factor(bad):
 
 
 def test_distance_between_factors_of_different_sizes():
-    # It ended in NumPy's broadcast error.
-    with pytest.raises(GroupMismatch, match="dimensions differ: 2 vs 3"):
-        distance(np.eye(2), np.eye(3))
+    # Each ended in NumPy's broadcast or matmul error.
+    I2, I3 = np.eye(2), np.eye(3)
+    for call in (lambda: distance(I2, I3), lambda: group_op(I2, I3),
+                 lambda: geodesic_between(I2, I3, 0.5)):
+        with pytest.raises(GroupMismatch, match="dimensions differ: 2 vs 3"):
+            call()
+    # A larger tangent is refused, not read in part.
+    for call in (lambda: geodesic(I2, I3, 0.5), lambda: metric_tensor(I2, I3, I2),
+                 lambda: metric_tensor(I2, I2, I3), lambda: geodesic(I2, np.ones(4), 0.5)):
+        with pytest.raises(GroupMismatch, match="tangent shape"):
+            call()
+    for call in (lambda: differential(I2, I2, (1, -1, 1)),
+                 lambda: differential_inv(I2, I2, (1,))):
+        with pytest.raises(PatternMismatch, match="pattern length"):
+            call()

@@ -1,6 +1,5 @@
-"""The per-point API edge: the points the samplers and cone_compose build, the
-gathered triangularity check, and the one-point helpers of the geometry,
-each against the definition it replaces."""
+"""The per-point API edge: the points the samplers and cone_compose build and
+the gathered triangularity check, each against the definition it replaces."""
 
 import copy
 import dataclasses
@@ -258,34 +257,3 @@ def test_triangularity_truth_table(A, tol, expected):
     assert is_lower_triangular(A, tol) is expected
     assert triu_definition(A, tol) is expected
 
-
-# -- one-point helpers ----------------------------------------------------------
-
-def raw(A):
-    A = np.asarray(A)
-    return A.dtype.str, A.shape, A.flags.c_contiguous, A.tobytes()
-
-
-@st.composite
-def square_matrices(draw, complex_values=False):
-    n = draw(st.integers(1, 6))
-    A = np.array(draw(st.lists(entries, min_size=n * n, max_size=n * n)),
-                 dtype=float).reshape(n, n)
-    if complex_values and draw(st.booleans()):
-        with np.errstate(invalid="ignore"):
-            A = A + 1j * A[::-1]
-    if draw(st.booleans()):
-        A = A.T
-    return A
-
-
-@settings(max_examples=200, deadline=None)
-@given(square_matrices(complex_values=True), square_matrices())
-def test_one_point_helpers_are_their_definitions_bit_for_bit(A, B):
-    assert raw(geometry._strict(A)) == raw(np.tril(A, -1))
-    assert raw(geometry._diag(A)) == raw(np.diagonal(A).copy())
-    n = min(len(A), len(B))
-    S, d = geometry._strict(A[:n, :n]), np.diagonal(B)[:n].copy()
-    with np.errstate(all="ignore"):
-        assert raw(geometry._assemble(S, d)) == raw(S + np.diag(d))
-        assert raw(geometry._assemble(-S, d)) == raw(-S + np.diag(d))
