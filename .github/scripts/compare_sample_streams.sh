@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Seeded `lpmch sample` streams, `lpmch density` values and seeded
-# `lpmch verify` reports must be byte-identical across commits.
+# Seeded `lpmch sample` streams, `lpmch density` values, seeded
+# `lpmch verify` reports and `lpmch classify` / `lpmch factor` outputs must
+# be byte-identical across commits.
 #
 # usage: .github/scripts/compare_sample_streams.sh BASE
 #
@@ -16,13 +17,20 @@
 #     fixed seed (15 reports). A report prints path frequencies, so it
 #     catches a moved stream or walk, not a last-bit change of the walk's
 #     distances: scaling the Wishart steps' increments by 1 + 1e-6 left all
-#     15 reports unchanged, by 1.01 changed them.
+#     15 reports unchanged, by 1.01 changed them;
+#   - `lpmch classify`, `lpmch factor` against the canonical diagonal basis
+#     and `lpmch factor --basis FILE` against a general basis of the same
+#     pattern, at n = 10 and n = 40, in both cones (12 outputs). n = 40 is
+#     past the 32-row blocks of the elimination and the triangular inverse.
+# 55 outputs in all.
 # Needs Python with NumPy; exits non-zero at the first pair that differs.
 #
 # A change that moves outputs on purpose records each moved one as a line
 # in .github/stream_moves of its own tree: "DIST CONE N" for a stream (e.g.
-# "inv-wishart tpm 10"), "density DIST CONE N" for a density value and
-# "verify PRESET INEQUALITY" for a report; lines from # on are ignored.
+# "inv-wishart tpm 10"), "density DIST CONE N" for a density value,
+# "verify PRESET INEQUALITY" for a report, and "classify CONE N",
+# "factor CONE N" or "factor-basis CONE N" for a classification or a factor;
+# lines from # on are ignored.
 # Those pairs are compared and reported, and must differ: a listed pair
 # that is byte-identical fails the check, so a stale line cannot hide a later
 # move. The next change, whose base then carries the moved outputs, empties
@@ -66,6 +74,18 @@ for n, pattern in ((3, "+-+"), (10, "+--+-++-+-")):
     dump(f"st{n}", 0.02 * np.eye(n * (n + 1) // 2))
     with open(f"{work}/pattern{n}", "w") as fh:
         fh.write(pattern)
+
+# A point and a general basis of one pattern per n, built like the
+# workflow's 40 x 40 matrix, and their reversals (TPM points of that pattern).
+for n in (10, 40):
+    rng = np.random.default_rng(n)
+    eps = rng.choice((1.0, -1.0), n)
+    signs = eps * np.concatenate(([1.0], eps[:-1]))
+    for name in ("point", "basis"):
+        L = np.eye(n) + 0.1 * np.tril(rng.standard_normal((n, n)), -1) / np.sqrt(n)
+        A = (L * signs) @ L.T
+        dump(f"{name}_lpm{n}", (A + A.T) / 2)
+        dump(f"{name}_tpm{n}", ((A + A.T) / 2)[::-1, ::-1])
 PY
 
 moves=$head/.github/stream_moves
@@ -116,6 +136,16 @@ for n in 3 10; do
       compare "density $dist $cone $n" density "$work/m0_$cone$n.json" \
         --dist "$dist" --cone "$cone" "${flags[@]}"
     done
+  done
+done
+
+for n in 10 40; do
+  for cone in lpm tpm; do
+    point=$work/point_$cone$n.json
+    compare "classify $cone $n" classify "$point" --cone "$cone"
+    compare "factor $cone $n" factor "$point" --cone "$cone"
+    compare "factor-basis $cone $n" factor "$point" --cone "$cone" \
+      --basis "$work/basis_$cone$n.json"
   done
 done
 

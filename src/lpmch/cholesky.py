@@ -5,11 +5,12 @@ Phi_B : L -> L B L* is a bijection from the Cholesky space (lower
 triangular, positive diagonal) onto the same cone. ``compose`` evaluates
 Phi_B and ``factor`` inverts it in closed form from the unpivoted LDL*
 factorizations A = L_A D_A L_A* and B = L_B D_B L_B*:
-L = L_A diag(sqrt(d_A / d_B)) L_B^{-1}, one matrix product with the blocked
-inverse of L_B. A diagonal basis (such as the canonical D_eps) is its own
-LDL*, (I, diag B), and is not eliminated. The trailing-minor (TPM) maps
-run the same code on the reversals (core._orient), and ``resign`` moves a
-matrix between cones by swapping the signs of its LDL* pivots.
+L = L_A diag(sqrt(d_A / d_B)) L_B^{-1}, one matrix product with the
+triangular inverse of L_B (core._lower_inverse). A diagonal basis (such as
+the canonical D_eps) is its own LDL*, (I, diag B), and is not eliminated.
+The trailing-minor (TPM) maps run the same code on the reversals
+(core._orient), and ``resign`` moves a matrix between cones by swapping the
+signs of its LDL* pivots.
 """
 
 from functools import lru_cache
@@ -29,7 +30,6 @@ from .core import (
     _orient,
     _read_only,
     _strict_lower_indices,
-    _unit_lower_inverse,
     as_pattern,
     canonical_diagonal,
     canonical_signs,
@@ -162,7 +162,7 @@ def _factor_against(A, B, tol=DEFAULT_TOL):
     else:
         dB = np.diagonal(B).real
     L = LA * np.sqrt(_radicands(dA, dB, tol))
-    return _orient(L if LB is None else L @ _unit_lower_inverse(LB), A.cone)
+    return _orient(L if LB is None else L @ _lower_inverse(LB), A.cone)
 
 
 def _factor(A):
@@ -209,7 +209,7 @@ def factor(A, B, tol=DEFAULT_TOL):
     A and B must lie in the same LPM cone. With A = L_A D_A L_A* and
     B = L_B D_B L_B* their unit-lower LDL* factorizations, the factor is
     L = L_A diag(sqrt(d_A / d_B)) L_B^{-1}, in O(n^3): one product with the
-    blocked inverse of L_B. When B has no nonzero entry below its diagonal
+    triangular inverse of L_B. When B has no nonzero entry below its diagonal
     (and no imaginary part on it), its LDL* is (I, diag B) exactly, and
     L = L_A diag(sqrt(d_A / diag B)) needs only A's elimination. The
     diagonal entries of L are the square roots of the ratios of elimination

@@ -320,7 +320,7 @@ def _blocked_ldl(A):
             break
         # The columns of L below the block, up to a zero pivot if there is one.
         e = p + done
-        X = _unit_lower_block_inverse(L[p:e, p:e])
+        X = _lower_inverse(L[p:e, p:e])
         L[q:, p:e] = (U[q:, p:e] @ X.conj().T) / d[p:e]
         if e < q:
             break
@@ -329,74 +329,49 @@ def _blocked_ldl(A):
     return L, d
 
 
-def _unit_lower_inverse(L):
-    """Inverse X of a unit-lower triangular L, block row by block row.
-
-    X_ii = L_ii^{-1} for each 32 x 32 diagonal block and
-    X_i,<i = -X_ii (L_i,<i X_<i,<i), so everything below the diagonal
-    blocks comes from matrix products. np.linalg.inv pivots, so each
-    inverted block is cut back to its strict lower triangle and given its
-    exact unit diagonal; X is then exactly lower triangular. For n <= 32 the
-    one inverted block is X.
-    """
-    n = L.shape[0]
-    if n <= _BLOCK:
-        return _unit_lower_block_inverse(L)
-    X = np.zeros_like(L)
-    X[:_BLOCK, :_BLOCK] = _unit_lower_block_inverse(L[:_BLOCK, :_BLOCK])
-    for p in range(_BLOCK, n, _BLOCK):
-        q = min(p + _BLOCK, n)
-        Xii = _unit_lower_block_inverse(L[p:q, p:q])
-        X[p:q, p:q] = Xii
-        X[p:q, :p] = -Xii @ (L[p:q, :p] @ X[:p, :p])
-    return X
-
-
-def _unit_lower_block_inverse(L):
-    """L^{-1} for one unit-lower block, cut back to exact lower triangularity."""
-    X = np.tril(np.linalg.inv(L), -1)
-    np.fill_diagonal(X, 1)
-    return X
-
-
 def _lower_inverse(L):
     """Inverse of a lower triangular L with a nonzero diagonal, or of each
     matrix of a stack L, by halving over the last two axes.
 
     With L = [[L11, 0], [L21, L22]] split at n // 2, X11 and X22 are the
-    inverses of the halves and X21 = -X22 L21 X11; a 1 x 1 block is 1/l.
-    X is exactly lower triangular, and on a stack every product is a stack
-    of small products, with none of np.linalg.inv's LAPACK call per matrix
-    (at 2000 x 10 x 10, 1.8 ms against 8.4 ms on a 2-core x86-64 host with
-    one BLAS thread). Inverting a triangular
-    matrix this way is backward stable (Higham, Accuracy and Stability of
-    Numerical Algorithms, 2nd ed., ch. 8).
+    inverses of the halves and X21 = -X22 (L21 X11). The leaf follows L's
+    rank. One matrix halves down to blocks of at most _BLOCK = 32 rows,
+    each inverted by np.linalg.inv, cut back to its lower triangle and
+    given the diagonal 1/l_ii exactly: a unit-lower block, such as a panel
+    of the elimination kernel, keeps its exact unit diagonal. A stack
+    halves down to 1 x 1 blocks, 1/l, so every product is a stack of small
+    products, with none of np.linalg.inv's LAPACK call per matrix (at
+    2000 x 10 x 10, 1.8 ms against 8.4 ms on a 2-core x86-64 host with one
+    BLAS thread). X is exactly lower triangular either way. Inverting a
+    triangular matrix by blocks is backward stable (Du Croz and Higham, IMA
+    J. Numer. Anal. 12, 1992; Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., ch. 14).
 
     L is first copied to a C-contiguous array, so each matrix of a stack
     meets the same products on the same memory layout as it would on its
-    own: every member of the result is bit for bit that member's inverse
-    taken alone, as a matrix or as a stack of one.
-
-    The unit-lower factors of the elimination kernel keep
-    _unit_lower_inverse: its 32 x 32 blocks are faster on one large
-    matrix (at n = 256, 0.72 ms against 2.2 ms by halving, same host).
+    own: every member of a stack's result is bit for bit that member's
+    inverse taken alone, as a stack of one.
     """
     L = np.ascontiguousarray(L, dtype=np.result_type(L, float))
     X = np.zeros_like(L)
-    _fill_lower_inverse(L, X)
+    _fill_lower_inverse(L, X, _BLOCK if L.ndim == 2 else 1)
     return X
 
 
-def _fill_lower_inverse(L, X):
-    """Write the lower triangle of L^{-1} into X (see _lower_inverse)."""
+def _fill_lower_inverse(L, X, leaf):
+    """Write the lower triangle of L^{-1} into X, halving down to blocks of
+    at most leaf rows (see _lower_inverse)."""
     n = L.shape[-1]
-    if n == 1:
-        X[..., 0, 0] = 1.0 / L[..., 0, 0]
-    elif n > 1:
+    if n > leaf:
         k = n // 2
-        _fill_lower_inverse(L[..., :k, :k], X[..., :k, :k])
-        _fill_lower_inverse(L[..., k:, k:], X[..., k:, k:])
+        _fill_lower_inverse(L[..., :k, :k], X[..., :k, :k], leaf)
+        _fill_lower_inverse(L[..., k:, k:], X[..., k:, k:], leaf)
         X[..., k:, :k] = -(X[..., k:, k:] @ (L[..., k:, :k] @ X[..., :k, :k]))
+    elif L.ndim == 2:
+        X[...] = np.tril(np.linalg.inv(L))
+        np.fill_diagonal(X, 1.0 / L.diagonal())
+    elif n:
+        X[..., 0, 0] = 1.0 / L[..., 0, 0]
 
 
 def leading_minors(A):

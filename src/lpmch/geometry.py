@@ -26,8 +26,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import LPM, _cache_factor, _points, _read_only, _strict_lower_indices, \
-    as_pattern, canonical_diagonal, reverse_matrix, symmetrize
+from .core import LPM, _cache_factor, _lower_inverse, _points, _read_only, \
+    _strict_lower_indices, as_pattern, canonical_diagonal, reverse_matrix, symmetrize
 from .cholesky import _check_lower, _check_same_cone, _cone_matrices, _factor
 from .errors import ComplexFactor, GroupMismatch, PatternMismatch
 
@@ -167,12 +167,18 @@ def _tangent(L, X):
     """The eta coordinates of a tangent X at the factor L, the image of X
     under the differential of eta: X's diagonal divided by L's, then X's
     strict-lower entries. GroupMismatch when X is not of L's shape."""
-    X = np.asarray(X)
-    if X.shape != L.shape:
-        raise GroupMismatch(f"tangent shape {X.shape} != factor shape {L.shape}")
+    X = _checked_tangent(L, X)
     d = L.diagonal()
     x = X.take(_eta_index(len(d)))
     return np.concatenate((x[:len(d)] / d, x[len(d):]))
+
+
+def _checked_tangent(L, X):
+    """X as an array; GroupMismatch when it is not of the factor L's shape."""
+    X = np.asarray(X)
+    if X.shape != L.shape:
+        raise GroupMismatch(f"tangent shape {X.shape} != factor shape {L.shape}")
+    return X
 
 
 def metric_tensor(L, X, Y):
@@ -212,13 +218,15 @@ def _checked_basis(L, eps):
 def differential(L, X, eps):
     """Pushforward of the tangent X under L -> L D_eps L^T."""
     L, D = _checked_basis(L, eps)
+    X = _checked_tangent(L, X)
     return symmetrize(L @ D @ X.T + X @ D @ L.T)
 
 
 def differential_inv(L, W, eps):
     """Pullback of a symmetric perturbation W to a lower triangular tangent."""
     L, D = _checked_basis(L, eps)
-    Z = np.tril(np.linalg.solve(L, np.linalg.solve(L, W).T).T)
+    X = _lower_inverse(L)
+    Z = np.tril(X @ _checked_tangent(L, W) @ X.T)
     np.fill_diagonal(Z, Z.diagonal() / 2)
     return L @ Z @ D
 

@@ -275,7 +275,7 @@ class _Wishart(_SpecLaw):
         except np.linalg.LinAlgError:
             raise SpecInvalid("sigma must be positive definite") from None
         n, N = L0.shape[0], self.dof
-        return (L0, np.tril(np.linalg.inv(L0)), _factor_logdet(L0),
+        return (L0, _lower_inverse(L0), _factor_logdet(L0),
                 _multigammaln(N / 2.0, n) + 0.5 * n * N * math.log(2.0))
 
     @cached_property

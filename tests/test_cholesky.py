@@ -20,7 +20,7 @@ from lpmch import (
     symmetrize,
 )
 from lpmch.cholesky import _check_radicands
-from lpmch.core import DEFAULT_TOL, _unit_lower_inverse, canonical_signs, ldl
+from lpmch.core import DEFAULT_TOL, _lower_inverse, canonical_signs, ldl
 from lpmch.errors import ConeKindMismatch, NegativeRadicand, PatternMismatch
 from lpmch.geometry import cone_factor
 
@@ -241,7 +241,7 @@ def factor_by_elimination(A, B, tol=DEFAULT_TOL):
     LB, dB = ldl(B.matrix)
     radicand = dA / dB
     _check_radicands(radicand, tol)
-    return (LA * np.sqrt(radicand)) @ _unit_lower_inverse(LB)
+    return (LA * np.sqrt(radicand)) @ _lower_inverse(LB)
 
 
 @pytest.mark.parametrize("n", [3, 40])

@@ -314,9 +314,11 @@ def test_distance_between_factors_of_different_sizes():
                  lambda: geodesic_between(I2, I3, 0.5)):
         with pytest.raises(GroupMismatch, match="dimensions differ: 2 vs 3"):
             call()
-    # A larger tangent is refused, not read in part.
+    # A tangent of another shape is refused; a larger one is not read in part.
     for call in (lambda: geodesic(I2, I3, 0.5), lambda: metric_tensor(I2, I3, I2),
-                 lambda: metric_tensor(I2, I2, I3), lambda: geodesic(I2, np.ones(4), 0.5)):
+                 lambda: metric_tensor(I2, I2, I3), lambda: geodesic(I2, np.ones(4), 0.5),
+                 lambda: differential(I3, I2, (1, -1, 1)),
+                 lambda: differential_inv(I3, I2, (1, -1, 1))):
         with pytest.raises(GroupMismatch, match="tangent shape"):
             call()
     for call in (lambda: differential(I2, I2, (1, -1, 1)),

@@ -25,7 +25,7 @@ from lpmch import (
     symmetrize,
     wishart_log_density,
 )
-from lpmch.core import _blocked_ldl, _classify_with_minors, _unit_lower_inverse, ldl, \
+from lpmch.core import _blocked_ldl, _classify_with_minors, _lower_inverse, ldl, \
     reverse_point
 from lpmch.errors import MinorNearZero
 
@@ -440,9 +440,27 @@ def test_unit_lower_inverse(n, seed):
     rng = np.random.default_rng(seed)
     eps = tuple(int(e) for e in rng.choice((1, -1), n))
     L = ldl(cone_compose(random_factor(rng, n), eps).matrix)[0]
-    X = _unit_lower_inverse(L)
+    X = _lower_inverse(L)
     assert not np.triu(X, 1).any()
     assert np.array_equal(np.diagonal(X), np.ones(n))
     u = np.finfo(float).eps / 2
     bound = n * u * np.linalg.norm(np.abs(X) @ np.abs(L))
     assert np.linalg.norm(X @ L - np.eye(n)) <= bound
+
+
+@settings(max_examples=10, deadline=None)
+@given(seeds)
+@pytest.mark.parametrize("dtype", (float, complex))
+@pytest.mark.parametrize("n", (1, 2, 3, 10, 31, 32))
+def test_panel_inverse_is_one_lapack_inverse(n, dtype, seed):
+    """A unit-lower matrix of at most 32 rows, as each panel of the blocked
+    elimination is, is one leaf of _lower_inverse: its LAPACK inverse cut to
+    the strict lower triangle plus I, bit for bit. ldl's factors rest on
+    this: each of its panels takes exactly this one LAPACK inverse."""
+    rng = np.random.default_rng(seed)
+    L = np.tril(rng.standard_normal((n, n)), -1).astype(dtype)
+    if dtype is complex:
+        L += 1j * np.tril(rng.standard_normal((n, n)), -1)
+    L += np.eye(n)
+    expected = np.tril(np.linalg.inv(L), -1) + np.eye(n)
+    assert np.array_equal(_lower_inverse(L), expected)

@@ -47,16 +47,21 @@ def test_lower_inverse_of_a_stack(n, members):
     """Exactly lower triangular with a positive diagonal, a left residual
     within c n u cond(L) (c = 4; the 2 x 2 to 64 x 64 cases here stay below
     a hundredth of the bound, n = 1 reaches u), and each member bit for bit
-    its own inverse taken alone, as a matrix and as a stack of one."""
+    its own inverse as a stack of one. Each member inverted as one matrix
+    (blocks of 32 by LAPACK) is exactly lower triangular too, with the
+    diagonal exactly 1/l_ii and a residual within the same bound."""
     L = scaled_factors(np.random.default_rng(100 * n + members), n, members)
     X = _lower_inverse(L)
     assert X.shape == L.shape and X.dtype == float
     assert not np.triu(X, 1).any()
     assert (np.diagonal(X, axis1=-2, axis2=-1) > 0).all()
     for Li, Xi in zip(L, X):
-        residual = np.linalg.norm(Xi @ Li - np.eye(n))
-        assert residual <= 4 * n * U * np.linalg.cond(Li)
-        assert np.array_equal(Xi, _lower_inverse(Li))
+        bound = 4 * n * U * np.linalg.cond(Li)
+        assert np.linalg.norm(Xi @ Li - np.eye(n)) <= bound
+        Yi = _lower_inverse(Li)
+        assert not np.triu(Yi, 1).any()
+        assert np.array_equal(np.diagonal(Yi), 1.0 / np.diagonal(Li))
+        assert np.linalg.norm(Yi @ Li - np.eye(n)) <= bound
         assert np.array_equal(Xi, _lower_inverse(Li[np.newaxis])[0])
 
 
@@ -133,7 +138,7 @@ def test_inverting_a_point_with_a_factor_caches_the_inverse_factor(n, cone):
     L = random_factor(rng, n)
     point = cone_compose(L, eps, cone)
     inv = invert_cone_point(point)
-    G = _lower_inverse(L)
+    G = _lower_inverse(L[np.newaxis])[0]
     assert (inv.cone, inv.pattern) == ("tpm" if cone == "lpm" else "lpm", reverse_pattern(eps))
     assert np.array_equal(_cached_factor(inv), G)
     assert np.array_equal(cone_factor(inv), G)
