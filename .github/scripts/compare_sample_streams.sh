@@ -21,15 +21,20 @@
 #   - `lpmch classify`, `lpmch factor` against the canonical diagonal basis
 #     and `lpmch factor --basis FILE` against a general basis of the same
 #     pattern, at n = 10 and n = 40, in both cones (12 outputs). n = 40 is
-#     past the 32-row blocks of the elimination and the triangular inverse.
-# 55 outputs in all.
+#     past the 32-row blocks of the elimination and the triangular inverse;
+#   - `lpmch geodesic --t 0.25` and `lpmch mean` of that point and basis,
+#     at the same n and cones (8 outputs). Each classifies both matrices,
+#     derives their factors and builds the result from a factor that
+#     lpm_geodesic or log_cholesky_mean made, without cone_compose's checks.
+# 63 outputs in all.
 # Needs Python with NumPy; exits non-zero at the first pair that differs.
 #
 # A change that moves outputs on purpose records each moved one as a line
 # in .github/stream_moves of its own tree: "DIST CONE N" for a stream (e.g.
 # "inv-wishart tpm 10"), "density DIST CONE N" for a density value,
-# "verify PRESET INEQUALITY" for a report, and "classify CONE N",
-# "factor CONE N" or "factor-basis CONE N" for a classification or a factor;
+# "verify PRESET INEQUALITY" for a report, "classify CONE N",
+# "factor CONE N" or "factor-basis CONE N" for a classification or a factor,
+# and "geodesic CONE N" or "mean CONE N" for a geodesic point or a mean;
 # lines from # on are ignored.
 # Those pairs are compared and reported, and must differ: a listed pair
 # that is byte-identical fails the check, so a stale line cannot hide a later
@@ -146,6 +151,9 @@ for n in 10 40; do
     compare "factor $cone $n" factor "$point" --cone "$cone"
     compare "factor-basis $cone $n" factor "$point" --cone "$cone" \
       --basis "$work/basis_$cone$n.json"
+    compare "geodesic $cone $n" geodesic "$point" "$work/basis_$cone$n.json" \
+      --cone "$cone" --t 0.25
+    compare "mean $cone $n" mean "$point" "$work/basis_$cone$n.json" --cone "$cone"
   done
 done
 

@@ -13,9 +13,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import LPM, ConePoint, _read_only, as_pattern
-from .cholesky import _factor
-from .geometry import _checked, _eta, _eta_inv, _factor_distance, cone_compose
+from .core import LPM, ConePoint, _opposite, _read_only, as_pattern
+from .cholesky import _built_point, _factor
+from .geometry import _checked, _eta, _eta_inv, _factor_distance
 from .errors import ConeKindMismatch, GroupMismatch
 
 __all__ = ["BigGroupElement", "box_op", "box_inv", "dp_distance",
@@ -39,7 +39,7 @@ class BigGroupElement:
     the point's matrix is seen. A given factor is checked once and kept as a
     read-only copy: one that is not lower triangular with a positive
     diagonal raises eta's ValueError, one of a size other than the point's
-    GroupMismatch.
+    GroupMismatch, and a point of a cone other than LPM or TPM ValueError.
     """
 
     point: ConePoint
@@ -49,6 +49,7 @@ class BigGroupElement:
     def __init__(self, point, factor=None):
         if factor is not None:
             factor = _read_only(np.array(_checked(factor)))
+            _opposite(point.cone)
             if len(factor) != point.dim:
                 raise GroupMismatch(f"factor size {len(factor)} != point dimension {point.dim}")
         object.__setattr__(self, "point", point)
@@ -74,10 +75,12 @@ class BigGroupElement:
 
 
 def _from_factor(L, pattern, cone):
-    return BigGroupElement(point=cone_compose(L, pattern, cone))
+    """The element of a factor that the library made (see cholesky._built_point)."""
+    return BigGroupElement(point=_built_point(L, pattern, cone))
 
 
 def identity_element(n, cone=LPM):
+    _opposite(cone)
     return _from_factor(np.eye(n), as_pattern([1] * n), cone)
 
 

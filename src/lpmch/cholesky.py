@@ -13,8 +13,6 @@ The trailing-minor (TPM) maps run the same code on the reversals
 signs of its LDL* pivots.
 """
 
-from functools import lru_cache
-
 import numpy as np
 
 from .core import (
@@ -28,8 +26,7 @@ from .core import (
     _lower_inverse,
     _opposite,
     _orient,
-    _read_only,
-    _strict_lower_indices,
+    _points,
     as_pattern,
     canonical_diagonal,
     canonical_signs,
@@ -50,16 +47,6 @@ __all__ = [
 ]
 
 
-# The largest size whose triangularity check gathers the strict upper
-# triangle through indices cached per n. Above it np.triu costs less per entry
-# than the gather (at n = 256, 0.12 ms against 0.17 ms), and the 8 n^2 bytes
-# of indices would be kept for good.
-_GATHER_MAX = 32
-# A zero-dimensional zero: comparing with it costs about half as much as
-# comparing with the Python scalar 0, which NumPy has to convert per call.
-_ZERO = np.zeros(())
-
-
 def is_lower_triangular(L, tol=0.0):
     """True when L (or every matrix of a stack L) is square lower triangular
     with strictly positive diagonal: every entry above the diagonal has
@@ -75,14 +62,7 @@ def is_lower_triangular(L, tol=0.0):
         return True
     if not tol >= 0:
         return False
-    n = shape[-1]
-    if n > _GATHER_MAX:
-        upper = np.triu(L, 1)
-    elif len(shape) == 2:
-        upper = L.ravel()[_strict_upper_flat_index(n)]
-    else:
-        rows, cols = _strict_lower_indices(n)
-        upper = L[..., cols, rows]
+    upper = np.triu(L, 1)
     # Counting nonzero entries, or entries within tol, costs a fraction of
     # the ufunc reductions .any() and .all() on a small matrix.
     if np.count_nonzero(upper) if tol == 0 else \
@@ -90,17 +70,9 @@ def is_lower_triangular(L, tol=0.0):
         return False
     diag = L.diagonal(0, -2, -1)
     if diag.dtype.kind == "c":
-        return bool(np.count_nonzero(diag.real > _ZERO) == diag.size
+        return bool(np.count_nonzero(diag.real > 0) == diag.size
                     and not np.count_nonzero(diag.imag))
-    return bool(np.count_nonzero(diag > _ZERO) == diag.size)
-
-
-@lru_cache
-def _strict_upper_flat_index(n):
-    """Flat positions, in an n x n matrix, of its strict upper triangle
-    (the transposes of _strict_lower_indices(n)), read-only."""
-    rows, cols = _strict_lower_indices(n)
-    return _read_only(cols * n + rows)
+    return bool(np.count_nonzero(diag > 0) == diag.size)
 
 
 def _check_lower(L, ndim=2):
@@ -264,18 +236,33 @@ def canonical_point(eps, cone=LPM):
 
 
 def _cone_matrices(F, patterns, cone):
-    """compose against canonical_point, batched: F_i D_i F_i* (LPM) or
-    F_i* D_i F_i (TPM) for a factor stack F, with D_i the canonical basis of
-    patterns[i] (patterns is one pattern or an (m, n) array of them), each
-    D_i given to the congruence as its vector of signs. PatternMismatch when
-    a pattern's length is not the factors' size."""
-    if cone not in (LPM, TPM):
-        raise ValueError(f"cone must be {LPM!r} or {TPM!r}, got {cone!r}")
-    F = _check_lower(F, ndim=3)
-    signs = canonical_signs(patterns)
+    """compose against canonical_point, batched and unchecked: F_i D_i F_i*
+    (LPM) or F_i* D_i F_i (TPM) for a factor stack F, with D_i the canonical
+    basis of patterns[i] (patterns is one pattern or an (m, n) array of
+    them), each D_i given to the congruence as its vector of signs.
+    PatternMismatch when a pattern's length is not the factors' size."""
+    signs = canonical_signs(np.atleast_2d(patterns))
     if signs.shape[-1] != F.shape[-1]:
         raise PatternMismatch(f"pattern length {signs.shape[-1]} != dimension {F.shape[-1]}")
     return _congruence(F, signs if cone == LPM else signs[..., ::-1], cone)
+
+
+def _cone_points(F, patterns, cone, size):
+    """The cone points of a factor stack that the library made (see
+    _cone_matrices and core._points), with one or per-factor patterns; the
+    list, or its only point when size is None."""
+    points = _points(_cone_matrices(F, patterns, cone), cone, patterns)
+    return points[0] if size is None else points
+
+
+def _built_point(F, pattern, cone):
+    """The point of one factor F that the library made (or cone_compose
+    checked and copied): F composed against the canonical basis of pattern,
+    with F itself cached as its factor. Nothing is checked and F is not
+    copied, so nothing may write into F afterwards."""
+    point = _cone_points(F[np.newaxis], pattern, cone, None)
+    _cache_factor(point, F)
+    return point
 
 
 def _inverse(M):
@@ -290,14 +277,15 @@ def _inverse(M):
 def invert_cone_point(point):
     """Matrix inverse, which swaps LPM <-> TPM and reverses the pattern.
 
-    A point that carries its factor F (cone_compose and the operations built
-    on it, geometry.cone_factor once called) is inverted through F: with
-    M = F D F* in the LPM cone, M^{-1} = F^{-*} D F^{-1} is the TPM point of
-    the reversed pattern with factor F^{-1}, because the canonical signs of
-    the reversed pattern are those of the pattern read backwards (likewise
-    from TPM to LPM). F^{-1} comes from core._lower_inverse and is cached on
-    the result, which is composed as one member of the inverse Wishart
-    sampler's stack would be. Any other point takes a general inverse of its
+    A point that carries its factor F (cone_compose, the operations that
+    build from a factor they made, geometry.cone_factor once called) is
+    inverted through F: with M = F D F* in the LPM cone, M^{-1} = F^{-*} D
+    F^{-1} is the TPM point of the reversed pattern with factor F^{-1},
+    because the canonical signs of the reversed pattern are those of the
+    pattern read backwards (likewise from TPM to LPM). F^{-1} comes from
+    core._lower_inverse, as one member of the inverse Wishart sampler's
+    stack would, and the result is built from it by _built_point, keeping
+    the point's tolerance_used. Any other point takes a general inverse of its
     matrix, made self-adjoint; SingularMatrix when it is singular.
     """
     cone = _opposite(point.cone)
@@ -306,8 +294,6 @@ def invert_cone_point(point):
     if F is None:
         return ConePoint(matrix=_inverse(point.matrix), cone=cone, pattern=pattern,
                          tolerance_used=point.tolerance_used)
-    G = _lower_inverse(F[np.newaxis])
-    out = ConePoint(matrix=_cone_matrices(G, pattern, cone)[0], cone=cone, pattern=pattern,
-                    tolerance_used=point.tolerance_used)
-    _cache_factor(out, G[0])
+    out = _built_point(_lower_inverse(F[np.newaxis])[0], pattern, cone)
+    object.__setattr__(out, "tolerance_used", point.tolerance_used)
     return out

@@ -214,6 +214,13 @@ _BLOCK = 32
 _HERMITIAN_TOL = 1e-8
 
 
+def _check_hermitian(A, message):
+    """ValueError(message) when the largest entry of |A - A*| exceeds
+    _HERMITIAN_TOL times the largest |A|."""
+    if scale(A - A.conj().T) > _HERMITIAN_TOL * scale(A):
+        raise ValueError(message)
+
+
 def _eliminate_block(U, L, d, det):
     """Unblocked elimination of the square block U, in place.
 
@@ -391,8 +398,7 @@ def leading_minors(A):
     """
     A = np.asarray(A)
     _check_matrix(A)
-    if scale(A - A.conj().T) > _HERMITIAN_TOL * scale(A):
-        raise ValueError("input is not Hermitian")
+    _check_hermitian(A, "input is not Hermitian")
     with np.errstate(over="ignore"):
         return np.cumprod(ldl(A)[1])
 

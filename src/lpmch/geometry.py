@@ -15,7 +15,10 @@ The functions of the Cholesky space check their factor arguments: one that
 is not a factor raises eta's ValueError, factors of two sizes and a tangent
 of another shape GroupMismatch, and a pattern of another length
 PatternMismatch; the entries of tangents are not checked. The functions of
-cone points read the points' factors, which the library made, unchecked.
+cone points read the points' factors, which the library made, unchecked,
+and build their results from the factors they make (cholesky._built_point)
+without cone_compose's edge checks and copy: those factors are valid by
+construction.
 Coordinates follow the factor's dtype, so the group operations and
 geodesics also run on complex Hermitian points and factors; ``eta``,
 ``distance``, ``lpm_distance`` and ``log_cholesky_mean`` are real and raise
@@ -26,9 +29,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import LPM, _cache_factor, _lower_inverse, _points, _read_only, \
+from .core import LPM, _check_hermitian, _lower_inverse, _opposite, _read_only, \
     _strict_lower_indices, as_pattern, canonical_diagonal, reverse_matrix, symmetrize
-from .cholesky import _check_lower, _check_same_cone, _cone_matrices, _factor
+from .cholesky import _built_point, _check_lower, _check_same_cone, _factor
 from .errors import ComplexFactor, GroupMismatch, PatternMismatch
 
 __all__ = [
@@ -223,10 +226,13 @@ def differential(L, X, eps):
 
 
 def differential_inv(L, W, eps):
-    """Pullback of a symmetric perturbation W to a lower triangular tangent."""
+    """Pullback of a symmetric perturbation W to a lower triangular tangent;
+    ValueError when W is not symmetric (by leading_minors' relative test)."""
     L, D = _checked_basis(L, eps)
+    W = _checked_tangent(L, W)
+    _check_hermitian(W, "perturbation is not symmetric")
     X = _lower_inverse(L)
-    Z = np.tril(X @ _checked_tangent(L, W) @ X.T)
+    Z = np.tril(X @ W @ X.T)
     np.fill_diagonal(Z, Z.diagonal() / 2)
     return L @ Z @ D
 
@@ -244,22 +250,19 @@ def cone_factor(A):
     return np.array(_factor(A))
 
 
-def _cone_points(F, patterns, cone, size):
-    """The API edge of a factor stack: its cone points (see _cone_matrices
-    and core._points), with one or per-factor patterns; the list, or its
-    only point when size is None."""
-    points = _points(_cone_matrices(F, patterns, cone), cone, patterns)
-    return points[0] if size is None else points
-
-
 def cone_compose(L, pattern, cone=LPM):
     """Compose L against the canonical basis of the requested cone; the point
-    keeps a copy of L as its factor."""
-    L = np.asarray(L)
-    L = L.astype(np.result_type(L, float))
-    point = _cone_points(L[np.newaxis], as_pattern(pattern), cone, None)
-    _cache_factor(point, L)
-    return point
+    keeps a copy of L as its factor.
+
+    This is the edge for a factor from outside the library: L is checked
+    once (eta's ValueError unless it is one lower triangular matrix with a
+    positive diagonal), then the cone (ValueError unless it is LPM or TPM)
+    and the pattern (ValueError, or PatternMismatch for one of another
+    length), and the copy is float or complex.
+    """
+    L = _check_lower(L)
+    _opposite(cone)
+    return _built_point(L.astype(np.result_type(L, float)), as_pattern(pattern), cone)
 
 
 def lpm_distance(A, B):
@@ -272,17 +275,17 @@ def lpm_geodesic(A, B, t):
     """Geodesic between cone points, transferred through the factorization."""
     _check_same_cone(A, B, A.cone)
     v, w = _eta(_factor(A)), _eta(_factor(B))
-    return cone_compose(_eta_inv(v + t * (w - v)), A.pattern, A.cone)
+    return _built_point(_eta_inv(v + t * (w - v)), A.pattern, A.cone)
 
 
 def star_op(A, B):
     """Per-cone abelian operation; the identity element is the canonical basis."""
     _check_same_cone(A, B, A.cone)
-    return cone_compose(_eta_inv(_eta(_factor(A)) + _eta(_factor(B))), A.pattern, A.cone)
+    return _built_point(_eta_inv(_eta(_factor(A)) + _eta(_factor(B))), A.pattern, A.cone)
 
 
 def star_inv(A):
-    return cone_compose(_eta_inv(-_eta(_factor(A))), A.pattern, A.cone)
+    return _built_point(_eta_inv(-_eta(_factor(A))), A.pattern, A.cone)
 
 
 def log_cholesky_mean(points):
@@ -299,7 +302,7 @@ def log_cholesky_mean(points):
     for other in points[1:]:
         _check_same_cone(first, other, first.cone)
     coords = np.mean(_eta(_real(np.stack([_factor(A) for A in points]))), axis=0)
-    return cone_compose(_eta_inv(coords), first.pattern, first.cone)
+    return _built_point(_eta_inv(coords), first.pattern, first.cone)
 
 
 KLEIN_MAPS = {

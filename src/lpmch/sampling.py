@@ -63,8 +63,8 @@ from .core import (
     as_pattern,
     symmetrize,
 )
-from .cholesky import _factor
-from .geometry import _cone_points, _eta, _from_rows, _real, eta, eta_inv
+from .cholesky import _cone_points, _factor
+from .geometry import _eta, _from_rows, _real, eta, eta_inv
 from .errors import PatternMismatch, SpecInvalid
 
 __all__ = [

@@ -6,6 +6,7 @@ import pytest
 from conftest import random_cone_point, random_lower
 from lpmch import (
     BigGroupElement,
+    ConePoint,
     all_patterns,
     box_inv,
     box_op,
@@ -177,3 +178,13 @@ def test_a_given_factor_is_kept_as_a_read_only_copy():
     assert np.array_equal(E.factor, [[1.0, 0.0], [2.0, 3.0]])
     assert E.factor.dtype == float and not E.factor.flags.writeable
     assert np.allclose(box_op(E, box_inv(E)).factor, np.eye(2), rtol=0, atol=1e-15)
+
+
+def test_group_elements_refuse_a_cone_other_than_lpm_and_tpm():
+    # Their results are built unchecked, so the cone is checked where an
+    # element gets it: identity_element, or a point given with its factor.
+    with pytest.raises(ValueError, match="cone must be 'lpm' or 'tpm', got 'xyz'"):
+        identity_element(2, "xyz")
+    P = ConePoint(matrix=np.diag([1.0, -1.0]), cone="xyz", pattern=(1, -1))
+    with pytest.raises(ValueError, match="cone must be 'lpm' or 'tpm', got 'xyz'"):
+        BigGroupElement(P, factor=np.eye(2))

@@ -21,10 +21,13 @@ from lpmch import (
     eta_inv,
     factor,
     factor_tpm,
+    box_inv,
     identity_element,
     inertial_clone_sample,
+    invert_cone_point,
     inverse_wishart_sample,
     log_cholesky_mean,
+    lpm_geodesic,
     reverse_matrix,
     star_inv,
     star_op,
@@ -192,3 +195,64 @@ def test_star_inverse_gives_the_canonical_basis(n, log_scale, cone, seed):
     D = reverse_matrix(canonical_diagonal(P.pattern)) if cone == "tpm" \
         else canonical_diagonal(P.pattern)
     assert np.linalg.norm(identity - D) <= 1e-12 * np.linalg.norm(D)
+
+
+def routed_results(n, cone, complex_scalars):
+    """The points of every operation that builds its result from a factor it
+    made, on seeded points of one pattern (and a second pattern for box_op):
+    the group operations, geodesic, mean, identity and inverse. The mean and
+    the identity are real only."""
+    rng = np.random.default_rng(7 * n + (cone == "tpm"))
+
+    def point(eps):
+        L = random_factor(rng, n)
+        if complex_scalars:
+            L = L + 1j * np.tril(rng.standard_normal((n, n)), -1) / np.sqrt(n)
+        return cone_compose(L, eps, cone)
+
+    eps, delta = (tuple(int(e) for e in rng.choice((1, -1), n)) for _ in range(2))
+    A, B, C, D = point(eps), point(eps), point(eps), point(delta)
+    results = {"star_op": star_op(A, B), "star_inv": star_inv(A),
+               "lpm_geodesic": lpm_geodesic(A, B, 0.3),
+               "box_op": box_op(BigGroupElement(A), BigGroupElement(D)).point,
+               "box_inv": box_inv(BigGroupElement(D)).point,
+               "invert_cone_point": invert_cone_point(A)}
+    if not complex_scalars:
+        results["log_cholesky_mean"] = log_cholesky_mean([A, B, C])
+        results["identity_element"] = identity_element(n, cone).point
+    return results
+
+
+@pytest.mark.parametrize("cone", ("lpm", "tpm"))
+@pytest.mark.parametrize("n, complex_scalars", [
+    (1, False), (2, False), (3, False), (10, False), (33, False), (64, False),
+    (1, True), (2, True), (3, True), (10, True)])
+def test_points_built_from_library_factors_are_the_cone_compose_points(
+        n, cone, complex_scalars):
+    # These skip cone_compose's checks and copy; what they build must not
+    # differ from it by a bit.
+    for name, P in routed_results(n, cone, complex_scalars).items():
+        Q = cone_compose(cone_factor(P), P.pattern, P.cone)
+        F, G = _cached_factor(P), _cached_factor(Q)
+        assert P.matrix.dtype == Q.matrix.dtype, name
+        assert F.dtype == G.dtype == (complex if complex_scalars else float), name
+        assert P.matrix.tobytes() == Q.matrix.tobytes(), name
+        assert F.tobytes() == G.tobytes(), name
+        assert P.pattern == Q.pattern and all(type(e) is int for e in P.pattern), name
+
+
+def test_cone_compose_checks_and_copies_the_callers_factor():
+    L = random_factor(np.random.default_rng(4), 4)
+    want = L.copy()
+    P = cone_compose(L, (1, -1, -1, 1))
+    L[2, 1], L[3, 3] = 99.0, -1.0
+    assert np.array_equal(cone_factor(P), want)
+    assert np.array_equal(_cached_factor(P), want)
+    assert cone_factor(cone_compose([[1, 0], [2, 3]], (1, -1))).dtype == float
+    for bad in (np.ones((2, 2)), np.eye(2)[np.newaxis], np.diag([1.0, 0.0])):
+        with pytest.raises(ValueError, match="expected lower triangular"):
+            cone_compose(bad, (1, -1))
+    with pytest.raises(ValueError, match="cone must be 'lpm' or 'tpm', got 'xyz'"):
+        cone_compose(np.eye(2), (1, -1), cone="xyz")
+    with pytest.raises(ValueError, match="not a sign pattern"):
+        cone_compose(np.eye(2), (1, 0))

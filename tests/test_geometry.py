@@ -163,6 +163,19 @@ def test_differential():
             assert np.allclose(differential_inv(L, W, eps), Z, atol=1e-10)
 
 
+def test_differential_inv_refuses_a_perturbation_that_is_not_symmetric():
+    # It used to return a tangent whose differential was off by 4.0.
+    with pytest.raises(ValueError, match="perturbation is not symmetric"):
+        differential_inv(np.eye(3), np.arange(9.0).reshape(3, 3), (1, 1, 1))
+    # Symmetric up to rounding passes, as leading_minors' test lets it.
+    rng = np.random.default_rng(12)
+    eps = (1, -1, 1)
+    L, Z = random_lower(rng, 3), np.tril(rng.standard_normal((3, 3)))
+    W = differential(L, Z, eps)
+    W[0, 2] += 1e-12 * np.abs(W).max()
+    assert np.allclose(differential_inv(L, W, eps), Z, atol=1e-10)
+
+
 def test_differential_finite_difference():
     rng = np.random.default_rng(10)
     eps = (1, -1, 1)
