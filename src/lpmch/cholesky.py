@@ -247,12 +247,10 @@ def _cone_matrices(F, patterns, cone):
     return _congruence(F, signs if cone == LPM else signs[..., ::-1], cone)
 
 
-def _cone_points(F, patterns, cone, size):
-    """The cone points of a factor stack that the library made (see
-    _cone_matrices and core._points), with one or per-factor patterns; the
-    list, or its only point when size is None."""
-    points = _points(_cone_matrices(F, patterns, cone), cone, patterns)
-    return points[0] if size is None else points
+def _cone_points(F, patterns, cone):
+    """The list of cone points of a factor stack that the library made (see
+    _cone_matrices and core._points), with one or per-factor patterns."""
+    return _points(_cone_matrices(F, patterns, cone), cone, patterns)
 
 
 def _built_point(F, pattern, cone):
@@ -260,7 +258,7 @@ def _built_point(F, pattern, cone):
     checked and copied): F composed against the canonical basis of pattern,
     with F itself cached as its factor. Nothing is checked and F is not
     copied, so nothing may write into F afterwards."""
-    point = _cone_points(F[np.newaxis], pattern, cone, None)
+    point, = _cone_points(F[np.newaxis], pattern, cone)
     _cache_factor(point, F)
     return point
 

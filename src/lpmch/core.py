@@ -440,22 +440,6 @@ def _orient(X, cone):
     return X if _opposite(cone) == TPM else reverse_matrix(X)
 
 
-def reverse_point(point):
-    """The reversal of a cone point: LPM <-> TPM with the same pattern.
-
-    The trailing minors of A are the leading minors of its reversal, so the
-    pattern carries over unchanged, and a cached factor F becomes
-    reverse_matrix(F).
-    """
-    out = ConePoint(matrix=symmetrize(reverse_matrix(point.matrix)),
-                    cone=_opposite(point.cone),
-                    pattern=point.pattern, tolerance_used=point.tolerance_used)
-    F = _cached_factor(point)
-    if F is not None:
-        _cache_factor(out, reverse_matrix(F))
-    return out
-
-
 def reverse_pattern(eps):
     """(e_n e_{n-1}, ..., e_n e_1, e_n); identity for n = 1."""
     eps = as_pattern(eps)

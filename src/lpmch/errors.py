@@ -20,7 +20,7 @@ class MinorNearZero(LpmchError):
 
 
 class NonFiniteInput(LpmchError):
-    """An input matrix has a NaN or infinite entry."""
+    """An input matrix entry, a time or a power is NaN or infinite."""
 
 
 class SingularMatrix(LpmchError):

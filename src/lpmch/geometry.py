@@ -13,18 +13,19 @@ isometric copy of the Cholesky space.
 
 The functions of the Cholesky space check their factor arguments: one that
 is not a factor raises eta's ValueError, factors of two sizes and a tangent
-of another shape GroupMismatch, and a pattern of another length
-PatternMismatch; the entries of tangents are not checked. The functions of
-cone points read the points' factors, which the library made, unchecked,
-and build their results from the factors they make (cholesky._built_point)
-without cone_compose's edge checks and copy: those factors are valid by
-construction.
+of another shape GroupMismatch, a pattern of another length PatternMismatch
+and a NaN or infinite time or power NonFiniteInput; the entries of tangents
+are not checked. The functions of cone points read the points' factors,
+which the library made, unchecked, and build their results from the
+factors they make (cholesky._built_point) without cone_compose's edge
+checks and copy: those factors are valid by construction.
 Coordinates follow the factor's dtype, so the group operations and
 geodesics also run on complex Hermitian points and factors; ``eta``,
 ``distance``, ``lpm_distance`` and ``log_cholesky_mean`` are real and raise
 ComplexFactor for a factor with a nonzero imaginary part.
 """
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -32,7 +33,7 @@ import numpy as np
 from .core import LPM, _check_hermitian, _lower_inverse, _opposite, _read_only, \
     _strict_lower_indices, as_pattern, canonical_diagonal, reverse_matrix, symmetrize
 from .cholesky import _built_point, _check_lower, _check_same_cone, _factor
-from .errors import ComplexFactor, GroupMismatch, PatternMismatch
+from .errors import ComplexFactor, GroupMismatch, NonFiniteInput, PatternMismatch
 
 __all__ = [
     "group_op", "group_inv", "scalar_mul", "eta", "eta_inv",
@@ -57,6 +58,13 @@ def _checked_pair(L, K):
     return L, K
 
 
+def _finite(t, name):
+    """t, unchanged; NonFiniteInput when it is NaN or infinite."""
+    if not math.isfinite(t):
+        raise NonFiniteInput(f"{name} must be finite, got {t}")
+    return t
+
+
 def group_op(L, K):
     """L (.) K = eta_inv(eta(L) + eta(K)): strict-lower parts add, diagonals
     multiply. Abelian, identity Id."""
@@ -72,7 +80,7 @@ def group_inv(L):
 def scalar_mul(alpha, L):
     """alpha . L = eta_inv(alpha eta(L)): the strict-lower part scaled, the
     diagonal raised to alpha."""
-    return _eta_inv(float(alpha) * _eta(_checked(L)))
+    return _eta_inv(_finite(float(alpha), "alpha") * _eta(_checked(L)))
 
 
 def eta(L):
@@ -199,14 +207,14 @@ def geodesic(L, X, t):
     the result never leaves the space.
     """
     L = _checked(L)
-    return _eta_inv(_eta(L) + t * _tangent(L, X))
+    return _eta_inv(_eta(L) + _finite(t, "t") * _tangent(L, X))
 
 
 def geodesic_between(L, K, t):
     """Unit-time geodesic from L to K, evaluated at t (t=0 -> L, t=1 -> K):
     the segment from eta(L) to eta(K)."""
     v, w = map(_eta, _checked_pair(L, K))
-    return _eta_inv(v + t * (w - v))
+    return _eta_inv(v + _finite(t, "t") * (w - v))
 
 
 def _checked_basis(L, eps):
@@ -274,6 +282,7 @@ def lpm_distance(A, B):
 def lpm_geodesic(A, B, t):
     """Geodesic between cone points, transferred through the factorization."""
     _check_same_cone(A, B, A.cone)
+    _finite(t, "t")
     v, w = _eta(_factor(A)), _eta(_factor(B))
     return _built_point(_eta_inv(v + t * (w - v)), A.pattern, A.cone)
 
@@ -314,9 +323,11 @@ KLEIN_MAPS = {
 
 
 def klein_apply(sigma, L):
-    """One of the four commuting isometric automorphisms of the group."""
+    """One of the four commuting isometric automorphisms of the group; L is
+    checked as eta checks a factor (ComplexFactor, then ValueError)."""
     try:
-        return KLEIN_MAPS[sigma](np.asarray(L, dtype=float))
+        apply = KLEIN_MAPS[sigma]
     except KeyError:
         raise ValueError(f"unknown automorphism {sigma!r}; "
                          f"choose from {sorted(KLEIN_MAPS)}") from None
+    return apply(_check_lower(_real(L)))

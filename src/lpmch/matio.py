@@ -6,9 +6,7 @@ output reproduces values bit-exactly.
 """
 
 import csv
-import io
 import json
-import os
 from functools import lru_cache
 
 import numpy as np
@@ -72,9 +70,5 @@ def write_matrix(A, path=None, stream=None):
         with open(path, "w") as fh:
             fh.write(matrix_to_json_line(A) + "\n")
         return
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator=os.linesep)
-    for row in A:
-        writer.writerow([format_float(x) for x in row])
-    with open(path, "w", newline="") as fh:
-        fh.write(buf.getvalue())
+    with open(path, "w") as fh:
+        fh.writelines(",".join(map(format_float, row)) + "\n" for row in A)

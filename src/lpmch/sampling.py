@@ -16,13 +16,12 @@ what the samplers, densities and walk steps compute from that spec:
   normals of the Cholesky-normal law, the pattern positions of a clone),
   filled into out when it is given;
 - the arithmetic, which reads no stream: from draws to an (m, n, n) stack
-  of factors (factors, of the Wishart laws) or to coordinates (etas, of the
-  Cholesky-normal law); to a walk step's coordinate increments and patterns
+  of factors (factors: L0 K, their inverses for the inverse Wishart, eta_inv
+  of the coordinates etas, or the base law's for a clone) and their
+  patterns (patterns); to a walk step's coordinate increments and patterns
   (increments; the Wishart law makes them one block of paths at a time);
-  and to cone points (points), in one batched congruence of the whole
-  stack; the inverse Wishart first inverts its stack of triangular factors
-  (core._lower_inverse), since the factors of the inverses of its forward
-  draws are the inverses of their factors;
+  and, in _SpecLaw alone, to cone points (points): the stack composed
+  against the patterns' canonical bases in one batched congruence;
 - log_density(M): the per-point part of a density. It reads the factor L
   of M against its canonical basis (cone_factor), which the point keeps
   after the first read: log det is 2 sum log l_jj, and the trace term is a
@@ -63,7 +62,7 @@ from .core import (
     as_pattern,
     symmetrize,
 )
-from .cholesky import _cone_points, _factor
+from .cholesky import _check_lower, _cone_points, _factor
 from .geometry import _eta, _from_rows, _real, eta, eta_inv
 from .errors import PatternMismatch, SpecInvalid
 
@@ -176,6 +175,13 @@ def _bartlett_factors(draws):
     return _from_rows(row, n)
 
 
+def _drawn(draw, size):
+    """draw(m) of m = size draws, or the first of draw(1) when size is None:
+    the one-draw rule of every sampler."""
+    out = draw(1 if size is None else int(size))
+    return out[0] if size is None else out
+
+
 def bartlett_sample(rng, n, N, size=None):
     """Lower triangular K with chi diagonals and standard normal lower entries.
 
@@ -185,9 +191,7 @@ def bartlett_sample(rng, n, N, size=None):
     entry at a time, then the strict lower entries of every factor, one
     factor at a time; the factors are assembled from those draws afterwards.
     """
-    m = 1 if size is None else int(size)
-    K = _bartlett_factors(_bartlett_draws(rng.generator, n, N, m))
-    return K[0] if size is None else K
+    return _drawn(lambda m: _bartlett_factors(_bartlett_draws(rng.generator, n, N, m)), size)
 
 
 def _multigammaln(a, d):
@@ -227,7 +231,15 @@ class _SpecLaw:
 
     def sample(self, rng, size):
         """Cone point(s) of size draws; one point when size is None."""
-        return self.points(self.draws(rng.generator, 1 if size is None else int(size)), size)
+        return _drawn(lambda m: self.points(self.draws(rng.generator, m)), size)
+
+    def points(self, draws):
+        """The cone points of draws, composed from their factors and patterns."""
+        return _cone_points(self.factors(draws), self.patterns(draws), self.cone)
+
+    def patterns(self, draws):
+        """The pattern of every draw: the law's own."""
+        return self.pattern
 
     def factor_of(self, M):
         """The factor of M (see cone_factor); PatternMismatch unless M is in
@@ -291,9 +303,6 @@ class _Wishart(_SpecLaw):
         cone, L0 = self.forward
         return _orient(L0 @ _bartlett_factors(draws), cone)
 
-    def points(self, draws, size):
-        return _cone_points(self.factors(draws), self.pattern, self.cone, size)
-
     def increments(self, draws, out=None):
         chi, z = draws
         n, paths = chi.shape
@@ -336,12 +345,12 @@ class _InverseWishart(_Wishart):
         inverse = np.linalg.inv(symmetrize(self.entries[0].astype(float)))
         return cone, np.linalg.cholesky(_orient(symmetrize(inverse), cone))
 
-    def points(self, draws, size):
+    def factors(self, draws):
         """The inverses of the Wishart draws F D F* (F* D F in the TPM cone)
-        of the reversed cone and pattern: F^{-*} D F^{-1} (F^{-1} D F^{-*}),
+        of the reversed cone and pattern are F^{-*} D F^{-1} (F^{-1} D F^{-*}),
         so F^{-1} is their factor in the law's own cone and pattern, whose
         canonical signs are those of the reversed pattern read backwards."""
-        return _cone_points(_lower_inverse(self.factors(draws)), self.pattern, self.cone, size)
+        return _lower_inverse(super().factors(draws))
 
     def log_density(self, X, measure=None):
         """See inverse_wishart_log_density and check_measure."""
@@ -406,8 +415,9 @@ class _CholeskyNormal(_SpecLaw):
         out = np.matmul(z, self.root.T, out=out)
         return np.add(out, self.mean, out=out)
 
-    def points(self, z, size):
-        return _cone_points(eta_inv(self.etas(z)), self.pattern, self.cone, size)
+    def factors(self, z):
+        """The factors of the coordinates of standard normals z."""
+        return eta_inv(self.etas(z))
 
     def increments(self, z, out=None):
         return self.etas(z, out), np.array(self.pattern, dtype=int)
@@ -456,12 +466,15 @@ class _Clone(_SpecLaw):
     def draws(self, g, m, out=None):
         return _clone_ranks(g, self.spec, m), self.base.draws(g, m, out)
 
-    def points(self, draws, size):
-        F = self.base.factors(draws[1])
-        return _cone_points(F, _clone_patterns(self.spec, draws[0]), self.cone, size)
+    def factors(self, draws):
+        return self.base.factors(draws[1])
+
+    def patterns(self, draws):
+        """The drawn pattern of every draw, one row each."""
+        return _clone_patterns(self.spec, draws[0])
 
     def increments(self, draws, out=None):
-        return self.base.increments(draws[1], out)[0], _clone_patterns(self.spec, draws[0])
+        return self.base.increments(draws[1], out)[0], self.patterns(draws)
 
     def log_density(self, M, measure=None):
         raise SpecInvalid("no density for inertial clones; use the base law")
@@ -506,8 +519,7 @@ def wishart_factors(rng, spec, size=None):
     reversed scale.
     """
     law = _law(spec, _Wishart)
-    F = law.factors(law.draws(rng.generator, 1 if size is None else int(size)))
-    return F[0] if size is None else F
+    return _drawn(lambda m: law.factors(law.draws(rng.generator, m)), size)
 
 
 def wishart_sample(rng, spec, size=None):
@@ -531,8 +543,9 @@ def jacobian_logdet(L, eps=None):
     """log |det| of the differential of L -> L D_eps L^T at L.
 
     Equals n log 2 + sum_j (n+1-j) log l_jj, independent of the pattern.
+    ValueError, as from eta, unless L is a factor.
     """
-    d = np.diagonal(np.asarray(L)).real
+    d = np.diagonal(_check_lower(L)).real
     n = d.size
     weights = np.arange(n, 0, -1)
     return float(n * np.log(2.0) + np.sum(weights * np.log(d)))
@@ -541,8 +554,7 @@ def jacobian_logdet(L, eps=None):
 def cholesky_normal_etas(rng, spec, size=None):
     """Linear-coordinate draws: normal around the coordinates of the centre."""
     law = _law(spec, _CholeskyNormal)
-    v = law.etas(law.draws(rng.generator, 1 if size is None else int(size)))
-    return v[0] if size is None else v
+    return _drawn(lambda m: law.etas(law.draws(rng.generator, m)), size)
 
 
 def cholesky_normal_sample(rng, spec, size=None):

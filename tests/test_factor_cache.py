@@ -34,7 +34,7 @@ from lpmch import (
     wishart_sample,
 )
 from lpmch import cholesky
-from lpmch.core import _cached_factor, canonical_diagonal, reverse_point
+from lpmch.core import _cached_factor, canonical_diagonal
 from lpmch.sampling import cholesky_normal_sample, wishart_factors
 
 
@@ -132,18 +132,6 @@ def test_group_element_sees_an_in_place_edit_of_its_point():
     assert np.array_equal(box_op(E, identity_element(2)).factor, cone_factor(P))
     # A factor given explicitly is kept as given.
     assert np.array_equal(given.factor, np.eye(2))
-
-
-@pytest.mark.parametrize("cone", ("lpm", "tpm"))
-def test_reverse_point_carries_the_reversed_factor(cone, monkeypatch):
-    P, L = built_point(7, 10, cone)
-    calls = count_ldl(monkeypatch)
-    R = reverse_point(P)
-    assert R.cone != P.cone
-    assert np.array_equal(cone_factor(R), reverse_matrix(L)) and calls == []
-    # A stale cache is not carried over.
-    P.matrix[...] *= 2.0
-    assert _cached_factor(reverse_point(P)) is None
 
 
 def test_sampled_points_fill_their_cache_on_first_use():

@@ -14,8 +14,8 @@ from conftest import clone_patterns, random_lower
 from lpmch import (
     DistributionSpec,
     RngStream,
+    bartlett_sample,
     cholesky_normal_sample,
-    classify,
     cone_compose,
     eta,
     eta_inv,
@@ -23,6 +23,7 @@ from lpmch import (
     invert_cone_point,
     inverse_wishart_sample,
     is_lower_triangular,
+    leading_minors,
     reverse_pattern,
     symmetrize,
     wishart_sample,
@@ -125,14 +126,54 @@ def test_clone_draws_match_single_composition(cone):
         assert np.array_equal(point.matrix, cone_compose(Fi, patterns[i], cone).matrix)
 
 
-def test_single_draw_is_first_of_batch():
-    spec = DistributionSpec(kind="wishart", pattern=EPS, cone="tpm",
-                            sigma=_sigma(4), dof=6)
-    one = wishart_sample(RngStream(7), spec)
-    batch = wishart_sample(RngStream(7), spec, size=1)
-    assert np.array_equal(one.matrix, batch[0].matrix)
-    assert classify(one.matrix, cone="tpm").pattern == EPS
-    assert wishart_sample(RngStream(7), spec, size=0) == []
+def _sampler(name, n, cone):
+    """draw(rng, size) of the named sampler, on a spec of size n in the cone."""
+    if name == "bartlett_sample":
+        return lambda rng, size: bartlett_sample(rng, n, n + 2, size)
+    eps = tuple(int(e) for e in np.random.default_rng(n).choice((1, -1), n))
+    wishart = DistributionSpec(kind="wishart", pattern=eps, cone=cone, sigma=_sigma(n), dof=n + 2)
+    normal = DistributionSpec(kind="cholesky_normal", cone=cone,
+                              m0=cone_compose(random_lower(np.random.default_rng(n), n), eps, cone),
+                              sigma_tilde=0.1 * np.eye(n * (n + 1) // 2))
+    clone = DistributionSpec(kind="inertial_clone", cone=cone, k=n // 2,
+                             base=replace(wishart, pattern=(1,) * n, cone="lpm"))
+    sampler, spec = {
+        "wishart_sample": (wishart_sample, wishart),
+        "wishart_factors": (wishart_factors, wishart),
+        "inverse_wishart_sample": (inverse_wishart_sample, replace(wishart, kind="inverse_wishart")),
+        "cholesky_normal_sample": (cholesky_normal_sample, normal),
+        "cholesky_normal_etas": (cholesky_normal_etas, normal),
+        "inertial_clone_sample": (inertial_clone_sample, clone),
+    }[name]
+    return lambda rng, size: sampler(rng, spec, size)
+
+
+SAMPLERS = ["wishart_sample", "inverse_wishart_sample", "cholesky_normal_sample",
+            "inertial_clone_sample", "wishart_factors", "cholesky_normal_etas"]
+
+
+@pytest.mark.parametrize("name, n, cone", [
+    (name, n, cone) for name in SAMPLERS for n in (3, 10) for cone in CONES
+] + [("bartlett_sample", n, None) for n in (3, 10)])
+def test_single_draw_is_first_of_batch(name, n, cone):
+    # size None is [0] of size 1 bit for bit, for points and arrays alike.
+    draw = _sampler(name, n, cone)
+    one, batch = draw(RngStream(7), None), draw(RngStream(7), 1)
+    assert len(batch) == 1
+    if isinstance(one, np.ndarray):
+        assert one.dtype == batch.dtype and one.shape == batch.shape[1:]
+        assert one.tobytes() == batch[0].tobytes()
+        assert draw(RngStream(7), 0).shape == (0,) + one.shape
+    else:
+        first = batch[0]
+        assert one.matrix.tobytes() == first.matrix.tobytes()
+        assert (one.cone, one.pattern) == (first.cone, first.pattern) and one.cone == cone
+        # The draw lies in its cone: the signs of its leading (LPM) or
+        # trailing (TPM) minors are its pattern.
+        oriented = one.matrix if cone == "lpm" else reverse_matrix(one.matrix)
+        assert tuple(np.sign(leading_minors(oriented)).astype(int)) == one.pattern
+        assert draw(RngStream(7), 0) == []
+    assert len(draw(RngStream(7), 5)) == 5
 
 
 def _dense_cone_matrices(F, patterns, cone):

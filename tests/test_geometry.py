@@ -29,7 +29,7 @@ from lpmch import (
     star_inv,
     star_op,
 )
-from lpmch.errors import ComplexFactor, GroupMismatch, PatternMismatch
+from lpmch.errors import ComplexFactor, GroupMismatch, NonFiniteInput, PatternMismatch
 from lpmch.geometry import KLEIN_MAPS, cone_factor
 
 L_WITNESS = np.array([[1.0, 0.0], [2.0, 2.0]])
@@ -273,6 +273,33 @@ def test_klein_maps():
                 pytest.approx(distance(L, K), abs=1e-12)
     with pytest.raises(ValueError):
         klein_apply("nope", np.eye(2))
+
+
+@pytest.mark.parametrize("sigma", sorted(KLEIN_MAPS))
+def test_klein_maps_check_their_factor(sigma):
+    # "id" passed a non-factor through, "rev" reversed a negative diagonal
+    # into another non-factor, and both dropped an imaginary part with only a
+    # ComplexWarning.
+    with pytest.raises(ComplexFactor):
+        klein_apply(sigma, [[1, 0], [1 + 2j, 2]])
+    for L in ([[1, 5], [0, 1]], [[1, 5], [0, -1]], [[1, 0], [0, -1]], [[[1.0]]]):
+        with pytest.raises(ValueError, match="lower triangular with positive diagonal"):
+            klein_apply(sigma, L)
+    real = klein_apply(sigma, np.array([[1, 0], [1, 2]], dtype=complex))
+    assert real.dtype == float
+    assert np.array_equal(real, klein_apply(sigma, [[1.0, 0.0], [1.0, 2.0]]))
+
+
+@pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_time_or_power_is_refused(t):
+    # Each returned a factor or a point whose entries were all NaN.
+    rng = np.random.default_rng(23)
+    L, K, X = random_lower(rng, 3), random_lower(rng, 3), np.tril(rng.standard_normal((3, 3)))
+    A, B = cone_compose(L, (1, -1, 1)), cone_compose(K, (1, -1, 1))
+    for call in (lambda: scalar_mul(t, L), lambda: geodesic(L, X, t),
+                 lambda: geodesic_between(L, K, t), lambda: lpm_geodesic(A, B, t)):
+        with pytest.raises(NonFiniteInput, match="must be finite"):
+            call()
 
 
 def test_eta_rejects_complex_factors():

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import random_factor
 from lpmch import (
+    ConePoint,
     DistributionSpec,
     canonical_point,
     compose,
@@ -25,8 +26,7 @@ from lpmch import (
     symmetrize,
     wishart_log_density,
 )
-from lpmch.core import _blocked_ldl, _classify_with_minors, _lower_inverse, ldl, \
-    reverse_point
+from lpmch.core import _blocked_ldl, _classify_with_minors, _lower_inverse, ldl
 from lpmch.errors import MinorNearZero
 
 PROPERTY = settings(max_examples=40, deadline=None)
@@ -42,6 +42,11 @@ pattern_pairs = sizes.flatmap(lambda n: st.tuples(patterns_of(n), patterns_of(n)
 seeds = st.integers(0, 2**32 - 1)
 # Decimal exponents of the scales 1e-4..1e4 that points and sigmas are taken at.
 log_scales = st.floats(-4, 4)
+
+
+def tpm_twin(P):
+    """The TPM point of the reversal of P's matrix, with P's pattern."""
+    return ConePoint(matrix=symmetrize(reverse_matrix(P.matrix)), cone="tpm", pattern=P.pattern)
 
 
 def relative_error(X, Y):
@@ -93,9 +98,7 @@ def test_tpm_maps_are_the_reversals_of_lpm_maps(eps, log_scale, seed):
     L = np.sqrt(10.0 ** log_scale) * random_factor(rng, n)
     B = compose(random_factor(rng, n), canonical_point(eps))
     P = compose(L, B)
-    # Reversed before cone_factor(P) caches a factor that reverse_point
-    # would carry over.
-    RP, RB = reverse_point(P), reverse_point(B)
+    RP, RB = tpm_twin(P), tpm_twin(B)
     for basis, reversed_basis in ((B, RB), (canonical_point(eps), canonical_point(eps, "tpm"))):
         assert np.array_equal(factor_tpm(RP, reversed_basis), reverse_matrix(factor(P, basis)))
     assert np.array_equal(cone_factor(RP), reverse_matrix(cone_factor(P)))
@@ -129,7 +132,7 @@ def test_tpm_densities_are_the_lpm_densities_of_the_reversals(eps, log_scale, se
     X = rng.standard_normal((n, n))
     sigma = symmetrize(scale * (X @ X.T / n + np.eye(n)))
     M = compose(np.sqrt(scale) * random_factor(rng, n), canonical_point(eps))
-    RM = reverse_point(M)
+    RM = tpm_twin(M)
     for kind, density in (("wishart", wishart_log_density),
                           ("inverse_wishart", inverse_wishart_log_density)):
         lpm = DistributionSpec(kind=kind, pattern=eps, cone="lpm", sigma=sigma, dof=n + 2)

@@ -211,6 +211,16 @@ def test_jacobian_logdet_finite_difference():
             assert jacobian_logdet(L, eps) == pytest.approx(fd, rel=1e-5)
 
 
+@pytest.mark.parametrize("L", [[[1.0, 0.0], [0.0, -1.0]], [[1.0, 2.0], [0.0, 1.0]],
+                               [[1.0, 0.0, 0.0], [1.0, 1.0, 0.0]]],
+                         ids=["negative-diagonal", "upper", "not-square"])
+def test_jacobian_logdet_refuses_a_non_factor(L):
+    # The negative diagonal gave NaN with a RuntimeWarning; an upper
+    # triangular L was taken for its diagonal.
+    with pytest.raises(ValueError, match="lower triangular with positive diagonal"):
+        jacobian_logdet(np.array(L))
+
+
 def test_cholesky_normal():
     m0 = classify(np.array([[2.0, 0.3], [0.3, 1.0]]))
     tight = DistributionSpec(kind="cholesky_normal", m0=m0,
