@@ -281,10 +281,10 @@ def invert_cone_point(point):
     F^{-1} is the TPM point of the reversed pattern with factor F^{-1},
     because the canonical signs of the reversed pattern are those of the
     pattern read backwards (likewise from TPM to LPM). F^{-1} comes from
-    core._lower_inverse, as one member of the inverse Wishart sampler's
-    stack would, and the result is built from it by _built_point, keeping
-    the point's tolerance_used. Any other point takes a general inverse of its
-    matrix, made self-adjoint; SingularMatrix when it is singular.
+    core._lower_inverse, as a stack of one, and the result is built from it
+    by _built_point, keeping the point's tolerance_used. Any other point
+    takes a general inverse of its matrix, made self-adjoint; SingularMatrix
+    when it is singular.
     """
     cone = _opposite(point.cone)
     pattern = reverse_pattern(point.pattern)

@@ -15,7 +15,8 @@ The functions of the Cholesky space check their factor arguments: one that
 is not a factor raises eta's ValueError, factors of two sizes and a tangent
 of another shape GroupMismatch, a pattern of another length PatternMismatch
 and a NaN or infinite time or power NonFiniteInput; the entries of tangents
-are not checked. The functions of cone points read the points' factors,
+are not checked. eta_inv raises NonFiniteInput for coordinates that map to
+no finite factor. The functions of cone points read the points' factors,
 which the library made, unchecked, and build their results from the
 factors they make (cholesky._built_point) without cone_compose's edge
 checks and copy: those factors are valid by construction.
@@ -145,9 +146,20 @@ def _dim_from_eta(m):
     return n
 
 
+# The largest diagonal coordinate whose exponential is a finite float.
+_LOG_MAX = math.log(np.finfo(float).max)
+
+
 def eta_inv(v):
-    """The factor of eta coordinates v, or the stack of one factor per row."""
-    return _eta_inv(np.asarray(v, dtype=float))
+    """The factor of eta coordinates v, or the stack of one factor per row.
+    NonFiniteInput unless every coordinate, and the exponential of every
+    diagonal one, is finite: a factor's entries are."""
+    v = np.asarray(v, dtype=float)
+    diagonal = v[..., :_dim_from_eta(v.shape[-1])]
+    if not (np.isfinite(v).all() and diagonal.max(initial=-math.inf) <= _LOG_MAX):
+        raise NonFiniteInput("eta coordinates and the exponentials of the diagonal "
+                             "ones must be finite")
+    return _eta_inv(v)
 
 
 def _eta_inv(v):

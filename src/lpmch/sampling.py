@@ -16,12 +16,13 @@ what the samplers, densities and walk steps compute from that spec:
   normals of the Cholesky-normal law, the pattern positions of a clone),
   filled into out when it is given;
 - the arithmetic, which reads no stream: from draws to an (m, n, n) stack
-  of factors (factors: L0 K, their inverses for the inverse Wishart, eta_inv
-  of the coordinates etas, or the base law's for a clone) and their
-  patterns (patterns); to a walk step's coordinate increments and patterns
-  (increments; the Wishart law makes them one block of paths at a time);
-  and, in _SpecLaw alone, to cone points (points): the stack composed
-  against the patterns' canonical bases in one batched congruence;
+  of factors (factors: L0 K, or L0 R(K^-1) for the inverse Wishart, with
+  K the Bartlett factors and R the reversal; eta_inv of the coordinates
+  etas; or the base law's for a clone) and their patterns (patterns); to
+  a walk step's coordinate increments and patterns (increments; the
+  Wishart law makes them one block of paths at a time); and, in _SpecLaw
+  alone, to cone points (points): the stack composed against the
+  patterns' canonical bases in one batched congruence;
 - log_density(M): the per-point part of a density. It reads the factor L
   of M against its canonical basis (cone_factor), which the point keeps
   after the first read: log det is 2 sum log l_jj, and the trace term is a
@@ -32,12 +33,11 @@ validated, and the law is kept on the spec against read-only copies of the
 entries of sigma (the base's, for a clone), sigma_tilde and m0.matrix, and
 of the pattern as given (m0.pattern for the Cholesky-normal law, the
 base's for a clone). Its spec-only terms (the one scale factor of sigma
-that a Wishart law's draws and densities share, the inverse Wishart's
-factor of the inverse of sigma for its draws, the inverse and normalising
-constant of a density, the coordinates of the centre and the PSD square
-root of sigma_tilde) are computed when first asked for and then kept.
-After an in-place edit of any of those arrays or of the pattern, the next
-call validates the spec and makes its law again; a spec that fails
+that the draws and densities of both Wishart laws share, the inverse and
+normalising constant of a density, the coordinates of the centre and the
+PSD square root of sigma_tilde) are computed when first asked for and then
+kept. After an in-place edit of any of those arrays or of the pattern, the
+next call validates the spec and makes its law again; a spec that fails
 validation keeps nothing. A function named after a kind raises
 SpecInvalid for a spec of another kind before any draw or arithmetic.
 """
@@ -54,12 +54,12 @@ from .core import (
     ConePoint,
     _check_finite,
     _lower_inverse,
-    _opposite,
     _orient,
     _read_only,
     _same_entries,
     _unrank_patterns,
     as_pattern,
+    reverse_matrix,
     symmetrize,
 )
 from .cholesky import _check_lower, _cone_points, _factor
@@ -177,8 +177,12 @@ def _bartlett_factors(draws):
 
 def _drawn(draw, size):
     """draw(m) of m = size draws, or the first of draw(1) when size is None:
-    the one-draw rule of every sampler."""
-    out = draw(1 if size is None else int(size))
+    the one-draw rule of every sampler. A negative size raises SpecInvalid
+    before any draw."""
+    m = 1 if size is None else int(size)
+    if m < 0:
+        raise SpecInvalid(f"size must be >= 0, got {size}")
+    out = draw(m)
     return out[0] if size is None else out
 
 
@@ -290,18 +294,12 @@ class _Wishart(_SpecLaw):
         return (L0, _lower_inverse(L0), _factor_logdet(L0),
                 _multigammaln(N / 2.0, n) + 0.5 * n * N * math.log(2.0))
 
-    @cached_property
-    def forward(self):
-        """(the cone of the Bartlett draws' factors, their scale factor L0)."""
-        return self.cone, self.scale[0]
-
     def draws(self, g, m, out=None):
         return _bartlett_draws(g, self.n, self.dof, m, out)
 
     def factors(self, draws):
         """The cone factors L0 K of Bartlett draws K, reversed in the TPM cone."""
-        cone, L0 = self.forward
-        return _orient(L0 @ _bartlett_factors(draws), cone)
+        return _orient(self.scale[0] @ _bartlett_factors(draws), self.cone)
 
     def increments(self, draws, out=None):
         chi, z = draws
@@ -332,25 +330,23 @@ class _Wishart(_SpecLaw):
 
 
 class _InverseWishart(_Wishart):
-    """The transferred inverse Wishart: the inverses of Wishart draws of the
-    reversed cone and pattern. A walk cannot take it."""
+    """The transferred inverse Wishart: the inverses of Wishart draws with
+    scale sigma^-1, drawn in the law's own cone from the scale factor L0 of
+    sigma, which its density shares. A walk cannot take it."""
 
     kind = "inverse_wishart"
     increments = None  # no walk step
 
-    @cached_property
-    def forward(self):
-        """(the reversed cone, the factor of the inverse of sigma in it)."""
-        cone = _opposite(self.cone)
-        inverse = np.linalg.inv(symmetrize(self.entries[0].astype(float)))
-        return cone, np.linalg.cholesky(_orient(symmetrize(inverse), cone))
-
     def factors(self, draws):
-        """The inverses of the Wishart draws F D F* (F* D F in the TPM cone)
-        of the reversed cone and pattern are F^{-*} D F^{-1} (F^{-1} D F^{-*}),
-        so F^{-1} is their factor in the law's own cone and pattern, whose
-        canonical signs are those of the reversed pattern read backwards."""
-        return _lower_inverse(super().factors(draws))
+        """The cone factors L0 R(K^-1) of Bartlett draws K, reversed in the
+        TPM cone, with R the reversal (core.reverse_matrix). In the LPM cone
+        sigma^-1 = L0^-T L0^-1, so R(L0^-1) is the factor of R(sigma^-1), and
+        the Wishart draw R(R(L0^-1) K) of the TPM cone and reversed pattern
+        has inverse factor L0 R(K^-1), since R(A B) = R(B) R(A); likewise
+        from TPM to LPM. Only the Bartlett factors are inverted, never sigma;
+        R(K^-1) is taken as R(K)^-1, a contiguous stack for the product."""
+        R_inv = _lower_inverse(reverse_matrix(_bartlett_factors(draws)))
+        return _orient(self.scale[0] @ R_inv, self.cone)
 
     def log_density(self, X, measure=None):
         """See inverse_wishart_log_density and check_measure."""
@@ -576,12 +572,13 @@ def cholesky_normal_log_density(M, spec, measure="eta"):
 def inverse_wishart_sample(rng, spec, size=None):
     """Draw(s) from the inverse of a transferred Wishart.
 
-    Inverts Wishart draws with scale the inverse of the self-adjoint part of
-    sigma, on the cone with the reversed pattern and kind, so the results
-    land in spec's cone and pattern. The inverse of a draw F D F* (F* D F
-    in the TPM cone) is composed from F^{-1}, its factor in spec's cone, so
-    each draw is invert_cone_point of the forward draw composed from F, bit
-    for bit; no matrix is inverted.
+    Each draw is the inverse of a Wishart draw with scale the inverse of
+    the self-adjoint part of sigma, on the cone with the reversed pattern
+    and kind, so it lands in spec's cone and pattern. It is drawn there
+    directly: with L0 the scale factor of wishart_log_density and K a
+    Bartlett factor, its factor is L0 R(K^-1) (reversed in the TPM cone),
+    R the reversal. Only the triangular R(K) is inverted; sigma never is,
+    so an ill-conditioned sigma costs no accuracy beyond that of L0.
     """
     return _law(spec, _InverseWishart).sample(rng, size)
 

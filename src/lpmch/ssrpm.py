@@ -5,12 +5,13 @@ principal minors (not just the leading ones) are nonzero and share one
 sign. The test is exponential in n and capped accordingly.
 """
 
+import math
 from itertools import combinations, islice
 
 import numpy as np
 
-from .core import DEFAULT_TOL, _check_finite, _log_minor_cutoffs, symmetrize
-from .errors import ConstraintViolation, DegenerateParameters, DimensionCap
+from .core import DEFAULT_TOL, _check_matrix, _log_minor_cutoffs, symmetrize
+from .errors import ConstraintViolation, DegenerateParameters, DimensionCap, NonFiniteInput
 
 __all__ = ["is_ssrpm", "toeplitz_example", "almost_n_example", "DEFAULT_CAP"]
 
@@ -25,11 +26,12 @@ def is_ssrpm(A, tol=DEFAULT_TOL, cap=DEFAULT_CAP):
     Returns the pattern (sign of every k x k principal minor, k = 1..n) when
     one exists and every minor clears classify's cutoff, tested in logs from
     slogdet; None as soon as some size is mixed-sign or some minor is zero up
-    to tolerance. A NaN or infinite entry raises NonFiniteInput, and a tol
-    that is not finite and >= 0 raises ValueError.
+    to tolerance. A NaN or infinite entry raises NonFiniteInput; an A that
+    is not one square matrix of size at least 1, or a tol that is not
+    finite and >= 0, raises ValueError.
     """
     A = np.asarray(A, dtype=float)
-    _check_finite(A)
+    _check_matrix(A)
     A = symmetrize(A)
     n = A.shape[0]
     cutoffs = _log_minor_cutoffs(A, tol)
@@ -53,9 +55,14 @@ def toeplitz_example(a, b, n):
     """The matrix b*J + (a-b)*Id and its predicted principal-minor pattern.
 
     Every k x k principal minor equals (a + (k-1)b) * (a-b)**(k-1), so the
-    pattern is read off the closed form. Degenerate parameters (a = b, or
-    a + (k-1)b = 0 for some k) are rejected.
+    pattern is read off the closed form. A NaN or infinite a or b raises
+    NonFiniteInput, n < 1 ConstraintViolation, and degenerate parameters
+    (a = b, or a + (k-1)b = 0 for some k) DegenerateParameters.
     """
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise NonFiniteInput(f"need finite a and b, got a={a}, b={b}")
+    if n < 1:
+        raise ConstraintViolation(f"need n >= 1, got {n}")
     if a == b:
         raise DegenerateParameters("a == b makes all 2x2 minors vanish")
     pattern = []

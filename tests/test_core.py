@@ -17,6 +17,7 @@ from lpmch import (
     cone_factor,
     cones_with_inertia,
     invert_cone_point,
+    is_lower_triangular,
     leading_minors,
     lpm_perturbation,
     negative_inertia,
@@ -192,18 +193,22 @@ def test_cone_swaps_refuse_a_cone_other_than_lpm_and_tpm(carries_factor):
 
 
 @pytest.mark.parametrize("cone", ("lpm", "tpm", "xyz"))
-def test_inverse_wishart_draws_in_the_opposite_cone(cone):
-    # The law draws Wishart factors in the opposite cone and inverts them; a
-    # law whose cone is neither (only reachable past spec validation) refuses.
+def test_inverse_wishart_draws_in_its_own_cone(cone):
+    # The law draws its factors in its own cone and pattern; a law whose cone
+    # is neither (only reachable past spec validation) refuses.
     spec = DistributionSpec(kind="inverse_wishart", cone="lpm", pattern=(1, -1),
                             sigma=np.eye(2), dof=3)
     law = sampling._InverseWishart(spec, (np.eye(2),), (1, -1))
     law.cone = cone
+    draws = law.draws(np.random.default_rng(0), 5)
     if cone == "xyz":
         with pytest.raises(ValueError, match="cone must be 'lpm' or 'tpm', got 'xyz'"):
-            law.forward
-    else:
-        assert law.forward[0] == {"lpm": "tpm", "tpm": "lpm"}[cone]
+            law.factors(draws)
+        return
+    assert is_lower_triangular(law.factors(draws))
+    for point in law.points(draws):
+        assert (point.cone, point.pattern) == (cone, (1, -1))
+        assert classify(point.matrix, cone=cone).pattern == (1, -1)
 
 
 def test_reverse_matrix():

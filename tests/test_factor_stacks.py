@@ -97,8 +97,30 @@ def test_inverse_wishart_draws_match_single_inversion(cone):
     F = wishart_factors(RngStream(4), fwd, size=DRAWS)
     for point, Fi in zip(draws, F):
         single = invert_cone_point(cone_compose(Fi, fwd.pattern, fwd.cone))
-        assert np.array_equal(point.matrix, single.matrix)
+        scale = np.abs(single.matrix).max()
+        assert np.abs(point.matrix - single.matrix).max() <= 1e-13 * scale
         assert (point.cone, point.pattern) == (single.cone, single.pattern) == (cone, EPS)
+
+
+@pytest.mark.parametrize("cone", CONES)
+def test_inverse_wishart_draws_keep_an_exact_scale_factor(cone):
+    # sigma = P P^T (its reversal for TPM) with P unit lower triangular, so
+    # its Cholesky factor is P exactly while cond(sigma) is about 6e13. The
+    # draws' factors are P R(K^-1) of the Bartlett factors K, R the reversal:
+    # an explicit inverse of sigma would cost about cond(sigma) u of that.
+    P = np.eye(4)
+    P[1, 0], P[2, 1], P[3, 2], P[3, 0] = 60.0, -50.0, 40.0, 20.0
+    assert np.array_equal(np.linalg.cholesky(P @ P.T), P)
+    sigma = P @ P.T if cone == "lpm" else reverse_matrix(P @ P.T)
+    spec = DistributionSpec(kind="inverse_wishart", pattern=EPS, cone=cone,
+                            sigma=sigma, dof=6)
+    draws = inverse_wishart_sample(RngStream(6), spec, size=DRAWS)
+    K = bartlett_sample(RngStream(6), 4, 6, size=DRAWS)
+    F = P @ reverse_matrix(np.tril(np.linalg.inv(K)))
+    F = F if cone == "lpm" else reverse_matrix(F)
+    for point, Fi in zip(draws, F):
+        exact = cone_compose(Fi, EPS, cone).matrix
+        assert np.abs(point.matrix - exact).max() <= 1e-13 * np.abs(exact).max()
 
 
 @pytest.mark.parametrize("cone", CONES)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -80,6 +82,18 @@ def test_eta():
         assert np.allclose(eta_inv(eta(L)), L)
         assert np.allclose(eta(group_op(L, K)), eta(L) + eta(K))
         assert np.allclose(eta(group_inv(L)), -eta(L))
+
+
+@pytest.mark.parametrize("v", ([np.nan, 0.0, 0.0], [0.0, 0.0, -np.inf], [800.0, 0.0, 0.0],
+                               [[0.0, 0.0, 0.0], [0.0, 710.0, 1.0]]),
+                         ids=("nan", "inf", "overflow", "stack"))
+def test_eta_inv_refuses_coordinates_of_no_finite_factor(v):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteInput, match="must be finite"):
+            eta_inv(v)
+    edge = eta_inv([np.log(np.finfo(float).max), 0.0, 0.0])
+    assert np.isfinite(edge).all() and edge[0, 0] > 0
 
 
 def test_distance_paper_values():

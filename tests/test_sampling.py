@@ -240,6 +240,15 @@ def test_cholesky_normal():
     assert lpm_distance(mean_point, m0) < 0.02
 
 
+def test_cholesky_normal_draws_past_the_float_range_are_refused():
+    # Coordinate draws with standard deviation 1e4: exp of a diagonal one
+    # overflows, and the sampler raises instead of making infinite points.
+    spec = DistributionSpec(kind="cholesky_normal", m0=classify(np.eye(2)),
+                            sigma_tilde=1e8 * np.eye(3))
+    with pytest.raises(NonFiniteInput, match="must be finite"):
+        cholesky_normal_sample(RngStream(0), spec, 10)
+
+
 def test_cholesky_normal_log_density():
     m0 = classify(np.eye(2))
     spec = DistributionSpec(kind="cholesky_normal", m0=m0,
@@ -456,6 +465,31 @@ def test_a_non_finite_dof_is_refused_before_any_draw(kind, index, bad):
     with pytest.raises(SpecInvalid, match="dof must be finite"):
         KIND_FUNCTIONS[kind][index](rng, spec)
     assert rng.generator.bit_generator.state == state
+
+
+SIZED = {
+    "bartlett_sample": lambda rng, size: bartlett_sample(rng, 2, 4, size),
+    "wishart_factors": lambda rng, size: wishart_factors(rng, kind_specs()["wishart"], size),
+    "wishart_sample": lambda rng, size: wishart_sample(rng, kind_specs()["wishart"], size),
+    "inverse_wishart_sample":
+        lambda rng, size: inverse_wishart_sample(rng, kind_specs()["inverse_wishart"], size),
+    "cholesky_normal_etas":
+        lambda rng, size: cholesky_normal_etas(rng, kind_specs()["cholesky_normal"], size),
+    "cholesky_normal_sample":
+        lambda rng, size: cholesky_normal_sample(rng, kind_specs()["cholesky_normal"], size),
+    "inertial_clone_sample":
+        lambda rng, size: inertial_clone_sample(rng, kind_specs()["inertial_clone"], size),
+}
+
+
+@pytest.mark.parametrize("name", SIZED)
+def test_a_negative_size_is_refused_before_any_draw(name):
+    rng = RngStream(0)
+    state = rng.generator.bit_generator.state
+    with pytest.raises(SpecInvalid, match="size must be >= 0, got -1"):
+        SIZED[name](rng, -1)
+    assert rng.generator.bit_generator.state == state
+    assert len(SIZED[name](rng, 0)) == 0
 
 
 def test_pd_densities_match_scipy_n3():

@@ -40,6 +40,27 @@ def test_is_ssrpm_refuses_non_finite_input_by_name(A):
             is_ssrpm(A)
 
 
+@pytest.mark.parametrize("A", (np.ones((3, 2, 2)), np.ones((2, 3)), np.ones(3), np.ones((0, 0))),
+                         ids=("stack", "rectangle", "vector", "empty"))
+def test_is_ssrpm_refuses_anything_but_one_square_matrix(A):
+    with pytest.raises(ValueError, match="expected a square matrix of size at least 1"):
+        is_ssrpm(A)
+
+
+@pytest.mark.parametrize("a, b", ((np.nan, 1.0), (1.0, np.inf), (-np.inf, 0.5)))
+def test_toeplitz_example_refuses_non_finite_parameters(a, b):
+    with pytest.raises(NonFiniteInput, match="need finite a and b"):
+        toeplitz_example(a, b, 3)
+
+
+@pytest.mark.parametrize("n", (0, -2))
+def test_toeplitz_example_needs_a_matrix(n):
+    with pytest.raises(ConstraintViolation, match="need n >= 1"):
+        toeplitz_example(1.0, -0.6, n)
+    M, eps = toeplitz_example(1.0, -0.6, 1)
+    assert M.shape == (1, 1) and eps == (1,)
+
+
 @pytest.mark.parametrize("tol", (-1.0, float("nan"), float("inf")))
 def test_is_ssrpm_tolerance_must_be_finite_and_nonnegative(tol):
     with pytest.raises(ValueError, match="tolerance must be finite and >= 0"):
