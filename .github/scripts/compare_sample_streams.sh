@@ -25,8 +25,13 @@
 #   - `lpmch geodesic --t 0.25` and `lpmch mean` of that point and basis,
 #     at the same n and cones (8 outputs). Each classifies both matrices,
 #     derives their factors and builds the result from a factor that
-#     lpm_geodesic or log_cholesky_mean made, without cone_compose's checks.
-# 63 outputs in all.
+#     lpm_geodesic or log_cholesky_mean made, without cone_compose's checks;
+#   - `lpmch ssrpm-check` of the Toeplitz matrices b J + (a - b) I at n = 12
+#     and n = 14, whose patterns mix signs, of an almost-N matrix at n = 8,
+#     and of a definite Toeplitz matrix at n = 12 whose last diagonal entry
+#     makes only minors with the last index fail, so that the check runs to
+#     its last level before it prints "not SSRPM" (4 outputs).
+# 67 outputs in all.
 # Needs Python with NumPy; exits non-zero at the first pair that differs.
 #
 # A change that moves outputs on purpose records each moved one as a line
@@ -34,7 +39,9 @@
 # "inv-wishart tpm 10"), "density DIST CONE N" for a density value,
 # "verify PRESET INEQUALITY" for a report, "classify CONE N",
 # "factor CONE N" or "factor-basis CONE N" for a classification or a factor,
-# and "geodesic CONE N" or "mean CONE N" for a geodesic point or a mean;
+# "geodesic CONE N" or "mean CONE N" for a geodesic point or a mean, and
+# "ssrpm-check NAME" (toeplitz12, toeplitz14, almost_n8, not_ssrpm12) for
+# an SSRPM check;
 # lines from # on are ignored.
 # Those pairs are compared and reported, and must differ: a listed pair
 # that is byte-identical fails the check, so a stale line cannot hide a later
@@ -91,6 +98,24 @@ for n in (10, 40):
         A = (L * signs) @ L.T
         dump(f"{name}_lpm{n}", (A + A.T) / 2)
         dump(f"{name}_tpm{n}", ((A + A.T) / 2)[::-1, ::-1])
+
+
+def toeplitz(a, b, n):
+    return b * np.ones((n, n)) + (a - b) * np.eye(n)
+
+
+# SSRPM checks: mixed-sign Toeplitz patterns, an almost-N matrix (all proper
+# principal minors negative, the determinant positive; c lies mid-way in its
+# admissible interval), and a matrix that fails only at its last index.
+dump("toeplitz12", toeplitz(-1.5, 0.4, 12))
+dump("toeplitz14", toeplitz(1.0, -0.23, 14))
+a, b, n = -1.0, -2.0, 8
+almost_n = toeplitz(a, b, n)
+almost_n[-1, -1] = ((n - 2) * b**2 / (a + (n - 3) * b) + (n - 1) * b**2 / (a + (n - 2) * b)) / 2
+dump("almost_n8", almost_n)
+not_ssrpm = toeplitz(2.0, 0.5, 12)
+not_ssrpm[-1, -1] = 0.1
+dump("not_ssrpm12", not_ssrpm)
 PY
 
 moves=$head/.github/stream_moves
@@ -155,6 +180,10 @@ for n in 10 40; do
       --cone "$cone" --t 0.25
     compare "mean $cone $n" mean "$point" "$work/basis_$cone$n.json" --cone "$cone"
   done
+done
+
+for name in toeplitz12 toeplitz14 almost_n8 not_ssrpm12; do
+  compare "ssrpm-check $name" ssrpm-check "$work/$name.json"
 done
 
 for preset in pd_walk mixed_box_walk deterministic_walk; do

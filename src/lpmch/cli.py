@@ -280,8 +280,9 @@ def build_parser():
                    help="JSON file: preset name plus parameter overrides")
     p.set_defaults(run=_cmd_verify)
 
-    p = sub.add_parser("ssrpm-check", help="common sign pattern of all "
-                                           "principal minors, if any")
+    p = sub.add_parser("ssrpm-check", help="common sign pattern of all principal "
+                                           "minors, if any, from the Schur complement "
+                                           "recursion (n <= 20)")
     p.add_argument("matrix")
     p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.set_defaults(run=_cmd_ssrpm_check)

@@ -16,10 +16,11 @@ is not a factor raises eta's ValueError, factors of two sizes and a tangent
 of another shape GroupMismatch, a pattern of another length PatternMismatch
 and a NaN or infinite time or power NonFiniteInput; the entries of tangents
 are not checked. eta_inv raises NonFiniteInput for coordinates that map to
-no finite factor. The functions of cone points read the points' factors,
-which the library made, unchecked, and build their results from the
-factors they make (cholesky._built_point) without cone_compose's edge
-checks and copy: those factors are valid by construction.
+no finite factor with a positive diagonal. The functions of cone points
+read the points' factors, which the library made, unchecked, and build
+their results from the factors they make (cholesky._built_point) without
+cone_compose's edge checks and copy: those factors are valid by
+construction.
 Coordinates follow the factor's dtype, so the group operations and
 geodesics also run on complex Hermitian points and factors; ``eta``,
 ``distance``, ``lpm_distance`` and ``log_cholesky_mean`` are real and raise
@@ -146,19 +147,24 @@ def _dim_from_eta(m):
     return n
 
 
-# The largest diagonal coordinate whose exponential is a finite float.
+# The largest diagonal coordinate whose exponential is a finite float, and
+# the smallest whose exponential does not underflow to 0 (half the smallest
+# subnormal rounds to 0).
 _LOG_MAX = math.log(np.finfo(float).max)
+_LOG_MIN = math.log(np.finfo(float).smallest_subnormal) - math.log(2)
 
 
 def eta_inv(v):
     """The factor of eta coordinates v, or the stack of one factor per row.
-    NonFiniteInput unless every coordinate, and the exponential of every
-    diagonal one, is finite: a factor's entries are."""
+    NonFiniteInput unless every coordinate is finite and the exponential of
+    every diagonal one finite and nonzero: a factor's entries are finite and
+    its diagonal positive."""
     v = np.asarray(v, dtype=float)
     diagonal = v[..., :_dim_from_eta(v.shape[-1])]
-    if not (np.isfinite(v).all() and diagonal.max(initial=-math.inf) <= _LOG_MAX):
-        raise NonFiniteInput("eta coordinates and the exponentials of the diagonal "
-                             "ones must be finite")
+    if not (np.isfinite(v).all() and diagonal.max(initial=-math.inf) <= _LOG_MAX
+            and diagonal.min(initial=math.inf) >= _LOG_MIN):
+        raise NonFiniteInput("eta coordinates must be finite, and the exponentials of "
+                             "the diagonal ones finite and nonzero")
     return _eta_inv(v)
 
 

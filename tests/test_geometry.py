@@ -96,6 +96,19 @@ def test_eta_inv_refuses_coordinates_of_no_finite_factor(v):
     assert np.isfinite(edge).all() and edge[0, 0] > 0
 
 
+@pytest.mark.parametrize("v", ([-800.0, 0.0, 0.0], [[0.0, 0.0, 0.0], [0.0, -746.0, 1.0]]),
+                         ids=("one", "stack"))
+def test_eta_inv_refuses_a_diagonal_that_underflows_to_zero(v):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteInput, match="finite and nonzero"):
+            eta_inv(v)
+    # exp(-745.0) rounds to the smallest subnormal, exp(-745.2) to 0.
+    assert eta_inv([-745.0, 0.0, 0.0])[0, 0] == np.finfo(float).smallest_subnormal
+    with pytest.raises(NonFiniteInput):
+        eta_inv([-745.2, 0.0, 0.0])
+
+
 def test_distance_paper_values():
     assert distance(L_WITNESS, np.eye(2)) == pytest.approx(
         np.sqrt(4 + np.log(2.0) ** 2), abs=1e-12)

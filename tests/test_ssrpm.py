@@ -22,8 +22,8 @@ def test_is_ssrpm_examples():
 
 def test_is_ssrpm_dimension_cap():
     with pytest.raises(DimensionCap):
-        is_ssrpm(np.eye(15))
-    assert is_ssrpm(np.eye(15), cap=15) == (1,) * 15
+        is_ssrpm(np.eye(21))
+    assert is_ssrpm(np.eye(21), cap=21) == (1,) * 21
 
 
 def test_is_ssrpm_minors_beyond_the_float_range():
@@ -185,9 +185,7 @@ def per_subset_ssrpm(A, tol=1e-10):
     return tuple(pattern)
 
 
-@pytest.mark.parametrize("chunk", [ssrpm._CHUNK, 3])
-def test_is_ssrpm_matches_per_subset_minors(monkeypatch, chunk):
-    monkeypatch.setattr(ssrpm, "_CHUNK", chunk)
+def test_is_ssrpm_matches_per_subset_minors():
     rng = np.random.default_rng(12)
     found = []
     for _ in range(30):
@@ -200,3 +198,68 @@ def test_is_ssrpm_matches_per_subset_minors(monkeypatch, chunk):
             assert is_ssrpm(A) == expected
             found.append(expected is not None)
     assert any(found) and not all(found)
+
+
+def sweep_matrices(rng, n):
+    """A symmetric, a definite, a negative definite and a Toeplitz matrix."""
+    X = rng.standard_normal((n, n))
+    a, b = rng.uniform(-2.0, 2.0, 2)
+    return (X + X.T, X @ X.T + 0.1 * np.eye(n), -X @ X.T - 0.1 * np.eye(n),
+            toeplitz_example(a, b, n)[0])
+
+
+def test_is_ssrpm_matches_per_subset_minors_up_to_the_old_cap():
+    rng = np.random.default_rng(14)
+    found = []
+    for n in range(9, 15):
+        for A in sweep_matrices(rng, n):
+            expected = per_subset_ssrpm(A)
+            assert is_ssrpm(A) == expected
+            found.append(expected is not None)
+    assert any(found) and not all(found)
+
+
+def test_slogdet_levels_match_per_subset_minors(monkeypatch):
+    # With no growth allowed, every level past the first takes slogdet.
+    monkeypatch.setattr(ssrpm, "_GROWTH", 0.0)
+    rng = np.random.default_rng(8)
+    for n in range(1, 9):
+        for A in sweep_matrices(rng, n):
+            assert is_ssrpm(A) == per_subset_ssrpm(A)
+
+
+def test_a_near_zero_pivot_hands_the_later_levels_to_slogdet(monkeypatch):
+    # a + b = 1e-5 makes the 2 x 2 pivots tiny and the Schur complements
+    # beyond them about 1e5 times the entries of M.
+    levels = []
+    slogdets = ssrpm._slogdets
+    monkeypatch.setattr(ssrpm, "_slogdets",
+                        lambda A, level: levels.append(level) or slogdets(A, level))
+    M, eps = toeplitz_example(1.0, -0.99999, 8)
+    assert is_ssrpm(M) == eps == per_subset_ssrpm(M)
+    assert levels == list(range(2, 8))
+
+
+@pytest.mark.parametrize("n", (15, 17, 20))
+@pytest.mark.parametrize("a, b", ((1.3, -0.2), (-1.0, -2.5), (2.0, 0.5), (-2.0, 0.9)))
+def test_is_ssrpm_of_toeplitz_examples_up_to_the_cap(a, b, n):
+    M, eps = toeplitz_example(a, b, n)
+    assert is_ssrpm(M) == eps
+
+
+@pytest.mark.parametrize("n", (15, 17, 20))
+@pytest.mark.parametrize("a, b", ((-1.0, -2.0), (-0.5, -3.0)))
+def test_is_ssrpm_of_almost_n_examples_up_to_the_cap(a, b, n):
+    lower = (n - 2) * b**2 / (a + (n - 3) * b)
+    upper = (n - 1) * b**2 / (a + (n - 2) * b)
+    M = almost_n_example(a, b, (lower + upper) / 2, n)
+    assert is_ssrpm(M) == (-1,) * (n - 1) + (1,)
+    assert is_ssrpm(-M) == tuple((-1) ** k for k in range(n - 1)) + ((-1) ** n,)
+
+
+@pytest.mark.parametrize("tol", (ssrpm.DEFAULT_TOL, 0.0))
+def test_an_exact_zero_principal_minor_is_not_ssrpm(tol):
+    # Every leading minor is 1, but the minor on {1, 2} is exactly 0.
+    A = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0], [0.0, 1.0, 1.0]])
+    assert is_ssrpm(A, tol=tol) is None
+    assert is_ssrpm(np.diag([1.0, 0.0, 1.0]), tol=tol) is None
