@@ -185,7 +185,11 @@ def per_subset_ssrpm(A, tol=1e-10):
     return tuple(pattern)
 
 
-def test_is_ssrpm_matches_per_subset_minors():
+@pytest.mark.parametrize("growth", [4096, 3])
+def test_is_ssrpm_matches_per_subset_minors(monkeypatch, growth):
+    # A growth bound of 3 hands 22 of these matrices to slogdet part way,
+    # at levels 1 to 5; 4096, near the default, hands one.
+    monkeypatch.setattr(ssrpm, "_GROWTH", growth)
     rng = np.random.default_rng(12)
     found = []
     for _ in range(30):
