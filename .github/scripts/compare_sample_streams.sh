@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Seeded `lpmch sample` streams, `lpmch density` values, seeded
-# `lpmch verify` reports and `lpmch classify` / `lpmch factor` outputs must
-# be byte-identical across commits.
+# `lpmch verify` reports and `lpmch classify` / `lpmch factor` /
+# `lpmch resign` outputs must be byte-identical across commits.
 #
 # usage: .github/scripts/compare_sample_streams.sh BASE
 #
@@ -26,12 +26,15 @@
 #     at the same n and cones (8 outputs). Each classifies both matrices,
 #     derives their factors and builds the result from a factor that
 #     lpm_geodesic or log_cholesky_mean made, without cone_compose's checks;
+#   - `lpmch resign` of the LPM point at n = 10 and n = 40 to the pattern
+#     +-+-...+- (2 outputs), the one matrix-valued command that the
+#     outputs above leave out;
 #   - `lpmch ssrpm-check` of the Toeplitz matrices b J + (a - b) I at n = 12
 #     and n = 14, whose patterns mix signs, of an almost-N matrix at n = 8,
 #     and of a definite Toeplitz matrix at n = 12 whose last diagonal entry
 #     makes only minors with the last index fail, so that the check runs to
 #     its last level before it prints "not SSRPM" (4 outputs).
-# 67 outputs in all.
+# 69 outputs in all.
 # Needs Python with NumPy; exits non-zero at the first pair that differs.
 #
 # A change that moves outputs on purpose records each moved one as a line
@@ -39,7 +42,8 @@
 # "inv-wishart tpm 10"), "density DIST CONE N" for a density value,
 # "verify PRESET INEQUALITY" for a report, "classify CONE N",
 # "factor CONE N" or "factor-basis CONE N" for a classification or a factor,
-# "geodesic CONE N" or "mean CONE N" for a geodesic point or a mean, and
+# "geodesic CONE N" or "mean CONE N" for a geodesic point or a mean,
+# "resign lpm N" for a re-signed point, and
 # "ssrpm-check NAME" (toeplitz12, toeplitz14, almost_n8, not_ssrpm12) for
 # an SSRPM check;
 # lines from # on are ignored.
@@ -180,6 +184,7 @@ for n in 10 40; do
       --cone "$cone" --t 0.25
     compare "mean $cone $n" mean "$point" "$work/basis_$cone$n.json" --cone "$cone"
   done
+  compare "resign lpm $n" resign "$work/point_lpm$n.json" --to "$(printf '+-%.0s' $(seq $((n / 2))))"
 done
 
 for name in toeplitz12 toeplitz14 almost_n8 not_ssrpm12; do

@@ -209,8 +209,9 @@ def _log_minor_cutoffs(A, tol):
 
 # Panel width of the blocked elimination in ldl.
 _BLOCK = 32
-# Relative size of an anti-Hermitian part, or of the imaginary part of a
-# leading minor, at which input counts as not Hermitian.
+# Relative size of an anti-Hermitian part at which input counts as not
+# Hermitian: ldl refuses such complex input at its entry, and leading_minors
+# and differential_inv refuse any such input.
 _HERMITIAN_TOL = 1e-8
 
 
@@ -221,32 +222,25 @@ def _check_hermitian(A, message):
         raise ValueError(message)
 
 
-def _eliminate_block(U, L, d, det):
+def _eliminate_block(U, L, d):
     """Unblocked elimination of the square block U, in place.
 
     Writes the block's unit-lower L and real pivots d; afterwards the upper
     triangle of U (pivots on its diagonal) holds the rows of the upper
-    factor. det is the running leading minor, or None for real input, whose
-    minors have no imaginary part to check. Returns the number of columns
-    eliminated (fewer than the block's width when a pivot is exactly zero)
-    and the updated det.
+    factor. Returns the number of columns eliminated, fewer than the
+    block's width when a pivot is exactly zero.
     """
     b = U.shape[0]
     for k in range(b):
         pivot = U[k, k]
-        if det is not None:
-            det *= complex(pivot)
-            if abs(det.imag) > _HERMITIAN_TOL * max(1.0, abs(det)):
-                raise ValueError("leading minor has a non-negligible imaginary part; "
-                                 "input is not Hermitian")
         d[k] = pivot.real
         if pivot == 0:
-            return k, det
+            return k
         if k + 1 < b:
             col = U[k + 1:, k] / pivot
             L[k + 1:, k] = col
             U[k + 1:, k + 1:] -= col[:, np.newaxis] * U[k, k + 1:]
-    return b, det
+    return b
 
 
 def ldl(A):
@@ -255,9 +249,13 @@ def ldl(A):
     The one elimination kernel behind minors, factors and re-signing. Pivot
     d[k] is the ratio of the (k+1)-th to the k-th leading principal minor,
     so the minors are the running products of d. If some pivot vanishes
-    exactly the elimination stops there and the remaining pivots are NaN.
-    Hermitian input gives real pivots; a leading minor with a
-    non-negligible imaginary part raises ValueError.
+    exactly the elimination stops there: the remaining pivots are NaN, and
+    L is filled only through the last panel completed before it (the
+    columns of the stopped panel's diagonal block up to the zero pivot
+    too). Complex input must be Hermitian: ValueError when the largest entry
+    of |A - A*| exceeds 1e-8 times the largest |A|, whatever the scale of A.
+    Real input is taken as symmetric unchecked; classify symmetrizes it and
+    leading_minors checks it. Either way the pivots are real.
 
     A real A whose diagonal has one strict sign s is first given to
     LAPACK's Cholesky factorization (np.linalg.cholesky) as s A, which is
@@ -280,7 +278,9 @@ def ldl(A):
     only the plain loop runs.
     """
     A = np.asarray(A)
-    if not np.iscomplexobj(A) and A.shape[0]:
+    if np.iscomplexobj(A):
+        _check_hermitian(A, "input is not Hermitian")
+    elif A.shape[0]:
         definite = _definite_ldl(A)
         if definite is not None:
             return definite
@@ -319,18 +319,12 @@ def _blocked_ldl(A):
     U = np.array(A, dtype=complex if np.iscomplexobj(A) else float, order="C")
     L = np.eye(n, dtype=U.dtype)
     d = np.full(n, np.nan)
-    det = 1.0 + 0.0j if np.iscomplexobj(U) else None
     for p in range(0, n, _BLOCK):
         q = min(p + _BLOCK, n)
-        done, det = _eliminate_block(U[p:q, p:q], L[p:q, p:q], d[p:q], det)
-        if q == n:
+        # The last panel, or one stopped by a zero pivot, ends the elimination.
+        if _eliminate_block(U[p:q, p:q], L[p:q, p:q], d[p:q]) < q - p or q == n:
             break
-        # The columns of L below the block, up to a zero pivot if there is one.
-        e = p + done
-        X = _lower_inverse(L[p:e, p:e])
-        L[q:, p:e] = (U[q:, p:e] @ X.conj().T) / d[p:e]
-        if e < q:
-            break
+        L[q:, p:q] = (U[q:, p:q] @ _lower_inverse(L[p:q, p:q]).conj().T) / d[p:q]
         L21 = L[q:, p:q]
         U[q:, q:] -= (L21 * d[p:q]) @ L21.conj().T
     return L, d
@@ -390,7 +384,8 @@ def leading_minors(A):
     least 1. The elimination reads only the lower triangle of A outside its
     32 x 32 diagonal blocks, and its Cholesky path (see ldl) only the lower
     triangle at all, so A must be Hermitian: ValueError when the largest
-    entry of |A - A*| exceeds 1e-8 times the largest |A|. After an exact
+    entry of |A - A*| exceeds 1e-8 times the largest |A|, the test ldl
+    itself applies to complex input only. After an exact
     zero pivot the remaining minors are reported as NaN; callers apply
     their own tolerance per minor. A minor beyond the float range comes
     back as +inf or -inf, with its sign right and no overflow warning;
@@ -481,10 +476,11 @@ def lpm_perturbation(A, tol=DEFAULT_TOL):
     """Perturbation radius t_A and the pattern of A + t*Id for 0 < t < t_A.
 
     t_A is the smallest nonzero eigenvalue modulus over all leading principal
-    submatrices; for the zero matrix the convention is t = 1 with the all-plus
-    pattern.
+    submatrices of the self-adjoint part of A, as classify takes it; for the
+    zero matrix the convention is t = 1 with the all-plus pattern.
     """
-    A = symmetrize(np.asarray(A, dtype=float))
+    A = np.asarray(A)
+    A = symmetrize(A.astype(np.result_type(A, float)))
     n = A.shape[0]
     if not A.any():
         return 1.0, as_pattern([1] * n)

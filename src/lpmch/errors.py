@@ -49,7 +49,7 @@ class NegativeRadicand(LpmchError):
 
 
 class ComplexFactor(LpmchError):
-    """A factor has a nonzero imaginary part where only real scalars work."""
+    """A factor or matrix has a nonzero imaginary part where only real scalars work."""
 
 
 class ConeKindMismatch(LpmchError):

@@ -245,20 +245,20 @@ def _checked_basis(L, eps):
 
 
 def differential(L, X, eps):
-    """Pushforward of the tangent X under L -> L D_eps L^T."""
+    """Pushforward of the tangent X under L -> L D_eps L*."""
     L, D = _checked_basis(L, eps)
     X = _checked_tangent(L, X)
-    return symmetrize(L @ D @ X.T + X @ D @ L.T)
+    return symmetrize(L @ D @ X.conj().T + X @ D @ L.conj().T)
 
 
 def differential_inv(L, W, eps):
-    """Pullback of a symmetric perturbation W to a lower triangular tangent;
-    ValueError when W is not symmetric (by leading_minors' relative test)."""
+    """Pullback of a self-adjoint perturbation W to a lower triangular tangent;
+    ValueError when W is not self-adjoint (by leading_minors' relative test)."""
     L, D = _checked_basis(L, eps)
     W = _checked_tangent(L, W)
     _check_hermitian(W, "perturbation is not symmetric")
     X = _lower_inverse(L)
-    Z = np.tril(X @ W @ X.T)
+    Z = np.tril(X @ W @ X.conj().T)
     np.fill_diagonal(Z, Z.diagonal() / 2)
     return L @ Z @ D
 

@@ -21,7 +21,8 @@ import math
 import numpy as np
 
 from .core import DEFAULT_TOL, _check_matrix, _log_minor_cutoffs, scale, symmetrize
-from .errors import ConstraintViolation, DegenerateParameters, DimensionCap, NonFiniteInput
+from .errors import ComplexFactor, ConstraintViolation, DegenerateParameters, DimensionCap, \
+    NonFiniteInput
 
 __all__ = ["is_ssrpm", "toeplitz_example", "almost_n_example", "DEFAULT_CAP"]
 
@@ -42,12 +43,16 @@ def is_ssrpm(A, tol=DEFAULT_TOL, cap=DEFAULT_CAP):
     fail the cutoff, an exact zero pivot included. Level j of the Schur
     complement recursion yields the minors of every subset whose largest
     index is j; past a Schur complement growth of _GROWTH, the remaining
-    levels come from slogdet. A NaN or infinite entry raises
+    levels come from slogdet. An entry with a nonzero imaginary part raises
+    ComplexFactor, before any arithmetic; a NaN or infinite entry raises
     NonFiniteInput; an A that is not one square matrix of size at least 1,
     or a tol that is not finite and >= 0, raises ValueError; n > cap raises
     DimensionCap.
     """
-    A = np.asarray(A, dtype=float)
+    A = np.asarray(A)
+    if np.iscomplexobj(A) and A.imag.any():
+        raise ComplexFactor("is_ssrpm needs a real matrix; an entry has a nonzero imaginary part")
+    A = np.asarray(A.real, dtype=float)
     _check_matrix(A)
     A = symmetrize(A)
     n = A.shape[0]

@@ -25,6 +25,7 @@ from lpmch import (
     pattern_to_string,
     reverse_matrix,
     reverse_pattern,
+    symmetrize,
     wishart_sample,
 )
 from lpmch import sampling
@@ -287,6 +288,23 @@ def test_lpm_perturbation_stable_pattern():
         t_A, eps = lpm_perturbation(A)
         for t in np.linspace(0.1, 0.9, 5) * t_A:
             assert classify(A + t * np.eye(n)).pattern == eps
+
+
+def test_lpm_perturbation_of_complex_input_keeps_its_imaginary_part():
+    # Cast to float, [[1, 2i], [-2i, 1]] lost its off-diagonal entries and
+    # gave the pattern of the identity.
+    H = np.array([[1.0, 2j], [-2j, 1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert lpm_perturbation(H) == (1.0, (1, -1))
+        # The self-adjoint part of a complex symmetric matrix, as classify takes it.
+        S = np.array([[2.0, 1 + 1j], [1 + 1j, 2.0]])
+        assert lpm_perturbation(S) == lpm_perturbation(symmetrize(S))
+        H = np.array([[2.0, 1 + 1j, 0.5], [1 - 1j, -1.0, 2j], [0.5, -2j, 3.0]])
+        t_A, eps = lpm_perturbation(H)
+        assert classify(H + t_A / 2 * np.eye(3)).pattern == eps
+    # Real input is still taken as floats, a boolean one included.
+    assert lpm_perturbation(np.eye(2, dtype=bool)) == (1.0, (1, 1))
 
 
 def test_negative_inertia():

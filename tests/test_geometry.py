@@ -188,6 +188,20 @@ def test_differential():
             Z = np.tril(rng.standard_normal((3, 3)))
             W = differential(L, Z, eps)
             assert np.allclose(differential_inv(L, W, eps), Z, atol=1e-10)
+    # Complex factors: both round trips, through a tangent and through a
+    # Hermitian perturbation. With plain transposes both missed.
+    for eps in all_patterns(3):
+        L = random_lower(rng, 3, complex_scalars=True)
+        Z = complex_tangent(rng, 3)
+        assert np.allclose(differential_inv(L, differential(L, Z, eps), eps), Z, atol=1e-10)
+        H = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        H = H + H.conj().T
+        assert np.allclose(differential(L, differential_inv(L, H, eps), eps), H, atol=1e-10)
+
+
+def complex_tangent(rng, n):
+    """A tangent at a complex factor: real diagonal, complex strict-lower part."""
+    return np.tril(rng.standard_normal((n, n))) + 1j * np.tril(rng.standard_normal((n, n)), -1)
 
 
 def test_differential_inv_refuses_a_perturbation_that_is_not_symmetric():
@@ -212,6 +226,19 @@ def test_differential_finite_difference():
     h = 1e-6
     fd = (compose(L + h * X, D).matrix - compose(L, D).matrix) / h
     assert np.abs(fd - differential(L, X, eps)).max() < 1e-4
+
+
+def test_complex_differential_finite_difference():
+    # With plain transposes the differential was off by 9.4 here.
+    rng = np.random.default_rng(13)
+    eps = (1, -1, 1)
+    D = canonical_point(eps)
+    L = random_lower(rng, 3, complex_scalars=True)
+    X = complex_tangent(rng, 3)
+    h = 1e-6
+    fd = (compose(L + h * X, D).matrix - compose(L, D).matrix) / h
+    assert np.abs(fd - differential(L, X, eps)).max() < 1e-4
+    assert np.allclose(differential_inv(L, fd, eps), X, atol=1e-4)
 
 
 def test_star_structure():

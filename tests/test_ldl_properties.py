@@ -421,6 +421,32 @@ def test_ldl_rejects_complex_symmetric_in_a_later_panel():
         ldl(S)
 
 
+def complex_symmetric(n):
+    """Complex symmetric, not Hermitian: the 2 x 2 matrix [[2, 1+0.5i],
+    [1+0.5i, 3]] for n = 2, else a definite real matrix of size n with 0.5i
+    added at (40, 40), in the second panel."""
+    if n == 2:
+        return np.array([[2, 1 + 0.5j], [1 + 0.5j, 3]])
+    K = random_factor(np.random.default_rng(71), n)
+    S = (K @ K.T).astype(complex)
+    S[40, 40] += 0.5j
+    return S
+
+
+@pytest.mark.parametrize("c", (1e-8, 1e-5, 1.0, 1e5))
+@pytest.mark.parametrize("n", (2, 70))
+def test_complex_symmetric_input_is_refused_at_every_scale(n, c):
+    """The test is relative: a scaled copy is refused as the original is.
+    Once tested on the running leading minor, with an absolute floor of 1,
+    the 2 x 2 matrix passed at c = 1e-5 with pivots [2e-5, 2.625e-5], and
+    cone_factor returned a complex factor."""
+    S = c * complex_symmetric(n)
+    point = ConePoint(matrix=S, cone="lpm", pattern=(1,) * n)
+    for call in (lambda: ldl(S), lambda: leading_minors(S), lambda: cone_factor(point)):
+        with pytest.raises(ValueError, match="not Hermitian"):
+            call()
+
+
 @pytest.mark.parametrize("n", (20, 70))
 def test_ldl_does_not_depend_on_memory_layout(n):
     _, A, _ = seeded_cone_matrix(n, "tpm")

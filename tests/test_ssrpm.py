@@ -8,8 +8,8 @@ from conftest import random_cone_point
 from lpmch import all_patterns, almost_n_example, classify, is_ssrpm, toeplitz_example
 from lpmch import ssrpm
 from lpmch.core import scale, symmetrize
-from lpmch.errors import ConstraintViolation, DegenerateParameters, DimensionCap, \
-    NonFiniteInput
+from lpmch.errors import ComplexFactor, ConstraintViolation, DegenerateParameters, \
+    DimensionCap, NonFiniteInput
 
 
 def test_is_ssrpm_examples():
@@ -38,6 +38,17 @@ def test_is_ssrpm_refuses_non_finite_input_by_name(A):
         warnings.simplefilter("error")
         with pytest.raises(NonFiniteInput, match="every entry must be finite"):
             is_ssrpm(A)
+
+
+def test_is_ssrpm_refuses_complex_input_by_name():
+    # Cast to float, this matrix used to give the pattern (1, 1).
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for A in ([[2, 1 + 1j], [1 + 1j, 2]], [[2, 1j], [-1j, 2]], [[np.nan * 1j, 0], [0, 1]]):
+            with pytest.raises(ComplexFactor, match="nonzero imaginary part"):
+                is_ssrpm(A)
+        # A complex dtype with no imaginary part is real input.
+        assert is_ssrpm(np.array([[2, 1], [1, 2]], dtype=complex)) == (1, 1)
 
 
 @pytest.mark.parametrize("A", (np.ones((3, 2, 2)), np.ones((2, 3)), np.ones(3), np.ones((0, 0))),
