@@ -224,9 +224,8 @@ def resign(A, delta, tol=DEFAULT_TOL):
         return A
     LA, d = ldl(A.matrix)
     radicand = _radicands(d, canonical_signs(eps), tol)
-    out = (LA * (radicand * canonical_signs(delta))) @ LA.conj().T
-    return ConePoint(matrix=symmetrize(out), cone=LPM, pattern=delta,
-                     tolerance_used=A.tolerance_used)
+    return ConePoint(matrix=_congruence(LA, radicand * canonical_signs(delta), LPM),
+                     cone=LPM, pattern=delta, tolerance_used=A.tolerance_used)
 
 
 def canonical_point(eps, cone=LPM):

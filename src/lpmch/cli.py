@@ -57,7 +57,7 @@ def _cmd_factor(args):
         eps = pattern_from_string(args.epsilon) if args.epsilon else point.pattern
         base = canonical_point(eps, point.cone)
     else:
-        base = classify(read_matrix(args.basis), cone=point.cone, tol=args.tol)
+        base = _classified(args.basis, point.cone, args.tol)
     L = factor(point, base) if args.cone == LPM else factor_tpm(point, base)
     write_matrix(np.asarray(L, dtype=float), args.output)
     return 0
@@ -69,9 +69,8 @@ def _cmd_distance(args):
     if args.group == "star":
         value = geometry.lpm_distance(A, B)
     else:
-        p = float(args.p)
         value = biggroup.dp_distance(biggroup.BigGroupElement(A),
-                                     biggroup.BigGroupElement(B), p=p)
+                                     biggroup.BigGroupElement(B), p=args.p)
     print(format_float(value))
     return 0
 
@@ -91,13 +90,17 @@ def _cmd_mean(args):
     return 0
 
 
+# The law kind of each --dist name.
+_DISTS = {"wishart": "wishart", "inv-wishart": "inverse_wishart",
+          "cholesky-normal": "cholesky_normal", "clone": "inertial_clone"}
+
+
 def _spec_from_args(args):
-    kind = {"wishart": "wishart", "inv-wishart": "inverse_wishart",
-            "cholesky-normal": "cholesky_normal", "clone": "inertial_clone"}[args.dist]
+    kind = _DISTS[args.dist]
     if args.dist == "cholesky-normal":
         if not (args.m0 and args.sigma_tilde):
             raise SpecInvalid("cholesky-normal needs --m0 and --sigma-tilde")
-        m0 = classify(read_matrix(args.m0), cone=args.cone, tol=args.tol)
+        m0 = _classified(args.m0, args.cone, args.tol)
         return sampling.DistributionSpec(kind=kind, cone=args.cone, m0=m0,
                                          sigma_tilde=read_matrix(args.sigma_tilde))
     if args.sigma is None or args.dof is None:
@@ -149,6 +152,8 @@ def _cmd_resign(args):
 def _cmd_verify(args):
     with open(args.config) as fh:
         config = json.load(fh)
+    if not isinstance(config, dict):
+        raise ValueError(f"{args.config}: expected a JSON object")
     preset = config.get("preset", "pd_walk")
     walk, params = inequalities.preset_config(preset, args.inequality)
     params.update({k: v for k, v in config.items() if k != "preset"})
@@ -188,9 +193,7 @@ def _add_common(parser):
 
 
 def _add_dist_flags(parser):
-    parser.add_argument("--dist", required=True,
-                        choices=["wishart", "inv-wishart", "cholesky-normal",
-                                 "clone"])
+    parser.add_argument("--dist", required=True, choices=_DISTS)
     parser.add_argument("--sigma", help="scale matrix file")
     parser.add_argument("--dof", type=int, help="degrees of freedom")
     parser.add_argument("--epsilon", action=_PatternArg,

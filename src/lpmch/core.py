@@ -8,7 +8,6 @@ trailing principal minors.
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import product, repeat
 
 import numpy as np
@@ -43,7 +42,9 @@ def pattern_to_string(eps):
 
 
 def all_patterns(n):
-    return [as_pattern(p) for p in product((1, -1), repeat=n)]
+    if n == 0:
+        raise ValueError("a sign pattern needs n >= 1, got n=0")
+    return list(product((1, -1), repeat=n))
 
 
 def _unrank_patterns(idx, n, k=None):
@@ -120,13 +121,6 @@ def _points(M, cone, patterns):
     return points
 
 
-@lru_cache
-def _strict_lower_indices(n):
-    """(rows, cols) of the strict lower triangle of an n x n matrix, row-major,
-    as read-only arrays: np.tril_indices(n, -1), computed once per n."""
-    return tuple(_read_only(i) for i in np.tril_indices(n, -1))
-
-
 def _read_only(a):
     """A read-only view of the array a."""
     view = np.asarray(a).view()
@@ -161,9 +155,17 @@ def _same_entries(a, entries):
         and a.tobytes() == entries.tobytes()
 
 
-def symmetrize(A):
-    """The self-adjoint part (A + A*) / 2 of a matrix or a stack, as a new array."""
+def _numeric(A):
+    """A as an array, a boolean one as its 0/1 floats: NumPy adds booleans
+    as a logical or and refuses to subtract them."""
     A = np.asarray(A)
+    return A.astype(float) if A.dtype == bool else A
+
+
+def symmetrize(A):
+    """The self-adjoint part (A + A*) / 2 of a matrix or a stack, as a new
+    array; a boolean one is taken as its 0/1 floats."""
+    A = _numeric(A)
     if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {A.shape}")
     H = (A + np.swapaxes(A.conj(), -1, -2)) / 2
@@ -389,9 +391,10 @@ def leading_minors(A):
     zero pivot the remaining minors are reported as NaN; callers apply
     their own tolerance per minor. A minor beyond the float range comes
     back as +inf or -inf, with its sign right and no overflow warning;
-    classify tests the minors in logs instead.
+    classify tests the minors in logs instead. A boolean A is taken as its
+    0/1 floats.
     """
-    A = np.asarray(A)
+    A = _numeric(A)
     _check_matrix(A)
     _check_hermitian(A, "input is not Hermitian")
     with np.errstate(over="ignore"):
@@ -504,7 +507,7 @@ def cones_with_inertia(n, k):
     """All C(n, k) patterns of length n whose cones carry exactly k negative
     eigenvalues, in the order of all_patterns(n); unranked, so the other
     patterns are never enumerated."""
-    if not 0 <= k <= n:
-        raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
+    if not 0 <= k <= n or n == 0:
+        raise ValueError(f"need 0 <= k <= n and n >= 1, got k={k}, n={n}")
     rows = _unrank_patterns(np.arange(math.comb(n, k)), n, k)
-    return [as_pattern(p) for p in rows.tolist()]
+    return list(map(tuple, rows.tolist()))

@@ -33,7 +33,7 @@ from functools import lru_cache
 import numpy as np
 
 from .core import LPM, _check_hermitian, _lower_inverse, _opposite, _read_only, \
-    _strict_lower_indices, as_pattern, canonical_diagonal, reverse_matrix, symmetrize
+    as_pattern, canonical_diagonal, reverse_matrix, symmetrize
 from .cholesky import _built_point, _check_lower, _check_same_cone, _factor
 from .errors import ComplexFactor, GroupMismatch, NonFiniteInput, PatternMismatch
 
@@ -118,7 +118,7 @@ def _eta(L, out=None):
 @lru_cache
 def _eta_index(n):
     """Flat positions, in an n x n factor, of its eta coordinates."""
-    rows, cols = _strict_lower_indices(n)
+    rows, cols = np.tril_indices(n, -1)
     return _read_only(np.concatenate([np.arange(n) * (n + 1), rows * n + cols]))
 
 

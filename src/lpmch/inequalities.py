@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import LPM, ConePoint, as_pattern, pattern_from_string
-from .cholesky import _factor
 from .geometry import eta
 from .errors import GroupMismatch, SpecInvalid
 from .sampling import DistributionSpec, _law
@@ -72,10 +71,12 @@ def _step_draws(rng, spec, paths, out=None):
 
 def _step_increments(spec, draws, out=None):
     """The arithmetic of one walk step, by the step's law: its coordinate
-    increments, written into out (paths, m) when it is given, from its
-    draws, and their patterns: one (n,) pattern shared by every path, or
+    increments (the law's increments), written into out (paths, m) when it
+    is given, from its draws, and their patterns (the law's patterns, as
+    the samplers read them): one (n,) pattern shared by every path, or
     (paths, n) for a clone step."""
-    return _law(spec).increments(draws, out)
+    law = _law(spec)
+    return law.increments(draws, out), np.asarray(law.patterns(draws), dtype=int)
 
 
 def _squared_norms(y, scratch, out):
@@ -122,12 +123,11 @@ def _mismatch(rows, ref):
 
 def _reference(z1, n):
     if z1 is None:
-        m = n * (n + 1) // 2
-        return np.zeros(m), np.ones(n, dtype=int)
+        return np.zeros(n * (n + 1) // 2), np.ones(n, dtype=int)
+    if isinstance(z1, ConePoint):
+        z1 = BigGroupElement(z1)
     if isinstance(z1, BigGroupElement):
         return eta(z1.factor), np.array(z1.pattern, dtype=int)
-    if isinstance(z1, ConePoint):
-        return eta(_factor(z1)), np.array(z1.pattern, dtype=int)
     v, pattern = z1
     if isinstance(pattern, str):
         pattern = pattern_from_string(pattern)

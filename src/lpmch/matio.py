@@ -30,16 +30,20 @@ def _rows_to_matrix(rows, source):
 
 
 def read_matrix(path):
-    """Load a square matrix from a JSON or CSV file."""
+    """Load a square matrix from a JSON or CSV file. A JSON "dim", when
+    given, must be an integer (not a boolean, a fraction or a string) equal
+    to the number of rows; ValueError otherwise."""
     if path.endswith(".json"):
         with open(path) as fh:
             data = json.load(fh)
         if not isinstance(data, dict) or "rows" not in data:
             raise ValueError(f'{path}: expected an object with "dim" and "rows"')
         A = _rows_to_matrix(data["rows"], path)
-        if "dim" in data and int(data["dim"]) != A.shape[0]:
-            raise ValueError(f'{path}: "dim" {data["dim"]} does not match '
-                             f"{A.shape[0]} rows")
+        dim = data.get("dim", A.shape[0])
+        if type(dim) is not int:
+            raise ValueError(f'{path}: "dim" must be an integer, got {json.dumps(dim)}')
+        if dim != A.shape[0]:
+            raise ValueError(f'{path}: "dim" {dim} does not match {A.shape[0]} rows')
         return A
     with open(path, newline="") as fh:
         rows = [row for row in csv.reader(fh) if row]

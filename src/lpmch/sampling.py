@@ -19,10 +19,11 @@ what the samplers, densities and walk steps compute from that spec:
   of factors (factors: L0 K, or L0 R(K^-1) for the inverse Wishart, with
   K the Bartlett factors and R the reversal; eta_inv of the coordinates
   etas; or the base law's for a clone) and their patterns (patterns); to
-  a walk step's coordinate increments and patterns (increments; the
-  Wishart law makes them one block of paths at a time); and, in _SpecLaw
-  alone, to cone points (points): the stack composed against the
-  patterns' canonical bases in one batched congruence;
+  a walk step's coordinate increments (increments: coordinates only, the
+  Wishart law's made one block of paths at a time; a walk step reads its
+  patterns from patterns, as the samplers do); and, in _SpecLaw alone, to
+  cone points (points): the stack composed against the patterns'
+  canonical bases in one batched congruence;
 - log_density(M): the per-point part of a density. It reads the factor L
   of M against its canonical basis (cone_factor), which the point keeps
   after the first read: log det is 2 sum log l_jj, and the trace term is a
@@ -308,7 +309,7 @@ class _Wishart(_SpecLaw):
         block = max(1, _BLOCK_ENTRIES // (n * n))
         for a in range(0, paths, block):
             _eta(self.factors((chi[:, a:a + block], z[a:a + block])), out[a:a + block])
-        return out, np.array(self.pattern, dtype=int)
+        return out
 
     @staticmethod
     def check_measure(measure):
@@ -415,8 +416,7 @@ class _CholeskyNormal(_SpecLaw):
         """The factors of the coordinates of standard normals z."""
         return eta_inv(self.etas(z))
 
-    def increments(self, z, out=None):
-        return self.etas(z, out), np.array(self.pattern, dtype=int)
+    increments = etas
 
     def log_density(self, M, measure=None):
         """See cholesky_normal_log_density; measure None is 'eta'."""
@@ -470,7 +470,7 @@ class _Clone(_SpecLaw):
         return _clone_patterns(self.spec, draws[0])
 
     def increments(self, draws, out=None):
-        return self.base.increments(draws[1], out)[0], self.patterns(draws)
+        return self.base.increments(draws[1], out)
 
     def log_density(self, M, measure=None):
         raise SpecInvalid("no density for inertial clones; use the base law")

