@@ -9,7 +9,10 @@
 # from each tree's src/ (so whatever lpmch is installed does not matter) and
 # compares each pair of outputs with cmp:
 #   - `lpmch sample` of all four laws, at n = 3 and n = 10, in both cones,
-#     with fixed seeds (16 streams);
+#     with fixed seeds (16 streams of 200 draws), and three streams at the
+#     seams of the writer, which prints a block of draws per write: a
+#     Wishart stream at n = 1, one of no draws, and one at n = 10 a draw
+#     longer than its 1310-draw block (3 streams);
 #   - `lpmch density` of the three laws with a density, at the centre point
 #     of each cone and n, from the same inputs (12 values, printed with
 #     %.17g, so equal text is equal bits);
@@ -34,12 +37,14 @@
 #     and of a definite Toeplitz matrix at n = 12 whose last diagonal entry
 #     makes only minors with the last index fail, so that the check runs to
 #     its last level before it prints "not SSRPM" (4 outputs).
-# 69 outputs in all.
+# 72 outputs in all.
 # Needs Python with NumPy; exits non-zero at the first pair that differs.
 #
 # A change that moves outputs on purpose records each moved one as a line
 # in .github/stream_moves of its own tree: "DIST CONE N" for a stream (e.g.
-# "inv-wishart tpm 10"), "density DIST CONE N" for a density value,
+# "inv-wishart tpm 10"), "DIST CONE N COUNT" for a stream of COUNT draws
+# other than 200 (e.g. "wishart lpm 10 1311"), "density DIST CONE N" for a
+# density value,
 # "verify PRESET INEQUALITY" for a report, "classify CONE N",
 # "factor CONE N" or "factor-basis CONE N" for a classification or a factor,
 # "geodesic CONE N" or "mean CONE N" for a geodesic point or a mean,
@@ -76,7 +81,7 @@ def dump(name, A):
         json.dump({"dim": len(A), "rows": np.asarray(A).tolist()}, fh)
 
 
-for n, pattern in ((3, "+-+"), (10, "+--+-++-+-")):
+for n, pattern in ((1, "-"), (3, "+-+"), (10, "+--+-++-+-")):
     rng = np.random.default_rng(n)
     Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
     sigma = (Q * rng.uniform(0.5, 2.0, n)) @ Q.T
@@ -171,6 +176,16 @@ for n in 3 10; do
         --dist "$dist" --cone "$cone" "${flags[@]}"
     done
   done
+done
+
+# Wishart streams at the seams of the writer: n = 1, no draws, and a draw
+# past the 1310-draw block at n = 10.
+for seam in "1 200" "10 0" "10 1311"; do
+  read -r n count <<< "$seam"
+  key="wishart lpm $n"
+  [ "$count" = 200 ] || key="$key $count"
+  compare "$key" sample --dist wishart --cone lpm --seed 20251 --count "$count" \
+    --sigma "$work/sigma$n.json" --dof $((n + 2)) "--epsilon=$(cat "$work/pattern$n")"
 done
 
 for n in 10 40; do

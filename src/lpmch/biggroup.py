@@ -105,10 +105,10 @@ def box_inv(A):
 
 def _check_p(p):
     """float(p), so 'inf' works; ValueError unless it lies in [1, inf], also
-    for a p that is not a number at all (None, a list)."""
+    for a p that is not a number at all (None, a list, 'x')."""
     try:
         p = float(p)
-    except TypeError:
+    except (TypeError, ValueError):
         raise ValueError(f"p must be in [1, inf], got {p!r}") from None
     if not 1 <= p <= math.inf:
         raise ValueError(f"p must be in [1, inf], got {p}")

@@ -12,8 +12,6 @@ import sys
 
 import numpy as np
 
-from . import biggroup, geometry, inequalities, sampling, ssrpm
-from .cholesky import canonical_point, factor, factor_tpm, resign
 from .core import (
     DEFAULT_TOL,
     LPM,
@@ -25,7 +23,10 @@ from .core import (
     pattern_to_string,
 )
 from .errors import LpmchError, SpecInvalid
-from .matio import format_float, matrix_to_json_line, read_matrix, write_matrix
+from .matio import _json_lines, format_float, read_matrix, write_matrix
+
+# Every other lpmch module is imported by the commands that use it, so that
+# a call compiles and imports only what its command needs.
 
 __all__ = ["main"]
 
@@ -52,6 +53,7 @@ def _cmd_classify(args):
 
 
 def _cmd_factor(args):
+    from .cholesky import canonical_point, factor, factor_tpm
     point = _classified(args.matrix, args.cone, args.tol)
     if args.basis == "diag":
         eps = pattern_from_string(args.epsilon) if args.epsilon else point.pattern
@@ -67,8 +69,10 @@ def _cmd_distance(args):
     A = _classified(args.a, args.cone, args.tol)
     B = _classified(args.b, args.cone, args.tol)
     if args.group == "star":
+        from . import geometry
         value = geometry.lpm_distance(A, B)
     else:
+        from . import biggroup
         value = biggroup.dp_distance(biggroup.BigGroupElement(A),
                                      biggroup.BigGroupElement(B), p=args.p)
     print(format_float(value))
@@ -76,6 +80,7 @@ def _cmd_distance(args):
 
 
 def _cmd_geodesic(args):
+    from . import geometry
     A = _classified(args.a, args.cone, args.tol)
     B = _classified(args.b, args.cone, args.tol)
     out = geometry.lpm_geodesic(A, B, args.t)
@@ -84,6 +89,7 @@ def _cmd_geodesic(args):
 
 
 def _cmd_mean(args):
+    from . import geometry
     points = [_classified(path, args.cone, args.tol) for path in args.matrices]
     out = geometry.log_cholesky_mean(points)
     write_matrix(out.matrix, args.output)
@@ -96,6 +102,7 @@ _DISTS = {"wishart": "wishart", "inv-wishart": "inverse_wishart",
 
 
 def _spec_from_args(args):
+    from . import sampling
     kind = _DISTS[args.dist]
     if args.dist == "cholesky-normal":
         if not (args.m0 and args.sigma_tilde):
@@ -120,6 +127,7 @@ def _spec_from_args(args):
 
 
 def _cmd_sample(args):
+    from . import sampling
     if args.count < 0:
         raise SpecInvalid(f"--count must be >= 0, got {args.count}")
     law = sampling._law(_spec_from_args(args))
@@ -130,12 +138,16 @@ def _cmd_sample(args):
                        "all_cones": law.spec.all_cones},
               "seed": seed, "count": args.count}
     print(json.dumps(header, sort_keys=True))
-    for point in law.sample(sampling.RngStream(seed), args.count):
-        print(matrix_to_json_line(point.matrix))
+    points = law.sample(sampling.RngStream(seed), args.count)
+    # One write per block of draws, with the text of one block held at a time.
+    block = max(1, sampling._BLOCK_ENTRIES // law.n ** 2)
+    for a in range(0, len(points), block):
+        sys.stdout.write(_json_lines(np.stack([p.matrix for p in points[a:a + block]])))
     return 0
 
 
 def _cmd_density(args):
+    from . import sampling
     law = sampling._law(_spec_from_args(args))
     M = _classified(args.matrix, args.cone, args.tol)
     print(format_float(law.log_density(M, args.measure)))
@@ -143,6 +155,7 @@ def _cmd_density(args):
 
 
 def _cmd_resign(args):
+    from .cholesky import resign
     point = _classified(args.matrix, LPM, args.tol)
     out = resign(point, pattern_from_string(args.to))
     write_matrix(out.matrix, args.output)
@@ -150,6 +163,7 @@ def _cmd_resign(args):
 
 
 def _cmd_verify(args):
+    from . import inequalities, sampling
     with open(args.config) as fh:
         config = json.load(fh)
     if not isinstance(config, dict):
@@ -170,9 +184,26 @@ def _cmd_verify(args):
 
 
 def _cmd_ssrpm_check(args):
+    from . import ssrpm
     pattern = ssrpm.is_ssrpm(read_matrix(args.matrix), tol=args.tol)
     print("not SSRPM" if pattern is None else pattern_to_string(pattern))
     return 0
+
+
+class _Inequalities:
+    """The choices of verify --inequality: inequalities.INEQUALITIES, with
+    that module imported when argparse first reads them."""
+
+    @staticmethod
+    def _names():
+        from .inequalities import INEQUALITIES
+        return INEQUALITIES
+
+    def __contains__(self, name):
+        return name in self._names()
+
+    def __iter__(self):
+        return iter(self._names())
 
 
 class _PatternArg(argparse.Action):
@@ -275,8 +306,10 @@ def build_parser():
     p.set_defaults(run=_cmd_resign)
 
     p = sub.add_parser("verify", help="Monte-Carlo check of a stochastic inequality")
-    p.add_argument("--inequality", required=True,
-                   choices=list(inequalities.INEQUALITIES))
+    # Choices given after add_argument, which would read them to check the
+    # metavar: argparse reads them only when it parses or prints verify's
+    # options.
+    p.add_argument("--inequality", required=True).choices = _Inequalities()
     p.add_argument("--trials", type=int, default=10_000)
     p.add_argument("--seed", type=int)
     p.add_argument("--config", required=True,

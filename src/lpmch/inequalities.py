@@ -8,6 +8,7 @@ three-standard-error allowance.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -193,7 +194,7 @@ def simulate_walk(rng, walk, paths, group="star", p=2, z1=None):
     # Step k's draws fill buffers[k % 2] while step k - 1 is summed; once
     # step k's increments are made, its buffer is the scratch of its norms.
     buffers = (np.empty((paths, m)), np.empty((paths, m)))
-    # Imported here: the CLI loads this module for every command.
+    # Imported here: of this module, only a walk needs it.
     from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(max_workers=1) as worker:
         ahead = worker.submit(_step_draws, rng, walk[0], paths, buffers[0].reshape(-1))
@@ -272,8 +273,58 @@ def _max_prob(indicators):
     return _prob(indicators[:, np.argmax(_column_counts(indicators))])
 
 
+def _is_number(x):
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
+def _is_integer(x):
+    return _is_number(x) and float(x).is_integer()
+
+
+def _is_list_of(kind):
+    return lambda x: isinstance(x, (list, tuple, np.ndarray)) and all(map(kind, x))
+
+
+def _is_reference(z1):
+    """None, a cone point, a big-group element, or a pair (chart
+    coordinates, pattern) with the pattern a '+-' string or a list of
+    integers; _reference reads it."""
+    if z1 is None or isinstance(z1, (ConePoint, BigGroupElement)):
+        return True
+    if not (isinstance(z1, (list, tuple)) and len(z1) == 2):
+        return False
+    v, pattern = z1
+    return _is_list_of(_is_number)(v) and (isinstance(pattern, str)
+                                           or _is_list_of(_is_integer)(pattern))
+
+
+# The type of each parameter a walk or an inequality reads: its test and
+# what a value must be. A boolean is not a number.
+_PARAM_TYPES = {
+    **dict.fromkeys(("a", "b", "alpha", "beta", "s"), (_is_number, "a number")),
+    **dict.fromkeys(("m", "paths"), (_is_integer, "an integer")),
+    **dict.fromkeys(("a_list", "thresholds"), (_is_list_of(_is_number), "a list of numbers")),
+    "counts": (_is_list_of(_is_integer), "a list of integers"),
+    "group": (lambda x: isinstance(x, str), "a string"),
+    # p goes through float (see biggroup._check_p), so "inf" is one.
+    "p": (lambda x: _is_number(x) or isinstance(x, str), "in [1, inf]"),
+    "z1": (_is_reference, "null or a pair [coordinates, pattern]"),
+}
+
+
+def _check_params(params):
+    """ValueError naming the first parameter whose value has the wrong type
+    (see _PARAM_TYPES). Keys that no walk or inequality reads are left
+    alone."""
+    for key, value in params.items():
+        if key in _PARAM_TYPES and not _PARAM_TYPES[key][0](value):
+            raise ValueError(f"{key} must be {_PARAM_TYPES[key][1]}, got {value!r}")
+
+
 def verify_from_stats(stats, which, params):
-    """Evaluate one inequality on precomputed walk statistics."""
+    """Evaluate one inequality on precomputed walk statistics. A parameter
+    of the wrong type raises ValueError naming it."""
+    _check_params(params)
     n = stats.n_steps
     d_z1, d_end, d_inc = stats.d_z1, stats.d_to_end, stats.d_inc
     details = dict(params)
@@ -367,8 +418,10 @@ def verify_inequality(rng, which, walk, params):
 
     params may carry 'paths' (default 10000), 'group' ('star' or 'box'),
     'p' (for the global metric), 'z1' (reference point), and the constants of
-    the chosen inequality.
+    the chosen inequality. A parameter of the wrong type raises ValueError
+    naming it before the walk starts.
     """
+    _check_params(params)
     stats = simulate_walk(rng, walk, paths=int(params.get("paths", 10_000)),
                           group=params.get("group", "star"),
                           p=params.get("p", 2), z1=params.get("z1"))
@@ -418,6 +471,8 @@ _PRESET_PARAMS = {
 
 def preset_config(name, which):
     """(walk, params) for one named preset and one inequality."""
+    if not isinstance(name, str):
+        raise ValueError(f"preset must be a string, got {name!r}")
     if name not in PRESETS:
         raise SpecInvalid(f"unknown preset {name!r}; choose from {sorted(PRESETS)}")
     walk, base = PRESETS[name]()

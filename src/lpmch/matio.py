@@ -8,6 +8,8 @@ output reproduces values bit-exactly.
 import csv
 import json
 from functools import lru_cache
+from itertools import chain
+from operator import itemgetter
 
 import numpy as np
 
@@ -51,17 +53,52 @@ def read_matrix(path):
 
 
 @lru_cache
-def _json_line_template(rows, cols):
+def _json_line_template(rows, cols, field="%.17g"):
     """The % template of matrix_to_json_line for a rows x cols matrix: one
-    %.17g field (the format of format_float) per entry."""
-    row = "[" + ", ".join(["%.17g"] * cols) + "]"
+    field per entry, %.17g (the format of format_float) or %s for entries
+    already formatted."""
+    row = "[" + ", ".join([field] * cols) + "]"
     return '{"dim": %d, "rows": [%s]}' % (rows, ", ".join([row] * rows))
+
+
+@lru_cache
+def _lower_triangle(n):
+    """The row and column indices of the lower triangle of an n x n matrix,
+    row by row, and an itemgetter that picks the n * n entries of a
+    symmetric matrix, row by row, from that list of its entries (n >= 2; for
+    n = 1 an itemgetter returns a bare item, not a tuple)."""
+    i, j = np.indices((n, n))
+    low, high = np.maximum(i, j), np.minimum(i, j)
+    return (*np.tril_indices(n), itemgetter(*(low * (low + 1) // 2 + high).ravel().tolist()))
+
+
+def _json_lines(stack):
+    """The matrix_to_json_line of each matrix of an (m, rows, cols) stack,
+    each ended by a newline, as one string.
+
+    A bitwise symmetric stack of matrices larger than 1 x 1 has each mirrored
+    pair of entries formatted once. Symmetry is tested on the int64 view,
+    not with ==, because 0.0 and -0.0 print differently.
+    """
+    stack = np.ascontiguousarray(stack, dtype=float)
+    m, rows, cols = stack.shape
+    bits = stack.view(np.int64)
+    if rows == cols > 1 and np.array_equal(bits, bits.transpose(0, 2, 1)):
+        i, j, pick = _lower_triangle(rows)
+        low = stack[:, i, j].ravel()
+        text = ("%.17g " * low.size % tuple(low.tolist())).split()
+        entries = chain.from_iterable(pick(text[a:a + i.size])
+                                      for a in range(0, low.size, i.size))
+        line = _json_line_template(rows, cols, "%s")
+    else:
+        entries = stack.ravel().tolist()
+        line = _json_line_template(rows, cols)
+    return (line + "\n") * m % tuple(entries)
 
 
 def matrix_to_json_line(A):
     """One-line JSON rendering with full-precision entries."""
-    A = np.asarray(A, dtype=float)
-    return _json_line_template(*A.shape) % tuple(A.ravel().tolist())
+    return _json_lines(np.asarray(A, dtype=float)[np.newaxis])[:-1]
 
 
 def write_matrix(A, path=None, stream=None):

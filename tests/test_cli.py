@@ -8,9 +8,9 @@ import pytest
 
 from conftest import clone_patterns
 from lpmch import classify, factor, canonical_point, lpm_distance, lpm_geodesic
-from lpmch import sampling
+from lpmch import pattern_from_string, sampling
 from lpmch.cli import main
-from lpmch.matio import format_float, matrix_to_json_line, read_matrix, write_matrix
+from lpmch.matio import _json_lines, format_float, matrix_to_json_line, read_matrix, write_matrix
 
 
 def write(tmp_path, name, rows):
@@ -243,11 +243,13 @@ def test_verify(tmp_path, capsys):
     assert "lhs:" in out and "rhs:" in out
 
 
-def test_json_line_matches_the_per_entry_rendering():
-    def per_entry(A):
-        rows = ", ".join("[" + ", ".join(format_float(x) for x in row) + "]" for row in A)
-        return '{"dim": %d, "rows": [%s]}' % (len(A), rows)
+def per_entry(A):
+    """matrix_to_json_line of A, one format_float per entry."""
+    rows = ", ".join("[" + ", ".join(format_float(x) for x in row) + "]" for row in A)
+    return '{"dim": %d, "rows": [%s]}' % (len(A), rows)
 
+
+def test_json_line_matches_the_per_entry_rendering():
     special = np.array([[-0.0, 5e-324, 1e300], [np.inf, np.nan, -np.inf], [0.1, -1 / 3, 2.0]])
     matrices = [special, np.array([[7.0]])]
     matrices += [np.random.default_rng(n).standard_normal((n, n)) * 10.0 ** n for n in (2, 10)]
@@ -401,9 +403,151 @@ def test_factor_generic_n256_file(tmp_path, capsys):
     assert np.all(np.isfinite(L)) and np.array_equal(L, np.tril(L))
 
 
-def test_cli_import_does_not_load_scipy():
+def run_fresh(code):
+    """Runs code in a fresh interpreter that imports lpmch from this tree."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = "import lpmch.cli, sys; assert 'scipy' not in sys.modules"
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+def test_cli_import_does_not_load_scipy():
+    run_fresh("import lpmch.cli, sys; assert 'scipy' not in sys.modules")
+
+
+def test_cli_import_loads_only_what_classify_needs():
+    run_fresh("import sys, lpmch.cli\n"
+              "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'lpmch')\n"
+              "assert loaded == ['lpmch', 'lpmch.cli', 'lpmch.core', 'lpmch.errors', "
+              "'lpmch.matio'], loaded")
+
+
+def test_classify_loads_neither_sampling_nor_inequalities(tmp_path):
+    path = write(tmp_path, "a.json", [[1.0, 2.0], [2.0, 1.0]])
+    run_fresh("import sys\n"
+              "from lpmch.cli import main\n"
+              f"assert main(['classify', {path!r}]) == 0\n"
+              "assert not {'lpmch.sampling', 'lpmch.inequalities'} & set(sys.modules)")
+
+
+# One pattern per n of the sample tests.
+_PATTERNS = {1: "-", 10: "+--+-++-+-"}
+
+
+def _law_files(tmp_path, n):
+    """Files of a scale matrix, an LPM centre point of pattern _PATTERNS[n]
+    and its reversal (a TPM point of that pattern), and a coordinate
+    covariance at n."""
+    rng = np.random.default_rng(n)
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    eps = np.array(pattern_from_string(_PATTERNS[n]), dtype=float)
+    signs = eps * np.concatenate(([1.0], eps[:-1]))
+    L = np.tril(rng.standard_normal((n, n)), -1) / np.sqrt(n) + np.diag(rng.uniform(0.5, 2.0, n))
+    m0 = (L * signs) @ L.T
+    m0 = (m0 + m0.T) / 2
+    return {"sigma": write(tmp_path, "sigma.json", (Q * rng.uniform(0.5, 2.0, n)) @ Q.T),
+            "lpm": write(tmp_path, "m0_lpm.json", m0),
+            "tpm": write(tmp_path, "m0_tpm.json", m0[::-1, ::-1]),
+            "sigma_tilde": write(tmp_path, "st.json", 0.02 * np.eye(n * (n + 1) // 2))}
+
+
+def _sample_call(files, dist, cone, n):
+    """The lpmch sample flags of a law, and the sampler and spec that draw
+    the same points."""
+    Spec = sampling.DistributionSpec
+    sigma = read_matrix(files["sigma"])
+    if dist == "cholesky-normal":
+        m0 = classify(read_matrix(files[cone]), cone=cone)
+        spec = Spec(kind="cholesky_normal", cone=cone, m0=m0,
+                    sigma_tilde=read_matrix(files["sigma_tilde"]))
+        return (["--m0", files[cone], "--sigma-tilde", files["sigma_tilde"]],
+                sampling.cholesky_normal_sample, spec)
+    if dist == "clone":
+        base = Spec(kind="wishart", cone="lpm", pattern=(1,) * n, sigma=sigma, dof=n + 2)
+        spec = Spec(kind="inertial_clone", cone=cone, base=base, k=n // 2)
+        return (["--sigma", files["sigma"], "--dof", str(n + 2), "--k", str(n // 2)],
+                sampling.inertial_clone_sample, spec)
+    kind, draw = {"wishart": ("wishart", sampling.wishart_sample),
+                  "inv-wishart": ("inverse_wishart", sampling.inverse_wishart_sample)}[dist]
+    spec = Spec(kind=kind, cone=cone, pattern=pattern_from_string(_PATTERNS[n]),
+                sigma=sigma, dof=n + 2)
+    return (["--sigma", files["sigma"], "--dof", str(n + 2), f"--epsilon={_PATTERNS[n]}"],
+            draw, spec)
+
+
+class _Writes:
+    """A stdout that keeps the text of each write call."""
+
+    def __init__(self):
+        self.calls = []
+
+    def write(self, text):
+        self.calls.append(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def _check_sample_stream(tmp_path, monkeypatch, dist, cone, n, count, seed=11):
+    """lpmch sample prints its header and then matrix_to_json_line of each
+    point of the *_sample call of the same law and seed, one write per block
+    of draws; returns the texts of the block writes."""
+    flags, draw, spec = _sample_call(_law_files(tmp_path, n), dist, cone, n)
+    writes = _Writes()
+    with monkeypatch.context() as patch:
+        patch.setattr(sys, "stdout", writes)
+        code = main(["sample", "--dist", dist, "--cone", cone, "--count", str(count),
+                     "--seed", str(seed)] + flags)
+    assert code == 0
+    header = json.loads(writes.calls[0])
+    assert (header["seed"], header["count"]) == (seed, count)
+    # print writes the header's text and its newline apart.
+    assert writes.calls[1] == "\n"
+    points = draw(sampling.RngStream(seed), spec, count)
+    assert "".join(writes.calls[2:]) == "".join(matrix_to_json_line(p.matrix) + "\n"
+                                                for p in points)
+    return writes.calls[2:]
+
+
+@pytest.mark.parametrize("n", (1, 10))
+@pytest.mark.parametrize("cone", ("lpm", "tpm"))
+@pytest.mark.parametrize("dist", ("wishart", "inv-wishart", "cholesky-normal", "clone"))
+def test_sample_stream_is_the_samplers_points(tmp_path, monkeypatch, dist, cone, n):
+    _check_sample_stream(tmp_path, monkeypatch, dist, cone, n, count=5)
+
+
+# The block of draws per write is entries // n**2 draws, at least one: the
+# library's own block at n = 10 (1310 draws), 64 draws at n = 1, and one
+# draw when a matrix has more entries than a block.
+@pytest.mark.parametrize("n, entries", [(10, sampling._BLOCK_ENTRIES), (1, 64), (10, 50)])
+@pytest.mark.parametrize("extra", ("none", "one draw", "one block", "one block and one draw"))
+def test_sample_stream_at_block_seams(tmp_path, monkeypatch, n, entries, extra):
+    monkeypatch.setattr(sampling, "_BLOCK_ENTRIES", entries)
+    block = max(1, entries // n**2)
+    count = {"none": 0, "one draw": 1, "one block": block,
+             "one block and one draw": block + 1}[extra]
+    writes = _check_sample_stream(tmp_path, monkeypatch, "wishart", "lpm", n, count)
+    assert [w.count("\n") for w in writes] == [block] * (count // block) + (
+        [count % block] if count % block else [])
+
+
+def _stack_lines(stack):
+    return "".join(per_entry(A) + "\n" for A in stack)
+
+
+def test_stack_rendering_matches_the_per_entry_rendering():
+    rng = np.random.default_rng(3)
+    X = rng.standard_normal((4, 5, 5))
+    S = X + X.transpose(0, 2, 1)
+    # Mirrored 0.0 and -0.0 are not bitwise symmetric and print apart.
+    zeros = S.copy()
+    zeros[1, 0, 3], zeros[1, 3, 0] = 0.0, -0.0
+    negative_zeros = S.copy()
+    negative_zeros[2, 4, 1] = negative_zeros[2, 1, 4] = -0.0
+    subnormal = S * 1e-310
+    stacks = [X, S, zeros, negative_zeros, subnormal, subnormal[:, ::-1],
+              np.array([[[7.0]], [[-0.0]], [[5e-324]]]), rng.standard_normal((2, 2, 3)),
+              np.empty((0, 3, 3))]
+    for stack in stacks:
+        assert _json_lines(stack) == _stack_lines(stack)

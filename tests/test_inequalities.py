@@ -649,3 +649,54 @@ def test_verify_config_reference_pattern_may_be_a_string(capsys, tmp_path):
         assert code == 0
         outputs.append(capsys.readouterr())
     assert outputs[0] == outputs[1]
+
+
+# Values of a JSON type that fits no parameter, by their JSON names. A list
+# holding null fits neither a number nor a list of numbers.
+_MISFITS = {"null": None, "bool": True, "string": "x", "list": [None], "object": {"x": 1}}
+
+
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+@pytest.mark.parametrize("which", INEQUALITIES)
+def test_a_verify_config_value_of_the_wrong_type_is_a_usage_error(capsys, tmp_path, preset,
+                                                                   which):
+    _, params = preset_config(preset, which)
+    for key in params:
+        for kind, value in _MISFITS.items():
+            config = tmp_path / "c.json"
+            config.write_text(json.dumps({"preset": preset, key: value}))
+            code = main(["verify", "--config", str(config), "--inequality", which,
+                         "--trials", "50", "--seed", "1"])
+            captured = capsys.readouterr()
+            assert (code, captured.out) == (2, ""), (key, kind)
+            assert captured.err.startswith(f"error: {key} must be "), (key, kind, captured.err)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("z1", 5), ("z1", True), ("z1", "x"), ("z1", {"x": 1}), ("z1", [[0.5], "+", 1]),
+    ("z1", [["x"], "+"]), ("z1", [[0.5], [True]]), ("m", 1.5), ("counts", [2, 0.5]),
+    ("preset", None), ("preset", ["pd_walk"])])
+def test_verify_config_values_that_no_walk_takes_are_usage_errors(capsys, tmp_path, key,
+                                                                   value):
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"preset": "pd_walk", key: value}))
+    code = main(["verify", "--config", str(config), "--inequality", "hoffmann_jorgensen",
+                 "--trials", "50", "--seed", "1"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.startswith(f"error: {key} must be ")
+
+
+def test_parameter_types_are_checked_before_the_first_draw():
+    walk, params = preset_config("pd_walk", "mogulskii_min")
+    rng = RngStream(0)
+    state = rng.generator.bit_generator.state
+    with pytest.raises(ValueError, match="a must be a number, got None"):
+        verify_inequality(rng, "mogulskii_min", walk, {**params, "a": None})
+    assert rng.generator.bit_generator.state == state
+    stats = simulate_walk(rng, walk, paths=20)
+    with pytest.raises(ValueError, match="b must be a number, got True"):
+        verify_from_stats(stats, "mogulskii_min", {**params, "b": True})
+    # Integral floats are integers, and the README's reference points pass.
+    for z1 in ([[0.5], [1]], [[0.5], "+"], None):
+        verify_from_stats(stats, "mogulskii_min", {**params, "m": 1.0, "z1": z1})
