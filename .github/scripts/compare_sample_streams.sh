@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Seeded `lpmch sample` streams, `lpmch density` values, seeded
-# `lpmch verify` reports and `lpmch classify` / `lpmch factor` /
-# `lpmch resign` outputs must be byte-identical across commits.
+# `lpmch verify` reports, seeded walk distances and `lpmch classify` /
+# `lpmch factor` / `lpmch resign` outputs must be byte-identical across
+# commits.
 #
 # usage: .github/scripts/compare_sample_streams.sh BASE
 #
@@ -21,6 +22,11 @@
 #     catches a moved stream or walk, not a last-bit change of the walk's
 #     distances: scaling the Wishart steps' increments by 1 + 1e-6 left all
 #     15 reports unchanged, by 1.01 changed them;
+#   - the SHA-1 of the `WalkStats` bytes (d_z1, d_to_end, d_inc) of seeded
+#     walks, which the reports above miss: the three preset walks at 20000
+#     paths and an n = 10 Wishart star walk at 5000 paths (4 outputs). Row
+#     sums of n = 10 increments folded column by column, a last-bit change,
+#     left all 15 reports unchanged and moved the Wishart walk's SHA-1;
 #   - `lpmch classify`, `lpmch factor` against the canonical diagonal basis
 #     and `lpmch factor --basis FILE` against a general basis of the same
 #     pattern, at n = 10 and n = 40, in both cones (12 outputs). n = 40 is
@@ -37,7 +43,7 @@
 #     and of a definite Toeplitz matrix at n = 12 whose last diagonal entry
 #     makes only minors with the last index fail, so that the check runs to
 #     its last level before it prints "not SSRPM" (4 outputs).
-# 72 outputs in all.
+# 76 outputs in all.
 # Needs Python with NumPy; exits non-zero at the first pair that differs.
 #
 # A change that moves outputs on purpose records each moved one as a line
@@ -45,7 +51,8 @@
 # "inv-wishart tpm 10"), "DIST CONE N COUNT" for a stream of COUNT draws
 # other than 200 (e.g. "wishart lpm 10 1311"), "density DIST CONE N" for a
 # density value,
-# "verify PRESET INEQUALITY" for a report, "classify CONE N",
+# "verify PRESET INEQUALITY" for a report, "walkstats NAME" (a preset or
+# wishart_star10) for a walk's distances, "classify CONE N",
 # "factor CONE N" or "factor-basis CONE N" for a classification or a factor,
 # "geodesic CONE N" or "mean CONE N" for a geodesic point or a mean,
 # "resign lpm N" for a re-signed point, and
@@ -127,6 +134,36 @@ not_ssrpm[-1, -1] = 0.1
 dump("not_ssrpm12", not_ssrpm)
 PY
 
+# walkstats.py WORK NAME: the SHA-1 of the distance arrays of one seeded walk.
+cat > "$work/walkstats.py" <<'PY'
+import hashlib
+import json
+import sys
+
+import numpy as np
+
+from lpmch import DistributionSpec, RngStream, pattern_from_string
+from lpmch.inequalities import INEQUALITIES, PRESETS, preset_config, simulate_walk
+
+work, name = sys.argv[1:]
+if name in PRESETS:
+    walk, params = preset_config(name, INEQUALITIES[0])
+    paths, group, p = 20000, params["group"], params.get("p", 2)
+else:  # wishart_star10
+    with open(f"{work}/sigma10.json") as fh:
+        sigma = np.array(json.load(fh)["rows"])
+    with open(f"{work}/pattern10") as fh:
+        pattern = pattern_from_string(fh.read())
+    walk = [DistributionSpec(kind="wishart", pattern=pattern, cone="lpm", sigma=sigma / 10,
+                             dof=12)] * 10
+    paths, group, p = 5000, "star", 2
+stats = simulate_walk(RngStream(20251), walk, paths, group=group, p=p)
+digest = hashlib.sha1()
+for a in (stats.d_z1, stats.d_to_end, stats.d_inc):
+    digest.update(np.ascontiguousarray(a).tobytes())
+print(digest.hexdigest())
+PY
+
 moves=$head/.github/stream_moves
 moved() {
   [ -f "$moves" ] && sed 's/#.*//' "$moves" | awk '{$1=$1; print}' | grep -qxF "$1"
@@ -134,15 +171,15 @@ moved() {
 
 compared=0
 skipped=0
-# compare KEY ARGS...: runs `lpmch ARGS...` from both trees and compares
-# the outputs, unless KEY is listed as moved.
-compare() {
+# compare_command KEY COMMAND...: runs COMMAND with each tree's lpmch and
+# compares the outputs, unless KEY is listed as moved.
+compare_command() {
   local key=$1 out=$work/$(echo "$1" | tr ' ' '.') tree
   shift
   for side in base head; do
     tree=$head
     [ "$side" = base ] && tree=$work/base
-    PYTHONPATH="$tree/src" python -m lpmch.cli "$@" > "$out.$side"
+    PYTHONPATH="$tree/src" "$@" > "$out.$side"
   done
   if moved "$key"; then
     if cmp -s "$out.base" "$out.head"; then
@@ -155,6 +192,13 @@ compare() {
   fi
   cmp "$out.base" "$out.head"
   compared=$((compared + 1))
+}
+
+# compare KEY ARGS...: compares the outputs of `lpmch ARGS...`.
+compare() {
+  local key=$1
+  shift
+  compare_command "$key" python -m lpmch.cli "$@"
 }
 
 for n in 3 10; do
@@ -213,5 +257,8 @@ for preset in pd_walk mixed_box_walk deterministic_walk; do
     compare "verify $preset $inequality" verify --inequality "$inequality" \
       --config "$work/$preset.json" --seed 20251 --trials 2000
   done
+done
+for name in pd_walk mixed_box_walk deterministic_walk wishart_star10; do
+  compare_command "walkstats $name" python "$work/walkstats.py" "$work" "$name"
 done
 echo "$compared seeded outputs byte-identical to $base ($skipped listed as moved)"

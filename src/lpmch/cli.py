@@ -168,6 +168,14 @@ def _cmd_verify(args):
         config = json.load(fh)
     if not isinstance(config, dict):
         raise ValueError(f"{args.config}: expected a JSON object")
+    # A key that nothing reads would leave the preset's value in its place.
+    keys = ({"preset"} | inequalities._PARAM_TYPES.keys()) - {"paths"}
+    for key in config:
+        if key == "paths":
+            raise ValueError("paths is not a config key; give the number of paths "
+                             "with --trials")
+        if key not in keys:
+            raise ValueError(f"unknown config key {key!r}; choose from {sorted(keys)}")
     preset = config.get("preset", "pd_walk")
     walk, params = inequalities.preset_config(preset, args.inequality)
     params.update({k: v for k, v in config.items() if k != "preset"})

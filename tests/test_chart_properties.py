@@ -1,4 +1,4 @@
-"""Results (i), (ii) and (iv) as properties over size and scale.
+"""Results (i) to (iv) as properties over size and scale.
 
 (i)/(ii): Phi_B : L -> L B L* is a bijection of the Cholesky space onto the
 cone of B, inverted by factor (factor_tpm in the TPM cone), and its
@@ -9,6 +9,11 @@ The dualities: invert_cone_point swaps the cones and reverses the pattern,
 and reverse_pattern is an involution. LPM_inf: the embedding A -> A (+) (1)
 into the next size, with factor F (+) (1), is a homomorphism of the global
 group and an isometry of dp_distance.
+
+(iii): each cone is an abelian group under star_op, with the canonical
+basis as its identity and star_inv as its inverse, and the union of the
+cones one under box_op (patterns multiply), with identity_element and
+box_inv; lpm_distance is the distance of the points' factors.
 
 (iv): eta is an isometric isomorphism from the Cholesky group onto
 Euclidean space, so the group law, its inverse, scalar powers, geodesics,
@@ -28,8 +33,10 @@ from conftest import random_factor
 from lpmch import (
     BigGroupElement,
     ConePoint,
+    box_inv,
     box_op,
     canonical_diagonal,
+    canonical_point,
     compose,
     compose_tpm,
     cone_compose,
@@ -48,6 +55,7 @@ from lpmch import (
     group_op,
     identity_element,
     invert_cone_point,
+    lpm_distance,
     lpm_geodesic,
     metric_tensor,
     reverse_matrix,
@@ -250,3 +258,56 @@ def test_the_embedding_into_the_next_size_is_an_isometric_homomorphism(n, a, b, 
     assert_same_point(left.point, right.point)
     d = dp_distance(BigGroupElement(A), BigGroupElement(B), p)
     assert abs(dp_distance(iA, iB, p) - d) <= 2 * n * U * d
+
+
+@PROPERTY
+@given(sizes, log_scales, log_scales, log_scales, cones, seeds)
+def test_star_op_makes_each_cone_an_abelian_group(n, a, b, c, cone, seed):
+    # A seeded sweep of 600 cases, with the box group's below, reached 1.7 n u
+    # for associativity, n u for the inverse and 0.04 n u for the identity.
+    L, K, J = factors(seed, n, a, b, c)
+    eps = pattern(seed, n)
+    A, B, C = (cone_compose(F, eps, cone) for F in (L, K, J))
+    u, v, w = coordinates(L), coordinates(K), coordinates(J)
+    AB = star_op(A, B)
+    assert AB.cone == cone and AB.pattern == eps
+    # Coordinates add, and floating-point addition commutes.
+    assert np.array_equal(AB.matrix, star_op(B, A).matrix)
+    assert_close(n, eta(cone_factor(star_op(AB, C))),
+                 eta(cone_factor(star_op(A, star_op(B, C)))), u, v, w, u + v + w)
+    assert_close(n, eta(cone_factor(star_op(A, canonical_point(eps, cone)))), u, u)
+    assert_close(n, eta(cone_factor(star_op(A, star_inv(A)))), 0 * u, u)
+
+
+@PROPERTY
+@given(sizes, log_scales, log_scales, log_scales, cones, seeds)
+def test_box_op_makes_the_cones_one_abelian_group(n, a, b, c, cone, seed):
+    L, K, J = factors(seed, n, a, b, c)
+    A, B, C = (BigGroupElement(cone_compose(F, pattern(seed + i, n), cone))
+               for i, F in enumerate((L, K, J)))
+    u, v, w = coordinates(L), coordinates(K), coordinates(J)
+    AB, BA = box_op(A, B), box_op(B, A)
+    assert AB.cone == cone and AB.pattern == BA.pattern == schur_pattern(A.pattern, B.pattern)
+    assert np.array_equal(AB.factor, BA.factor)
+    left, right = box_op(AB, C), box_op(A, box_op(B, C))
+    assert left.pattern == right.pattern
+    assert_close(n, eta(left.factor), eta(right.factor), u, v, w, u + v + w)
+    one = identity_element(n, cone)
+    A1 = box_op(A, one)
+    assert A1.pattern == A.pattern
+    assert_close(n, eta(A1.factor), u, u)
+    A0 = box_op(A, box_inv(A))
+    assert A0.pattern == one.pattern
+    assert_close(n, eta(A0.factor), 0 * u, u)
+
+
+@PROPERTY
+@given(sizes, log_scales, log_scales, cones, seeds)
+def test_lpm_distance_is_the_distance_of_the_factors(n, a, b, cone, seed):
+    L, K = factors(seed, n, a, b)
+    eps = pattern(seed, n)
+    A, B = cone_compose(L, eps, cone), cone_compose(K, eps, cone)
+    assert lpm_distance(A, B) == distance(L, K)
+    # Points that carry no factor derive theirs by elimination.
+    A, B = (ConePoint(matrix=X.matrix, cone=cone, pattern=eps) for X in (A, B))
+    assert lpm_distance(A, B) == distance(cone_factor(A), cone_factor(B))

@@ -365,6 +365,21 @@ def test_a_verify_config_that_is_not_an_object_is_a_usage_error(tmp_path, capsys
     assert err == f"error: {path}: expected a JSON object\n"
 
 
+@pytest.mark.parametrize("key, named", [("alpah", "unknown config key 'alpah'; choose from "),
+                                        ("Preset", "unknown config key 'Preset'; choose from "),
+                                        ("paths", "paths is not a config key; give the "
+                                                  "number of paths with --trials")])
+def test_a_verify_config_key_that_nothing_reads_is_a_usage_error(tmp_path, capsys, key,
+                                                                  named):
+    # Such a key would leave the preset's value (or --trials) in place without a word.
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"preset": "pd_walk", key: 5}))
+    code, out, err = run(capsys, "verify", "--inequality", "ottaviani_skorohod",
+                         "--config", str(path), "--seed", "1", "--trials", "100")
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {named}") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("command", ("classify", "factor", "ssrpm-check"))
 @pytest.mark.parametrize("bad", (np.nan, np.inf))
 def test_non_finite_matrix_is_a_named_domain_error(tmp_path, capsys, command, bad):

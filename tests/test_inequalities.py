@@ -430,6 +430,31 @@ def test_extreme_probabilities_reduce_indicator_columns_as_the_list_form():
                                                          key=value)
 
 
+@pytest.mark.parametrize("width", range(1, 13))
+def test_squared_norms_are_the_row_sums_of_add_reduce(width):
+    # Rows of fewer than 8 entries are summed a column at a time, wider ones
+    # by add.reduce; both must give its bits. Magnitudes from 1e-8 to 1e8 make
+    # any other order of the sum show.
+    rng = np.random.default_rng(width)
+    y = rng.standard_normal((1000, width)) * 10.0 ** rng.uniform(-8, 8, (1000, width))
+    want = np.add.reduce(y * y, axis=1)
+    out = np.empty(1000)
+    inequalities._squared_norms(y, np.empty_like(y), out)
+    assert out.tobytes() == want.tobytes()
+    inequalities._squared_norms(y, y, out)  # in place, as a walk calls it
+    assert out.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (9, 1), (7, 3), (500, 10)])
+def test_row_folds_are_the_row_max_and_min(shape):
+    # Small integers give ties and exact zeros in most rows.
+    a = np.random.default_rng(shape[1]).integers(0, 3, shape).astype(float)
+    for fold, reduce in ((np.maximum, np.max), (np.minimum, np.min)):
+        for window in (a, a[:, shape[1] // 2:]):
+            got = inequalities._fold_columns(fold, window)
+            assert got.tobytes() == reduce(window, axis=1).tobytes()
+
+
 def test_walk_memory_is_one_partial_sum_buffer():
     # The stacked form peaked at 4.5 times the (steps, paths, m) buffer here.
     n, steps, paths = 10, 10, 10_000
