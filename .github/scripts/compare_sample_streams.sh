@@ -10,10 +10,12 @@
 # from each tree's src/ (so whatever lpmch is installed does not matter) and
 # compares each pair of outputs with cmp:
 #   - `lpmch sample` of all four laws, at n = 3 and n = 10, in both cones,
-#     with fixed seeds (16 streams of 200 draws), and three streams at the
+#     with fixed seeds (16 streams of 200 draws), and four streams at the
 #     seams of the writer, which prints a block of draws per write: a
-#     Wishart stream at n = 1, one of no draws, and one at n = 10 a draw
-#     longer than its 1310-draw block (3 streams);
+#     Wishart stream at n = 1, one of no draws, and a Wishart and a
+#     Cholesky-normal stream at n = 10 a draw longer than its 1310-draw
+#     block (4 streams). The Cholesky-normal law's coordinates are one matrix
+#     product over the whole stream; split at the blocks, it moves bits;
 #   - `lpmch density` of the three laws with a density, at the centre point
 #     of each cone and n, from the same inputs (12 values, printed with
 #     %.17g, so equal text is equal bits);
@@ -43,7 +45,7 @@
 #     and of a definite Toeplitz matrix at n = 12 whose last diagonal entry
 #     makes only minors with the last index fail, so that the check runs to
 #     its last level before it prints "not SSRPM" (4 outputs).
-# 76 outputs in all.
+# 77 outputs in all.
 # Needs Python with NumPy; exits non-zero at the first pair that differs.
 #
 # A change that moves outputs on purpose records each moved one as a line
@@ -222,14 +224,18 @@ for n in 3 10; do
   done
 done
 
-# Wishart streams at the seams of the writer: n = 1, no draws, and a draw
-# past the 1310-draw block at n = 10.
-for seam in "1 200" "10 0" "10 1311"; do
-  read -r n count <<< "$seam"
-  key="wishart lpm $n"
+# Streams at the seams of the writer: Wishart at n = 1, with no draws, and
+# a draw past the 1310-draw block at n = 10; Cholesky-normal past that block.
+for seam in "wishart 1 200" "wishart 10 0" "wishart 10 1311" "cholesky-normal 10 1311"; do
+  read -r dist n count <<< "$seam"
+  key="$dist lpm $n"
   [ "$count" = 200 ] || key="$key $count"
-  compare "$key" sample --dist wishart --cone lpm --seed 20251 --count "$count" \
-    --sigma "$work/sigma$n.json" --dof $((n + 2)) "--epsilon=$(cat "$work/pattern$n")"
+  if [ "$dist" = wishart ]; then
+    flags=(--sigma "$work/sigma$n.json" --dof $((n + 2)) "--epsilon=$(cat "$work/pattern$n")")
+  else
+    flags=(--m0 "$work/m0_lpm$n.json" --sigma-tilde "$work/st$n.json")
+  fi
+  compare "$key" sample --dist "$dist" --cone lpm --seed 20251 --count "$count" "${flags[@]}"
 done
 
 for n in 10 40; do

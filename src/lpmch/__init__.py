@@ -8,8 +8,11 @@ does not compile and import all the others.
 
 from importlib import import_module as _import_module
 
-# The public names of each submodule. The submodules themselves are public
-# names too, as they were when this package imported them all.
+# The public names of each submodule, and the only list of them: a submodule
+# with an __all__ reads its row from here. That works because this module
+# imports no submodule while it loads, so the table exists before any
+# submodule runs. The submodules themselves are public names too, as they
+# were when this package imported them all.
 _EXPORTS = {
     "core": (
         "DEFAULT_TOL", "LPM", "TPM", "ConePoint", "all_patterns", "as_pattern",
@@ -22,9 +25,9 @@ _EXPORTS = {
         "invert_cone_point", "is_lower_triangular", "resign",
     ),
     "geometry": (
-        "cone_compose", "cone_factor", "differential", "differential_inv", "distance",
-        "eta", "eta_inv", "geodesic", "geodesic_between", "group_inv", "group_op",
-        "klein_apply", "log_cholesky_mean", "lpm_distance", "lpm_geodesic",
+        "KLEIN_MAPS", "cone_compose", "cone_factor", "differential", "differential_inv",
+        "distance", "eta", "eta_inv", "geodesic", "geodesic_between", "group_inv",
+        "group_op", "klein_apply", "log_cholesky_mean", "lpm_distance", "lpm_geodesic",
         "metric_tensor", "scalar_mul", "star_inv", "star_op",
     ),
     "biggroup": (
@@ -32,7 +35,7 @@ _EXPORTS = {
         "schur_pattern", "torsion_order",
     ),
     "algebra": ("dsum_matrix", "dsum_pattern", "tensor_matrix", "tensor_pattern"),
-    "ssrpm": ("almost_n_example", "is_ssrpm", "toeplitz_example"),
+    "ssrpm": ("DEFAULT_CAP", "almost_n_example", "is_ssrpm", "toeplitz_example"),
     "sampling": (
         "DistributionSpec", "RngStream", "bartlett_sample", "cholesky_normal_log_density",
         "cholesky_normal_sample", "inertial_clone_sample", "inverse_wishart_log_density",
@@ -40,8 +43,8 @@ _EXPORTS = {
         "wishart_sample",
     ),
     "inequalities": (
-        "INEQUALITIES", "PRESETS", "Report", "preset_config", "simulate_walk",
-        "verify_from_stats", "verify_inequality",
+        "INEQUALITIES", "PRESETS", "Report", "WalkStats", "preset_config",
+        "simulate_walk", "verify_from_stats", "verify_inequality",
     ),
     "errors": (),
 }

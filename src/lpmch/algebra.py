@@ -2,10 +2,11 @@
 
 import numpy as np
 
+from . import _EXPORTS
 from .core import LPM, ConePoint, as_pattern, canonical_signs, symmetrize
 from .errors import ConeKindMismatch
 
-__all__ = ["dsum_pattern", "dsum_matrix", "tensor_pattern", "tensor_matrix"]
+__all__ = _EXPORTS["algebra"]
 
 
 def dsum_pattern(eps, eps2):

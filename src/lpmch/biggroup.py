@@ -13,13 +13,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _EXPORTS
 from .core import LPM, ConePoint, _opposite, _read_only, as_pattern
 from .cholesky import _built_point, _factor
 from .geometry import _checked, _eta, _eta_inv, _factor_distance
 from .errors import ConeKindMismatch, GroupMismatch
 
-__all__ = ["BigGroupElement", "box_op", "box_inv", "dp_distance",
-           "torsion_order", "schur_pattern", "identity_element"]
+__all__ = _EXPORTS["biggroup"]
 
 
 def schur_pattern(eps, delta):

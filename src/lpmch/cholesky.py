@@ -15,6 +15,7 @@ signs of its LDL* pivots.
 
 import numpy as np
 
+from . import _EXPORTS
 from .core import (
     DEFAULT_TOL,
     LPM,
@@ -36,15 +37,7 @@ from .core import (
 )
 from .errors import ConeKindMismatch, NegativeRadicand, PatternMismatch, SingularMatrix
 
-__all__ = [
-    "is_lower_triangular",
-    "compose",
-    "factor",
-    "compose_tpm",
-    "factor_tpm",
-    "resign",
-    "invert_cone_point",
-]
+__all__ = _EXPORTS["cholesky"]
 
 
 def is_lower_triangular(L, tol=0.0):

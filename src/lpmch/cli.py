@@ -128,6 +128,7 @@ def _spec_from_args(args):
 
 def _cmd_sample(args):
     from . import sampling
+    from .cholesky import _cone_matrices
     if args.count < 0:
         raise SpecInvalid(f"--count must be >= 0, got {args.count}")
     law = sampling._law(_spec_from_args(args))
@@ -138,11 +139,12 @@ def _cmd_sample(args):
                        "all_cones": law.spec.all_cones},
               "seed": seed, "count": args.count}
     print(json.dumps(header, sort_keys=True))
-    points = law.sample(sampling.RngStream(seed), args.count)
-    # One write per block of draws, with the text of one block held at a time.
-    block = max(1, sampling._BLOCK_ENTRIES // law.n ** 2)
-    for a in range(0, len(points), block):
-        sys.stdout.write(_json_lines(np.stack([p.matrix for p in points[a:a + block]])))
+    draws = law.draws(sampling.RngStream(seed).generator, args.count)
+    # The matrix stack that law.points would wrap as cone points, written one
+    # block of draws at a time, with the text of one block held at a time.
+    stack = _cone_matrices(law.factors(draws), law.patterns(draws), law.cone)
+    for a in range(0, args.count, law.block):
+        sys.stdout.write(_json_lines(stack[a:a + law.block]))
     return 0
 
 

@@ -32,18 +32,13 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import _EXPORTS
 from .core import LPM, _check_hermitian, _lower_inverse, _opposite, _read_only, \
     as_pattern, canonical_diagonal, reverse_matrix, symmetrize
 from .cholesky import _built_point, _check_lower, _check_same_cone, _factor
 from .errors import ComplexFactor, GroupMismatch, NonFiniteInput, PatternMismatch
 
-__all__ = [
-    "group_op", "group_inv", "scalar_mul", "eta", "eta_inv",
-    "distance", "metric_tensor", "geodesic", "geodesic_between",
-    "differential", "differential_inv",
-    "lpm_distance", "lpm_geodesic", "star_op", "star_inv",
-    "log_cholesky_mean", "klein_apply", "KLEIN_MAPS",
-]
+__all__ = _EXPORTS["geometry"]
 
 
 def _checked(L):

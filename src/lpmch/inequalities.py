@@ -13,17 +13,29 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _EXPORTS
 from .core import LPM, ConePoint, as_pattern, pattern_from_string
 from .geometry import eta
 from .errors import GroupMismatch, SpecInvalid
 from .sampling import DistributionSpec, _law
 from .biggroup import BigGroupElement, _check_p, _combine
 
-__all__ = ["Report", "WalkStats", "simulate_walk", "verify_from_stats",
-           "verify_inequality", "INEQUALITIES", "PRESETS", "preset_config"]
+__all__ = _EXPORTS["inequalities"]
 
-INEQUALITIES = ("mogulskii_min", "mogulskii_max", "ottaviani_skorohod",
-                "levy_ottaviani", "hoffmann_jorgensen")
+# The constants of each inequality in the preset configs; its keys, in this
+# order, are the inequalities.
+_PRESET_PARAMS = {
+    "mogulskii_min": {"a": 1.0, "b": 1.0, "m": 1},
+    "mogulskii_max": {"a": 2.0, "b": 1.0, "m": 1},
+    "ottaviani_skorohod": {"alpha": 1.0, "beta": 1.0},
+    "levy_ottaviani": {"a_list": [1.0, 1.0]},
+    "hoffmann_jorgensen": {"counts": [2, 1], "thresholds": [1.0, 2.0], "s": 1.0},
+}
+INEQUALITIES = tuple(_PRESET_PARAMS)
+
+
+def _unknown_inequality(which):
+    return SpecInvalid(f"unknown inequality {which!r}; choose from {INEQUALITIES}")
 
 
 @dataclass
@@ -434,7 +446,7 @@ def verify_from_stats(stats, which, params):
         details["index_set"] = [i + 1 for i, f in enumerate(in_zero) if f]
         details["lhs_threshold"] = bound
     else:
-        raise SpecInvalid(f"unknown inequality {which!r}; choose from {INEQUALITIES}")
+        raise _unknown_inequality(which)
 
     lhs_v, lhs_se = lhs
     rhs_v, rhs_se = rhs
@@ -491,14 +503,6 @@ PRESETS = {
     "deterministic_walk": _preset_deterministic,
 }
 
-_PRESET_PARAMS = {
-    "mogulskii_min": {"a": 1.0, "b": 1.0, "m": 1},
-    "mogulskii_max": {"a": 2.0, "b": 1.0, "m": 1},
-    "ottaviani_skorohod": {"alpha": 1.0, "beta": 1.0},
-    "levy_ottaviani": {"a_list": [1.0, 1.0]},
-    "hoffmann_jorgensen": {"counts": [2, 1], "thresholds": [1.0, 2.0], "s": 1.0},
-}
-
 
 def preset_config(name, which):
     """(walk, params) for one named preset and one inequality."""
@@ -506,6 +510,8 @@ def preset_config(name, which):
         raise ValueError(f"preset must be a string, got {name!r}")
     if name not in PRESETS:
         raise SpecInvalid(f"unknown preset {name!r}; choose from {sorted(PRESETS)}")
+    if which not in INEQUALITIES:
+        raise _unknown_inequality(which)
     walk, base = PRESETS[name]()
     params = dict(base)
     params.update(_PRESET_PARAMS[which])

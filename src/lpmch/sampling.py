@@ -44,11 +44,13 @@ SpecInvalid for a spec of another kind before any draw or arithmetic.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
+from . import _EXPORTS
 from .core import (
     LPM,
     TPM,
@@ -67,13 +69,7 @@ from .cholesky import _check_lower, _cone_points, _factor
 from .geometry import _eta, _from_rows, _real, eta, eta_inv
 from .errors import PatternMismatch, SpecInvalid
 
-__all__ = [
-    "RngStream", "DistributionSpec",
-    "bartlett_sample", "wishart_sample", "wishart_log_density",
-    "jacobian_logdet", "cholesky_normal_sample", "cholesky_normal_log_density",
-    "inverse_wishart_sample", "inverse_wishart_log_density",
-    "inertial_clone_sample",
-]
+__all__ = _EXPORTS["sampling"]
 
 
 class RngStream:
@@ -146,6 +142,14 @@ class DistributionSpec:
         return self
 
 
+def _check_square(name, a):
+    """SpecInvalid naming the field unless a is one square matrix of size
+    at least 1."""
+    shape = np.shape(a)
+    if len(shape) != 2 or shape[0] != shape[1] or not shape[0]:
+        raise SpecInvalid(f"{name} must be a square matrix of size at least 1, got shape {shape}")
+
+
 def _bartlett_draws(g, n, N, m, out=None):
     """The generator calls of m Bartlett factors of size n and dof N, in
     stream order: chisquare(N - j) for each diagonal entry j (0-based), one
@@ -215,8 +219,9 @@ def _squared_norm(Y):
     return float(np.vdot(Y, Y).real)
 
 
-# Factor entries per block of paths in a walk step's Wishart arithmetic: the
-# block's (paths, n, n) temporaries stay near 1 MB, whatever the path count.
+# Factor entries per block of draws (_SpecLaw.block) in a walk step's Wishart
+# arithmetic and in the CLI's sample writes: a block's (draws, n, n) arrays
+# stay near 1 MB, whatever the path or draw count.
 # With one block per step, the walk-mc benchmark on a 2-core x86-64 host ran
 # 19 % fewer tasks per second and peaked 15 % higher in resident memory.
 _BLOCK_ENTRIES = 1 << 17
@@ -242,6 +247,12 @@ class _SpecLaw:
         """The cone points of draws, composed from their factors and patterns."""
         return _cone_points(self.factors(draws), self.patterns(draws), self.cone)
 
+    @property
+    def block(self):
+        """Draws per block of the law's blocked work (walk increments, the
+        CLI's writes): _BLOCK_ENTRIES // n^2 factor entries, at least one."""
+        return max(1, _BLOCK_ENTRIES // (self.n * self.n))
+
     def patterns(self, draws):
         """The pattern of every draw: the law's own."""
         return self.pattern
@@ -264,9 +275,12 @@ class _Wishart(_SpecLaw):
     @staticmethod
     def parts(spec):
         """(the arrays the law reads, the first n x n; its pattern as given),
-        or SpecInvalid when a field the law needs is missing."""
+        or SpecInvalid when a field the law needs is missing or ill-typed."""
         if spec.sigma is None or spec.dof is None or spec.pattern is None:
             raise SpecInvalid(f"{spec.kind} needs sigma, dof, and pattern")
+        _check_square("sigma", spec.sigma)
+        if not isinstance(spec.dof, numbers.Real):
+            raise SpecInvalid(f"dof must be a number, got {spec.dof!r}")
         return (spec.sigma,), spec.pattern
 
     @staticmethod
@@ -306,7 +320,7 @@ class _Wishart(_SpecLaw):
         chi, z = draws
         n, paths = chi.shape
         out = np.empty((paths, n * (n + 1) // 2)) if out is None else out
-        block = max(1, _BLOCK_ENTRIES // (n * n))
+        block = self.block
         for a in range(0, paths, block):
             _eta(self.factors((chi[:, a:a + block], z[a:a + block])), out[a:a + block])
         return out
@@ -371,15 +385,19 @@ class _CholeskyNormal(_SpecLaw):
     def parts(spec):
         if spec.m0 is None or spec.sigma_tilde is None:
             raise SpecInvalid("cholesky_normal needs m0 and sigma_tilde")
+        if not isinstance(spec.m0, ConePoint):
+            raise SpecInvalid(f"m0 must be a ConePoint, got {type(spec.m0).__name__}")
         return (spec.m0.matrix, spec.sigma_tilde), spec.m0.pattern
 
     @staticmethod
     def validate(spec):
         n = spec.dim
         m = n * (n + 1) // 2
+        if spec.m0.cone != spec.cone:
+            raise SpecInvalid(f"m0 is in the {spec.m0.cone} cone, the spec's is {spec.cone}")
+        if np.shape(spec.sigma_tilde) != (m, m):
+            raise SpecInvalid(f"sigma_tilde must be {m}x{m}, got {np.shape(spec.sigma_tilde)}")
         st = np.asarray(spec.sigma_tilde, dtype=float)
-        if st.shape != (m, m):
-            raise SpecInvalid(f"sigma_tilde must be {m}x{m}, got {st.shape}")
         _check_finite(st)
         if np.any(np.linalg.eigvalsh(symmetrize(st)) < -1e-12):
             raise SpecInvalid("sigma_tilde must be positive semidefinite")
@@ -442,8 +460,10 @@ class _Clone(_SpecLaw):
 
     @staticmethod
     def parts(spec):
-        if spec.base is None or spec.base.kind != "wishart":
+        if not isinstance(spec.base, DistributionSpec) or spec.base.kind != "wishart":
             raise SpecInvalid("inertial_clone needs a wishart base spec")
+        if spec.k is not None and not isinstance(spec.k, numbers.Integral):
+            raise SpecInvalid(f"k must be an integer, got {spec.k!r}")
         return _Wishart.parts(spec.base)
 
     @staticmethod

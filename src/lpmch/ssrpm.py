@@ -20,11 +20,12 @@ import math
 
 import numpy as np
 
+from . import _EXPORTS
 from .core import DEFAULT_TOL, _check_matrix, _log_minor_cutoffs, scale, symmetrize
 from .errors import ComplexFactor, ConstraintViolation, DegenerateParameters, DimensionCap, \
     NonFiniteInput
 
-__all__ = ["is_ssrpm", "toeplitz_example", "almost_n_example", "DEFAULT_CAP"]
+__all__ = _EXPORTS["ssrpm"]
 
 DEFAULT_CAP = 20
 # Largest ratio max|Schur complement entry| / max|A_ij| up to which the minors

@@ -114,6 +114,14 @@ def test_dsum_cone_mismatch():
         dsum_matrix(A, B)
 
 
+def test_tensor_cone_mismatch():
+    rng = np.random.default_rng(4)
+    A = random_cone_point(rng, (1, -1))
+    B = random_cone_point(rng, (1,), cone="tpm")
+    with pytest.raises(ConeKindMismatch, match="cone kinds differ: lpm vs tpm"):
+        tensor_matrix(A, B)
+
+
 def test_tensor_pattern():
     assert tensor_pattern((1, 1), (1, 1, 1)) == (1,) * 6
     assert tensor_pattern((1, -1), (-1, -1)) == (-1, -1, -1, 1)

@@ -160,6 +160,11 @@ def test_mismatch_errors():
         dp_distance(A, C)
 
 
+def test_schur_pattern_of_two_lengths_is_a_group_mismatch():
+    with pytest.raises(GroupMismatch, match="pattern lengths differ: 2 vs 3"):
+        schur_pattern((1, -1), (1, 1, -1))
+
+
 @pytest.mark.parametrize("bad", (-np.eye(2), np.array([[1.0, 1.0], [0.0, 1.0]]), np.eye(2)[0]))
 def test_a_given_factor_is_checked_when_the_element_is_made(bad):
     # Two elements given -I as their factor composed to the identity factor.

@@ -15,6 +15,11 @@ basis as its identity and star_inv as its inverse, and the union of the
 cones one under box_op (patterns multiply), with identity_element and
 box_inv; lpm_distance is the distance of the points' factors.
 
+The pattern algebra: dsum_pattern is the minor-sign pattern of the block
+sum (with the operands swapped in the TPM cone, as in dsum_matrix), and
+tensor_pattern that of the Kronecker product. The minor signs are read off
+determinants of composed points.
+
 (iv): eta is an isometric isomorphism from the Cholesky group onto
 Euclidean space, so the group law, its inverse, scalar powers, geodesics,
 the distance and the metric are the matching vector operations on eta
@@ -46,6 +51,7 @@ from lpmch import (
     distance,
     dp_distance,
     dsum_matrix,
+    dsum_pattern,
     eta,
     factor,
     factor_tpm,
@@ -65,6 +71,8 @@ from lpmch import (
     star_inv,
     star_op,
     symmetrize,
+    tensor_matrix,
+    tensor_pattern,
 )
 
 PROPERTY = settings(max_examples=25, deadline=None)
@@ -76,6 +84,8 @@ block_sizes = st.sampled_from((1, 2, 3, 10, 31, 32, 33, 40, 64))
 # Decimal exponents of the factor scales.
 log_scales = st.floats(-4, 4)
 seeds = st.integers(0, 2**32 - 1)
+# Two sizes whose product is at most 64.
+kron_sizes = sizes.flatmap(lambda n: st.tuples(st.just(n), st.integers(1, 64 // n)))
 cones = st.sampled_from(("lpm", "tpm"))
 
 
@@ -311,3 +321,23 @@ def test_lpm_distance_is_the_distance_of_the_factors(n, a, b, cone, seed):
     # Points that carry no factor derive theirs by elimination.
     A, B = (ConePoint(matrix=X.matrix, cone=cone, pattern=eps) for X in (A, B))
     assert lpm_distance(A, B) == distance(cone_factor(A), cone_factor(B))
+
+
+@PROPERTY
+@given(sizes, sizes, log_scales, log_scales, cones, seeds)
+def test_dsum_pattern_is_the_minor_signs_of_the_block_sum(n, m, a, b, cone, seed):
+    (L,), (K,) = factors(seed, n, a), factors(seed + 1, m, b)
+    eps, delta = pattern(seed, n), pattern(seed + 1, m)
+    S = dsum_matrix(cone_compose(L, eps, cone), cone_compose(K, delta, cone))
+    expected = dsum_pattern(eps, delta) if cone == "lpm" else dsum_pattern(delta, eps)
+    assert S.pattern == minor_signs(S.matrix, cone) == expected
+
+
+@PROPERTY
+@given(kron_sizes, log_scales, log_scales, cones, seeds)
+def test_tensor_pattern_is_the_minor_signs_of_the_kronecker_product(nm, a, b, cone, seed):
+    n, m = nm
+    (L,), (K,) = factors(seed, n, a), factors(seed + 1, m, b)
+    eps, delta = pattern(seed, n), pattern(seed + 1, m)
+    T = tensor_matrix(cone_compose(L, eps, cone), cone_compose(K, delta, cone))
+    assert T.pattern == minor_signs(T.matrix, cone) == tensor_pattern(eps, delta)

@@ -119,6 +119,21 @@ def test_factor_errors():
             comp(np.eye(3), canonical_point((1, 1), cone))
 
 
+@pytest.mark.parametrize("comp, cone, other",
+                         ((compose, "lpm", "tpm"), (compose_tpm, "tpm", "lpm")))
+def test_compose_refuses_a_basis_of_the_other_cone(comp, cone, other):
+    message = f"expected a basis of the {cone} cone, got {other}"
+    with pytest.raises(ConeKindMismatch, match=message):
+        comp(np.eye(2), canonical_point((1, -1), other))
+
+
+def test_resign_errors():
+    with pytest.raises(ConeKindMismatch, match="resign needs an LPM point, got tpm"):
+        resign(canonical_point((1, -1), "tpm"), (1, 1))
+    with pytest.raises(PatternMismatch, match="pattern length 3 != dimension 2"):
+        resign(canonical_point((1, -1)), (1, 1, 1))
+
+
 @pytest.mark.parametrize("tol", (-1.0, float("nan"), float("inf")))
 def test_radicand_tolerance_must_be_finite_and_nonnegative(tol):
     A = classify(np.array([[1.0, 2.0], [2.0, 1.0]]))

@@ -185,6 +185,23 @@ def test_sample_requires_seed(tmp_path, capsys, monkeypatch):
     assert err.startswith("SpecInvalid:")
 
 
+# The flags that each law needs, left out one group at a time ("SIGMA" is a
+# 1 x 1 scale matrix file).
+@pytest.mark.parametrize("dist, flags, message", (
+    ("cholesky-normal", [], "cholesky-normal needs --m0 and --sigma-tilde"),
+    ("wishart", ["--epsilon", "+"], "wishart needs --sigma and --dof"),
+    ("clone", ["--sigma", "SIGMA", "--k", "1"], "clone needs --sigma and --dof"),
+    ("inv-wishart", ["--sigma", "SIGMA", "--dof", "3"], "inv-wishart needs --epsilon"),
+))
+def test_sample_without_the_flags_of_its_law_is_a_domain_error(tmp_path, capsys, dist, flags,
+                                                               message):
+    sigma = write(tmp_path, "s.json", [[1.0]])
+    flags = [sigma if flag == "SIGMA" else flag for flag in flags]
+    code, out, err = run(capsys, "sample", "--dist", dist, "--seed", "1", *flags)
+    assert code == 1 and out == ""
+    assert err == f"SpecInvalid: {message}\n"
+
+
 def test_density_measures(tmp_path, capsys):
     m0 = write(tmp_path, "m0.json", [[1.0, 0.0], [0.0, 1.0]])
     st = write(tmp_path, "st.json", (0.5 * np.eye(3)).tolist())
@@ -353,6 +370,20 @@ def test_a_dim_that_is_not_an_integer_is_a_usage_error(tmp_path, capsys, dim):
     code, out, err = run(capsys, "classify", str(path))
     assert code == 2 and out == ""
     assert err == f'error: {path}: "dim" must be an integer, got {dim}\n'
+
+
+@pytest.mark.parametrize("text, message", (
+    ('{"rows": [[1.0, 2.0]]}', "expected a nonempty square matrix, got shape (1, 2)"),
+    ("[[1.0]]", 'expected an object with "dim" and "rows"'),
+    ('{"dim": 1}', 'expected an object with "dim" and "rows"'),
+    ('{"dim": 2, "rows": [[1.0]]}', '"dim" 2 does not match 1 rows'),
+))
+def test_a_matrix_file_of_the_wrong_form_is_a_usage_error(tmp_path, capsys, text, message):
+    path = tmp_path / "a.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "classify", str(path))
+    assert code == 2 and out == ""
+    assert err == f"error: {path}: {message}\n"
 
 
 @pytest.mark.parametrize("config", ("[]", '"pd_walk"', "5"))

@@ -42,6 +42,13 @@ def test_pattern_strings():
         pattern_from_string("+x")
 
 
+def test_all_patterns_and_symmetrize_refuse_what_has_no_size():
+    with pytest.raises(ValueError, match="a sign pattern needs n >= 1, got n=0"):
+        all_patterns(0)
+    with pytest.raises(ValueError, match=r"expected a square matrix, got shape \(2, 3\)"):
+        symmetrize(np.ones((2, 3)))
+
+
 @pytest.mark.parametrize("eps, expected", [
     ((1, 1, 1), np.eye(3)),
     ((1, -1), np.diag([1.0, -1.0])),

@@ -315,6 +315,13 @@ def test_log_cholesky_mean():
                        atol=1e-10)
 
 
+def test_eta_inv_of_a_non_triangular_length_and_the_mean_of_nothing():
+    with pytest.raises(ValueError, match="vector length 2 is not triangular"):
+        eta_inv([0.0, 0.0])
+    with pytest.raises(ValueError, match="mean of an empty collection"):
+        log_cholesky_mean([])
+
+
 def test_klein_maps():
     rng = np.random.default_rng(17)
     assert np.allclose(klein_apply("rev", L_WITNESS), [[2, 0], [2, 1]])

@@ -138,6 +138,27 @@ def test_unknown_inequality_and_preset():
         preset_config("nope", "mogulskii_min")
 
 
+@pytest.mark.parametrize("which", ("nope", ["mogulskii_min"]))
+def test_preset_config_names_an_unknown_inequality(which):
+    message = r"unknown inequality .*; choose from \('mogulskii_min', "
+    with pytest.raises(SpecInvalid, match=message):
+        preset_config("pd_walk", which)
+    walk, params = preset_config("pd_walk", "mogulskii_min")
+    stats = simulate_walk(RngStream(9), walk, paths=100)
+    with pytest.raises(SpecInvalid, match=message):
+        verify_from_stats(stats, which, params)
+    assert INEQUALITIES == tuple(inequalities._PRESET_PARAMS)
+
+
+@pytest.mark.parametrize("counts, thresholds", (([2, 1], [1.0]), ([], [])))
+def test_hoffmann_jorgensen_counts_and_thresholds_must_align(counts, thresholds):
+    walk, params = preset_config("pd_walk", "hoffmann_jorgensen")
+    stats = simulate_walk(RngStream(5), walk, paths=100)
+    with pytest.raises(SpecInvalid, match="counts and thresholds must align and be nonempty"):
+        verify_from_stats(stats, "hoffmann_jorgensen",
+                          {**params, "counts": counts, "thresholds": thresholds})
+
+
 def test_box_metric_pattern_penalty():
     # a mixed-cone walk with p = inf caps mismatch contributions at one
     walk, params = preset_config("mixed_box_walk", "ottaviani_skorohod")

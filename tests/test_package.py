@@ -28,3 +28,19 @@ def test_star_import_and_dir_list_the_public_names():
 def test_an_unknown_name_is_an_attribute_error():
     with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
         lpmch.no_such_name
+
+
+def test_each_submodule_lists_its_row_of_the_export_table():
+    # A submodule's star-import is its row of the package's table: no name
+    # is lost on either side, and every listed name exists.
+    declared = []
+    for module, names in lpmch._EXPORTS.items():
+        submodule = importlib.import_module(f"lpmch.{module}")
+        if hasattr(submodule, "__all__"):
+            declared.append(module)
+            assert tuple(submodule.__all__) == names, module
+            assert all(hasattr(submodule, name) for name in names), module
+    assert declared == ["cholesky", "geometry", "biggroup", "algebra", "ssrpm", "sampling",
+                        "inequalities"]
+    for name in ("KLEIN_MAPS", "DEFAULT_CAP", "WalkStats"):
+        assert name in lpmch.__all__

@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -390,6 +391,56 @@ def test_spec_validation():
     for other in (normal, inverse):
         with pytest.raises(SpecInvalid):
             DistributionSpec(kind="inertial_clone", base=other, k=1).validate()
+
+
+def spec_fields():
+    """Valid 2 x 2 fields of each kind, to be replaced one at a time."""
+    wishart = dict(kind="wishart", pattern=(1, 1), sigma=np.eye(2), dof=4)
+    return {"wishart": wishart,
+            "cholesky_normal": dict(kind="cholesky_normal", m0=classify(np.eye(2)),
+                                    sigma_tilde=np.eye(3)),
+            "inertial_clone": dict(kind="inertial_clone", base=DistributionSpec(**wishart), k=1)}
+
+
+LPM_M0 = classify(np.array([[2.0, 0.5, 0.1], [0.5, -1.0, 0.3], [0.1, 0.3, 1.5]]))
+
+# (kind, fields replaced, the start of the error's message): a field of the
+# wrong type or form, or a centre outside the spec's cone, is refused by
+# name before any draw.
+BAD_FIELDS = {
+    "sigma-string": ("wishart", {"sigma": "ab"}, "sigma must be a square matrix"),
+    "sigma-1d": ("wishart", {"sigma": np.ones(2)}, "sigma must be a square matrix"),
+    "sigma-3d": ("wishart", {"sigma": np.ones((2, 2, 2))}, "sigma must be a square matrix"),
+    "sigma-empty": ("wishart", {"sigma": np.ones((0, 0)), "pattern": ()},
+                    "sigma must be a square matrix"),
+    "dof-string": ("wishart", {"dof": "3"}, "dof must be a number, got '3'"),
+    "pattern-length": ("wishart", {"pattern": (1, 1, 1)}, "pattern length does not match sigma"),
+    "m0-array": ("cholesky_normal", {"m0": np.eye(2)}, "m0 must be a ConePoint, got ndarray"),
+    "m0-cone": ("cholesky_normal", {"cone": "tpm", "m0": LPM_M0,
+                                    "sigma_tilde": 1e-12 * np.eye(6)},
+                "m0 is in the lpm cone, the spec's is tpm"),
+    "sigma_tilde-shape": ("cholesky_normal", {"sigma_tilde": np.eye(2)},
+                          "sigma_tilde must be 3x3"),
+    "sigma_tilde-string": ("cholesky_normal", {"sigma_tilde": "ab"}, "sigma_tilde must be 3x3"),
+    "sigma_tilde-not-psd": ("cholesky_normal", {"sigma_tilde": -np.eye(3)},
+                            "sigma_tilde must be positive semidefinite"),
+    "k-string": ("inertial_clone", {"k": "1"}, "k must be an integer, got '1'"),
+    "k-above-n": ("inertial_clone", {"k": 3}, "need 0 <= k <= n, got k=3"),
+    "k-negative": ("inertial_clone", {"k": -1}, "need 0 <= k <= n, got k=-1"),
+    "base-string": ("inertial_clone", {"base": "x"}, "inertial_clone needs a wishart base spec"),
+}
+
+
+@pytest.mark.parametrize("kind, fields, message", BAD_FIELDS.values(), ids=BAD_FIELDS)
+def test_a_spec_field_of_the_wrong_type_or_form_is_named(kind, fields, message):
+    spec = DistributionSpec(**{**spec_fields()[kind], **fields})
+    with pytest.raises(SpecInvalid, match=f"^{re.escape(message)}"):
+        spec.validate()
+    rng = RngStream(0)
+    state = rng.generator.bit_generator.state
+    with pytest.raises(SpecInvalid, match=f"^{re.escape(message)}"):
+        KIND_FUNCTIONS[kind][0](rng, spec)
+    assert rng.generator.bit_generator.state == state
 
 
 def kind_specs():

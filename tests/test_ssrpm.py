@@ -161,6 +161,12 @@ def test_almost_n_constraints():
         almost_n_example(-1.0, -2.0, -3.0, 2)
 
 
+@pytest.mark.parametrize("a", (0.0, 1.0))
+def test_almost_n_example_needs_a_negative_a(a):
+    with pytest.raises(ConstraintViolation, match=f"need a < 0, got a={a}"):
+        almost_n_example(a, -2.0, -3.0, 3)
+
+
 def test_equality_characterization():
     # Random cone samples are all SSRPM exactly for the two definite patterns.
     rng = np.random.default_rng(2)
