@@ -12,10 +12,12 @@
 #   - `lpmch sample` of all four laws, at n = 3 and n = 10, in both cones,
 #     with fixed seeds (16 streams of 200 draws), and four streams at the
 #     seams of the writer, which prints a block of draws per write: a
-#     Wishart stream at n = 1, one of no draws, and a Wishart and a
+#     Wishart stream at n = 1, one of no draws, a Wishart and a
 #     Cholesky-normal stream at n = 10 a draw longer than its 1310-draw
-#     block (4 streams). The Cholesky-normal law's coordinates are one matrix
-#     product over the whole stream; split at the blocks, it moves bits;
+#     block, and a Cholesky-normal stream of 1311 draws at n = 20, past
+#     four of its 327-draw blocks (5 streams). The Cholesky-normal law's
+#     coordinates are one matrix product over the whole stream; split at
+#     the blocks, it moves bits at n = 20;
 #   - `lpmch density` of the three laws with a density, at the centre point
 #     of each cone and n, from the same inputs (12 values, printed with
 #     %.17g, so equal text is equal bits);
@@ -45,7 +47,7 @@
 #     and of a definite Toeplitz matrix at n = 12 whose last diagonal entry
 #     makes only minors with the last index fail, so that the check runs to
 #     its last level before it prints "not SSRPM" (4 outputs).
-# 77 outputs in all.
+# 78 outputs in all.
 # Needs Python with NumPy; exits non-zero at the first pair that differs.
 #
 # A change that moves outputs on purpose records each moved one as a line
@@ -104,6 +106,17 @@ for n, pattern in ((1, "-"), (3, "+-+"), (10, "+--+-++-+-")):
     dump(f"st{n}", 0.02 * np.eye(n * (n + 1) // 2))
     with open(f"{work}/pattern{n}", "w") as fh:
         fh.write(pattern)
+
+# A Cholesky-normal centre at n = 20, built like the point_ matrices below:
+# classify refuses the construction above at n = 20 (a near-zero minor).
+rng = np.random.default_rng(20)
+n = 20
+eps = rng.choice((1.0, -1.0), n)
+signs = eps * np.concatenate(([1.0], eps[:-1]))
+L = np.eye(n) + 0.1 * np.tril(rng.standard_normal((n, n)), -1) / np.sqrt(n)
+A = (L * signs) @ L.T
+dump("m0_lpm20", (A + A.T) / 2)
+dump("st20", 0.02 * np.eye(n * (n + 1) // 2))
 
 # A point and a general basis of one pattern per n, built like the
 # workflow's 40 x 40 matrix, and their reversals (TPM points of that pattern).
@@ -225,8 +238,10 @@ for n in 3 10; do
 done
 
 # Streams at the seams of the writer: Wishart at n = 1, with no draws, and
-# a draw past the 1310-draw block at n = 10; Cholesky-normal past that block.
-for seam in "wishart 1 200" "wishart 10 0" "wishart 10 1311" "cholesky-normal 10 1311"; do
+# a draw past the 1310-draw block at n = 10; Cholesky-normal past that block
+# and past four 327-draw blocks at n = 20.
+for seam in "wishart 1 200" "wishart 10 0" "wishart 10 1311" "cholesky-normal 10 1311" \
+    "cholesky-normal 20 1311"; do
   read -r dist n count <<< "$seam"
   key="$dist lpm $n"
   [ "$count" = 200 ] || key="$key $count"

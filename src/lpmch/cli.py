@@ -134,17 +134,17 @@ def _cmd_sample(args):
     law = sampling._law(_spec_from_args(args))
     seed = _seed(args)
     header = {"spec": {"dist": args.dist, "cone": law.spec.cone,
-                       "dim": law.n, "dof": law.spec.dof,
+                       "dim": law.n, "dof": law.dof,
                        "epsilon": args.epsilon, "k": law.spec.k,
                        "all_cones": law.spec.all_cones},
               "seed": seed, "count": args.count}
     print(json.dumps(header, sort_keys=True))
-    draws = law.draws(sampling.RngStream(seed).generator, args.count)
-    # The matrix stack that law.points would wrap as cone points, written one
-    # block of draws at a time, with the text of one block held at a time.
-    stack = _cone_matrices(law.factors(draws), law.patterns(draws), law.cone)
-    for a in range(0, args.count, law.block):
-        sys.stdout.write(_json_lines(stack[a:a + law.block]))
+    # The matrices that law.points would wrap as cone points, made and
+    # written one block of draws at a time. Only split holds the draws, so
+    # the Cholesky-normal law's normals go once its coordinates are made.
+    for _, block in law.split(law.draws(sampling.RngStream(seed).generator, args.count)):
+        stack = _cone_matrices(law.factors(block), law.patterns(block), law.cone)
+        sys.stdout.write(_json_lines(stack))
     return 0
 
 

@@ -12,22 +12,35 @@ dim dispatch to it), and its instance, the law of one validated spec, owns
 what the samplers, densities and walk steps compute from that spec:
 
 - draws(g, m, out): the law's generator calls, in stream order, into plain
-  arrays (the chi-square and normal draws of Bartlett factors, the standard
-  normals of the Cholesky-normal law, the pattern positions of a clone),
-  filled into out when it is given;
-- the arithmetic, which reads no stream: from draws to an (m, n, n) stack
-  of factors (factors: L0 K, or L0 R(K^-1) for the inverse Wishart, with
-  K the Bartlett factors and R the reversal; eta_inv of the coordinates
-  etas; or the base law's for a clone) and their patterns (patterns); to
-  a walk step's coordinate increments (increments: coordinates only, the
-  Wishart law's made one block of paths at a time; a walk step reads its
-  patterns from patterns, as the samplers do); and, in _SpecLaw alone, to
-  cone points (points): the stack composed against the patterns'
-  canonical bases in one batched congruence;
+  arrays with the draw axis first, filled into out when it is given: a
+  tuple of them (the chi-square and normal draws of Bartlett factors, a
+  clone's pattern positions before its Bartlett draws), or the one array
+  of standard normals of the Cholesky-normal law;
+- split(draws): the only place where draws are cut into blocks. It yields
+  (rows, block) for blocks of _BLOCK_ENTRIES // n^2 draws, each block the
+  same rows of every array of a tuple: of the draws, or, for the
+  Cholesky-normal law, of their coordinates, which it first makes in one
+  matrix product over every draw (split at the blocks, that product moves
+  bits at n = 20);
+- the arithmetic, which reads no stream: from a block to an (m, n, n)
+  stack of factors (factors: L0 K, or L0 R(K^-1) for the inverse Wishart,
+  with K the Bartlett factors and R the reversal; eta_inv of the
+  coordinate rows) and their patterns (patterns); to a walk step's
+  coordinate increments (increments: eta of the factors of each block, or
+  the Cholesky-normal coordinates; a walk step reads its patterns from
+  patterns, as the samplers do); and, in _SpecLaw alone, to cone points
+  (points): each block's stack composed against the patterns' canonical
+  bases in one batched congruence. lpmch sample writes the matrices of one
+  block at a time;
 - log_density(M): the per-point part of a density. It reads the factor L
   of M against its canonical basis (cone_factor), which the point keeps
-  after the first read: log det is 2 sum log l_jj, and the trace term is a
-  squared Frobenius norm in the leading orientation of the cone.
+  after the first read, and turns it to the leading orientation of the
+  cone: log det is 2 sum log l_jj, and the trace term is a squared
+  Frobenius norm. A TPM density thus sums the l_jj in its LPM twin's
+  order, and equals the twin's bit for bit.
+
+A clone is the Wishart law of its base's sigma and dof drawn in the
+clone's own cone, whatever the base's cone, pushed to its drawn patterns.
 
 A spec's law is made by the first call that needs it (_law): the spec is
 validated, and the law is kept on the spec against read-only copies of the
@@ -102,6 +115,8 @@ class DistributionSpec:
     coordinates (cholesky_normal).
     base / k / all_cones: PD-supported base spec and target inertia for
     inertial cloning (all_cones spreads the mass over every pattern instead).
+    A clone draws the Wishart law of the base's sigma and dof in its own
+    cone, whatever the base's cone is.
 
     Each kind has one law class (see the module docstring). validate and
     dim dispatch to it: an unknown kind or cone, a missing field, a NaN or
@@ -111,7 +126,10 @@ class DistributionSpec:
     its first use. It is used only while sigma (the base's, for a clone),
     sigma_tilde and m0.matrix hold exactly the entries it was made from, and
     the pattern (m0.pattern for cholesky_normal, the base's for a clone) the
-    signs it was made from.
+    signs it was made from. A law draws into arrays with the draw axis
+    first, and its split is the one place where those draws are cut into
+    blocks, for the samplers, a walk step's increments and lpmch
+    sample's writes alike (see the module docstring).
 
     Specs compare by identity, as cone points do.
     """
@@ -154,8 +172,9 @@ def _bartlett_draws(g, n, N, m, out=None):
     """The generator calls of m Bartlett factors of size n and dof N, in
     stream order: chisquare(N - j) for each diagonal entry j (0-based), one
     per factor, then standard normals for the strict lower triangles, row by
-    row. Returns (chi, z) of shapes (n, m) and (m, n(n-1)/2), views of out
-    (m n(n+1)/2 floats) when it is given. Only the chi-square draws allocate."""
+    row. Returns (chi, z) of shapes (m, n) and (m, n(n-1)/2), the draw axis
+    first (chi a transposed view), views of out (m n(n+1)/2 floats) when it
+    is given. Only the chi-square draws allocate."""
     if not (N >= n >= 1):
         raise SpecInvalid(f"need dof >= n >= 1, got dof={N}, n={n}")
     r = n * (n - 1) // 2
@@ -164,7 +183,7 @@ def _bartlett_draws(g, n, N, m, out=None):
     for j in range(n):
         chi[j] = g.chisquare(N - j, size=m)
     g.standard_normal(out=z)
-    return chi, z
+    return chi.T, z
 
 
 def _bartlett_factors(draws):
@@ -172,10 +191,13 @@ def _bartlett_factors(draws):
     diagonal, z below it row by row, zero above; assembled from one
     [sqrt chi | z | 0] row per factor, as eta_inv assembles its coordinates."""
     chi, z = draws
-    n, (m, r) = chi.shape[0], z.shape
+    (m, n), r = chi.shape, z.shape[1]
     row = np.zeros((m, n + r + 1))
+    # One sqrt per diagonal entry, each down a contiguous row of the array
+    # that chi views: one sqrt over the strided chi took 266 against 52 us
+    # at 20000 x 2 draws on a 2-core x86-64 host.
     for j in range(n):
-        np.sqrt(chi[j], out=row[:, j])
+        np.sqrt(chi[:, j], out=row[:, j])
     row[:, n:n + r] = z
     return _from_rows(row, n)
 
@@ -219,9 +241,10 @@ def _squared_norm(Y):
     return float(np.vdot(Y, Y).real)
 
 
-# Factor entries per block of draws (_SpecLaw.block) in a walk step's Wishart
-# arithmetic and in the CLI's sample writes: a block's (draws, n, n) arrays
-# stay near 1 MB, whatever the path or draw count.
+# Factor entries per block of draws (_SpecLaw.split), the unit of the
+# samplers' points, a walk step's factor arithmetic and lpmch sample's
+# writes: a block's (draws, n, n) arrays stay near 1 MB, whatever the path
+# or draw count.
 # With one block per step, the walk-mc benchmark on a 2-core x86-64 host ran
 # 19 % fewer tasks per second and peaked 15 % higher in resident memory.
 _BLOCK_ENTRIES = 1 << 17
@@ -244,14 +267,28 @@ class _SpecLaw:
         return _drawn(lambda m: self.points(self.draws(rng.generator, m)), size)
 
     def points(self, draws):
-        """The cone points of draws, composed from their factors and patterns."""
-        return _cone_points(self.factors(draws), self.patterns(draws), self.cone)
+        """The cone points of draws, composed from the factors and patterns
+        of each block of split."""
+        return [point for _, block in self.split(draws)
+                for point in _cone_points(self.factors(block), self.patterns(block), self.cone)]
 
-    @property
-    def block(self):
-        """Draws per block of the law's blocked work (walk increments, the
-        CLI's writes): _BLOCK_ENTRIES // n^2 factor entries, at least one."""
-        return max(1, _BLOCK_ENTRIES // (self.n * self.n))
+    def split(self, draws):
+        """(rows, the draws at rows) for each block of draws in order: the
+        same rows of every array of the tuple, _BLOCK_ENTRIES // n^2 draws a
+        block (at least one), the last block shorter."""
+        block = max(1, _BLOCK_ENTRIES // (self.n * self.n))
+        for a in range(0, len(draws[0]), block):
+            rows = slice(a, a + block)
+            yield rows, tuple(x[rows] for x in draws)
+
+    def increments(self, draws, out=None):
+        """A walk step's coordinate increments: eta of the factors of
+        draws, made one block at a time, into out (draws, n(n+1)/2) when it
+        is given."""
+        out = np.empty((len(draws[0]), self.n * (self.n + 1) // 2)) if out is None else out
+        for rows, block in self.split(draws):
+            _eta(self.factors(block), out[rows])
+        return out
 
     def patterns(self, draws):
         """The pattern of every draw: the law's own."""
@@ -316,15 +353,6 @@ class _Wishart(_SpecLaw):
         """The cone factors L0 K of Bartlett draws K, reversed in the TPM cone."""
         return _orient(self.scale[0] @ _bartlett_factors(draws), self.cone)
 
-    def increments(self, draws, out=None):
-        chi, z = draws
-        n, paths = chi.shape
-        out = np.empty((paths, n * (n + 1) // 2)) if out is None else out
-        block = self.block
-        for a in range(0, paths, block):
-            _eta(self.factors((chi[:, a:a + block], z[a:a + block])), out[a:a + block])
-        return out
-
     @staticmethod
     def check_measure(measure):
         """The Wishart densities are against the Lebesgue measure: measure
@@ -336,10 +364,10 @@ class _Wishart(_SpecLaw):
     def log_density(self, M, measure=None):
         """See wishart_log_density and check_measure."""
         self.check_measure(measure)
-        L = self.factor_of(M)
+        L = _orient(self.factor_of(M), self.cone)
         _, L0_inv, sigma_logdet, gamma = self.scale
         n, N = L.shape[0], self.dof
-        Y = L0_inv @ _orient(L, self.cone)
+        Y = L0_inv @ L
         return float(0.5 * (N - n - 1) * _factor_logdet(L) - 0.5 * _squared_norm(Y)
                      - gamma - 0.5 * N * sigma_logdet)
 
@@ -366,10 +394,10 @@ class _InverseWishart(_Wishart):
     def log_density(self, X, measure=None):
         """See inverse_wishart_log_density and check_measure."""
         self.check_measure(measure)
-        L = self.factor_of(X)
+        L = _orient(self.factor_of(X), self.cone)
         L0, _, sigma_logdet, gamma = self.scale
         n, N = L.shape[0], self.dof
-        Y = np.linalg.solve(_orient(L, self.cone), L0)
+        Y = np.linalg.solve(L, L0)
         return float(0.5 * N * sigma_logdet - gamma
                      - 0.5 * (N + n + 1) * _factor_logdet(L) - 0.5 * _squared_norm(Y))
 
@@ -430,9 +458,15 @@ class _CholeskyNormal(_SpecLaw):
         out = np.matmul(z, self.root.T, out=out)
         return np.add(out, self.mean, out=out)
 
-    def factors(self, z):
-        """The factors of the coordinates of standard normals z."""
-        return eta_inv(self.etas(z))
+    def split(self, z):
+        """The blocks of the coordinates of standard normals z, made first by
+        one matrix product over every draw: split at the blocks, the product
+        moves bits at n = 20."""
+        return super().split((self.etas(z),))
+
+    def factors(self, block):
+        """The factors of a block of coordinate rows (see split)."""
+        return eta_inv(block[0])
 
     increments = etas
 
@@ -451,10 +485,11 @@ class _CholeskyNormal(_SpecLaw):
         return float(out)
 
 
-class _Clone(_SpecLaw):
-    """Inertial cloning: draws of the PD-supported Wishart base law pushed
-    to uniformly drawn patterns of the target inertia (or of any inertia).
-    Its draws are the pattern positions, then the base law's draws."""
+class _Clone(_Wishart):
+    """Inertial cloning: Wishart draws with the PD-supported base's sigma
+    and dof, in the clone's own cone, pushed to uniformly drawn patterns of
+    the target inertia (or of any inertia). Its draws are the pattern
+    positions, then the Bartlett draws."""
 
     kind = "inertial_clone"
 
@@ -477,20 +512,17 @@ class _Clone(_SpecLaw):
 
     def __init__(self, spec, entries, given_pattern):
         super().__init__(spec, entries, given_pattern)
-        self.base = _Wishart(spec.base, entries, given_pattern)
+        self.dof = spec.base.dof
 
     def draws(self, g, m, out=None):
-        return _clone_ranks(g, self.spec, m), self.base.draws(g, m, out)
+        return (_clone_ranks(g, self.spec, m),) + super().draws(g, m, out)
 
     def factors(self, draws):
-        return self.base.factors(draws[1])
+        return super().factors(draws[1:])
 
     def patterns(self, draws):
         """The drawn pattern of every draw, one row each."""
         return _clone_patterns(self.spec, draws[0])
-
-    def increments(self, draws, out=None):
-        return self.base.increments(draws[1], out)
 
     def log_density(self, M, measure=None):
         raise SpecInvalid("no density for inertial clones; use the base law")

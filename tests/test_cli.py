@@ -420,6 +420,14 @@ def test_non_finite_matrix_is_a_named_domain_error(tmp_path, capsys, command, ba
     assert err.startswith("NonFiniteInput: ") and "Warning" not in err
 
 
+def test_clone_header_prints_the_base_dof(tmp_path, capsys):
+    sigma = write(tmp_path, "s.json", np.eye(3) + 0.2)
+    code, out, _ = run(capsys, "sample", "--dist", "clone", "--sigma", sigma, "--dof", "5",
+                       "--k", "1", "--count", "2", "--seed", "3")
+    assert code == 0
+    assert json.loads(out.splitlines()[0])["spec"]["dof"] == 5
+
+
 def test_negative_sample_count_fails_before_the_header(tmp_path, capsys):
     sigma = write(tmp_path, "s.json", np.eye(2))
     draw = ["sample", "--dist", "wishart", "--sigma", sigma, "--dof", "3",

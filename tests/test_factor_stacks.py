@@ -28,6 +28,7 @@ from lpmch import (
     symmetrize,
     wishart_sample,
 )
+from lpmch import sampling
 from lpmch.cholesky import _cone_matrices
 from lpmch.core import canonical_signs, reverse_matrix
 from lpmch.errors import ComplexFactor
@@ -136,16 +137,59 @@ def test_cholesky_normal_draws_match_single_composition(cone):
 
 @pytest.mark.parametrize("cone", CONES)
 def test_clone_draws_match_single_composition(cone):
+    # An LPM base: a TPM clone draws the factors of the base's law in its
+    # own cone, not the base's.
     base = DistributionSpec(kind="wishart", pattern=(1,) * 4, sigma=_sigma(4), dof=6)
     spec = DistributionSpec(kind="inertial_clone", cone=cone, base=base, k=2)
     draws = inertial_clone_sample(RngStream(6), spec, size=DRAWS)
     twin = RngStream(6)
     patterns = clone_patterns(spec)
     idx = twin.generator.integers(len(patterns), size=DRAWS)
-    F = wishart_factors(twin, base, size=DRAWS)
+    F = wishart_factors(twin, replace(base, cone=cone), size=DRAWS)
     for point, i, Fi in zip(draws, idx, F):
         assert point.pattern == patterns[i]
         assert np.array_equal(point.matrix, cone_compose(Fi, patterns[i], cone).matrix)
+
+
+def _law_spec(name, n, cone):
+    """The spec of the named law at size n in the cone."""
+    eps = tuple(int(e) for e in np.random.default_rng(n).choice((1, -1), n))
+    wishart = DistributionSpec(kind="wishart", pattern=eps, cone=cone, sigma=_sigma(n), dof=n + 2)
+    base = replace(wishart, pattern=(1,) * n, cone="lpm")
+    return {
+        "wishart": wishart,
+        "inverse_wishart": replace(wishart, kind="inverse_wishart"),
+        "cholesky_normal": DistributionSpec(
+            kind="cholesky_normal", cone=cone, sigma_tilde=0.1 * np.eye(n * (n + 1) // 2),
+            m0=cone_compose(random_lower(np.random.default_rng(n), n), eps, cone)),
+        "clone_k": DistributionSpec(kind="inertial_clone", cone=cone, k=n // 2, base=base),
+        "clone_all": DistributionSpec(kind="inertial_clone", cone=cone, all_cones=True, base=base),
+    }[name]
+
+
+@pytest.mark.parametrize("name, n, cone", [
+    (name, n, cone) for name in ("wishart", "inverse_wishart", "cholesky_normal", "clone_k",
+                                 "clone_all") for n in (3, 10) for cone in CONES
+] + [("cholesky_normal", 20, cone) for cone in CONES])
+def test_split_blocks_make_the_whole_stack(monkeypatch, name, n, cone):
+    law = sampling._law(_law_spec(name, n, cone))
+    draws = law.draws(np.random.default_rng(n), 50)
+    # One block: the draws, or the Cholesky-normal law's coordinates of all.
+    (_, whole), = law.split(draws)
+    expected = (law.etas(draws),) if name == "cholesky_normal" else draws
+    assert all(np.array_equal(a, b) for a, b in zip(whole, expected))
+    # 200 entries a block: 22 draws at n = 3, 2 at n = 10 and 1 at n = 20.
+    monkeypatch.setattr(sampling, "_BLOCK_ENTRIES", 200)
+    blocks = list(law.split(draws))
+    size = max(1, 200 // n**2)
+    assert [rows for rows, _ in blocks] == [slice(a, a + size) for a in range(0, 50, size)]
+    for rows, block in blocks:
+        assert all(np.array_equal(part, a[rows]) for part, a in zip(block, whole))
+    stacked = np.concatenate([law.factors(block) for _, block in blocks])
+    assert stacked.tobytes() == law.factors(whole).tobytes()
+    if name.startswith("clone"):
+        patterns = np.concatenate([law.patterns(block) for _, block in blocks])
+        assert np.array_equal(patterns, law.patterns(draws))
 
 
 def _sampler(name, n, cone):

@@ -324,6 +324,21 @@ def test_inertial_clone():
     assert M.pattern == (1, 1, 1)
 
 
+@pytest.mark.parametrize("base_cone", ("lpm", "tpm"))
+@pytest.mark.parametrize("cone", ("lpm", "tpm"))
+def test_pd_clone_mean_is_the_wishart_mean(cone, base_cone):
+    # A clone of inertia 0 has one pattern, the all-plus one, so its draws
+    # are Wishart(sigma, N) draws of the clone's cone, whatever the base's
+    # cone. A clone that composed its base's factors F in another cone drew
+    # F^T F in place of F F^T: its mean / N was [[4.66, 0.40], [0.40, 0.35]].
+    sigma, N, draws = np.array([[4.0, 1.5], [1.5, 1.0]]), 5, 20000
+    base = wishart_spec((1, 1), sigma, N, cone=base_cone)
+    spec = DistributionSpec(kind="inertial_clone", cone=cone, base=base, k=0)
+    X = np.array([M.matrix for M in inertial_clone_sample(RngStream(3), spec, size=draws)])
+    se = X.std(axis=0, ddof=1) / np.sqrt(draws)
+    assert np.all(np.abs(X.mean(axis=0) - N * sigma) <= 4 * se)
+
+
 def test_unranked_clone_patterns_follow_the_enumeration():
     for n in range(1, 11):
         base = wishart_spec((1,) * n, np.eye(n), n)
